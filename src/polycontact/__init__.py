@@ -10,6 +10,7 @@ Subpackages by concern:
 * :mod:`polycontact.adjacency` - adjacency spaces, untying, projection
 * :mod:`polycontact.algebra`   - contact algebras, audits, merging
 * :mod:`polycontact.logic`     - formulas, evaluation, countermodel search
+* :mod:`polycontact.bitslice`  - bit-sliced formula evaluation over finite algebras
 * :mod:`polycontact.pipeline`  - end-to-end countermodel certificates
 * :mod:`polycontact.cli`       - command-line front door
 """

@@ -1,0 +1,141 @@
+"""Bit-sliced evaluation of compiled formulas over finite contact algebras.
+
+A ``Program`` is a formula compiled (by ``logic.compile_formula``) to
+straight-line code over its unique subterms.  One run of it evaluates the
+formula under many valuations at once, one bit per valuation (Biham's
+bit-slicing, with Python ints as the words).
+
+A valuation of the sorted variables x_0 .. x_{k-1} over n cells is numbered
+v = m_0 * 2^(n(k-1)) + ... + m_{k-1}, where m_j is the bitmask of x_j: the
+order of ``itertools.product``, with the first variable most significant.  A
+term's value across valuations is a list of n ints, one per cell, whose bit
+v is set when the cell lies in the term's value under valuation v; a
+formula's value is one int whose bit v is its truth under valuation v.  So
+the lowest zero bit of a run is the first falsifying valuation in product
+order.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Iterator, Mapping, Optional
+
+from .algebra import FiniteContactAlgebra
+
+# Most index bits (cells x sliced variables) one run covers, so no value is
+# wider than 2^SLICE_BITS bits.  Leading variables beyond it are fixed one
+# mask at a time, in product order, outside the run.
+SLICE_BITS = 16
+
+# Instruction operators: VAR takes a variable name, COMPLEMENT and NOT one
+# slot, the others two slots.
+VAR, COMPLEMENT, JOIN, EQ, CONTACT, NOT, OR = range(7)
+
+
+def bit_patterns(width: int) -> list[int]:
+    """``out[p]`` has bit v set exactly when bit p of v is set, v < 2^width."""
+    total = 1 << width
+    out = []
+    for p in range(width):
+        half = 1 << p
+        pattern = ((1 << half) - 1) << half
+        span = 2 * half
+        while span < total:
+            pattern |= pattern << span
+            span *= 2
+        out.append(pattern)
+    return out
+
+
+class Program:
+    """Straight-line code: instruction i, ``(op, *operands)``, computes slot i
+    from earlier slots, and the last slot is the formula.  ``frees[i]``
+    lists the slots whose last use is instruction i, dropped right after
+    it, so a run holds only the values still needed.  A program lives for
+    one search, and so does its cache of ``bit_patterns`` by width."""
+
+    def __init__(self, code: list[tuple]):
+        last = {}
+        for i, (op, *args) in enumerate(code):
+            if op != VAR:
+                for a in args:
+                    last[a] = i
+        self.frees: list[list[int]] = [[] for _ in code]
+        for slot, i in last.items():
+            self.frees[i].append(slot)
+        self.code = code
+        self.names = sorted(args[0] for op, *args in code if op == VAR)
+        self.patterns: dict[int, list[int]] = {}
+
+    def run(self, inputs: Mapping[str, list[int]], near: list[list[int]],
+            full: int) -> int:
+        """Truth bits of the formula; ``inputs`` maps each variable to its
+        per-cell bits and ``near[i]`` lists the successors of cell i, as in
+        ``FiniteContactAlgebra.contact``."""
+        vals: list = [None] * len(self.code)
+        for i, (op, *args) in enumerate(self.code):
+            if op == VAR:
+                out = inputs[args[0]]
+            elif op == COMPLEMENT:
+                out = [full ^ x for x in vals[args[0]]]
+            elif op == JOIN:
+                out = [x | y for x, y in zip(vals[args[0]], vals[args[1]])]
+            elif op == EQ:
+                diff = 0
+                for x, y in zip(vals[args[0]], vals[args[1]]):
+                    diff |= x ^ y
+                out = full ^ diff
+            elif op == CONTACT:
+                ys = vals[args[1]]
+                out = 0
+                for x, succ in zip(vals[args[0]], near):
+                    if x:
+                        reach = 0
+                        for j in succ:
+                            reach |= ys[j]
+                        out |= x & reach
+            elif op == NOT:
+                out = full ^ vals[args[0]]
+            else:
+                out = vals[args[0]] | vals[args[1]]
+            vals[i] = out
+            for slot in self.frees[i]:
+                vals[slot] = None
+        return vals[-1]
+
+    def truth_runs(self, algebra: FiniteContactAlgebra
+                   ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """``(prefix, truth, full)`` per run, in product order: the leading
+        variables that do not fit under ``SLICE_BITS`` are fixed to the
+        masks in ``prefix``; bit v of ``truth`` is the formula's truth under
+        the v-th valuation of the others, and ``full`` has every bit set."""
+        n = len(algebra.cells)
+        k = len(self.names)
+        sliced = min(k, SLICE_BITS // n) if n else k
+        fixed = k - sliced
+        width = n * sliced
+        if width not in self.patterns:
+            self.patterns[width] = bit_patterns(width)
+        bits = self.patterns[width]
+        full = (1 << (1 << width)) - 1
+        near = [[j for j in range(n) if succ >> j & 1] for succ in algebra.succ]
+        inputs = {name: bits[n * (sliced - 1 - j):n * (sliced - j)]
+                  for j, name in enumerate(self.names[fixed:])}
+        for prefix in product(range(1 << n), repeat=fixed):
+            for name, m in zip(self.names, prefix):
+                inputs[name] = [full if m >> i & 1 else 0 for i in range(n)]
+            yield prefix, self.run(inputs, near, full), full
+
+    def first_falsifier(self, algebra: FiniteContactAlgebra
+                        ) -> Optional[tuple[int, ...]]:
+        """Masks of ``names`` in the first falsifying valuation in product
+        order, or None when the formula is true in the algebra."""
+        n = len(algebra.cells)
+        for prefix, truth, full in self.truth_runs(algebra):
+            falsified = full ^ truth
+            if falsified:
+                v = (falsified & -falsified).bit_length() - 1
+                sliced = len(self.names) - len(prefix)
+                return prefix + tuple(v >> (n * (sliced - 1 - j)) & ((1 << n) - 1)
+                                      for j in range(sliced))
+        return None

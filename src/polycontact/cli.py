@@ -5,8 +5,6 @@ countermodel or audit failure was found (so shells can branch on it),
 2 parse error, 3 I/O error.
 
 All reports are plain text with machine-greppable ``key=value`` lines.
-``--jobs`` is accepted for interface stability; commands currently run
-single-process, which keeps output deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -295,8 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polycontact",
         description="strong contact between polytopes, contact-algebra audits, "
                     "and countermodel synthesis")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (reserved; runs single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_svg(p, plane_default="-6,-6,6,6"):
@@ -377,9 +373,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.fn(args)
     except OSError as exc:

@@ -23,10 +23,16 @@ three implication/negation schemes), the equational Boolean-algebra basis
 (associativity, commutativity, absorption, distributivity, complementation),
 the four contact schemes, and the connectedness scheme.
 
-``find_countermodel`` enumerates connected adjacency spaces by cell count
-(up to isomorphism for small sizes) and valuations by bitmask, and returns
-the first Kripke model falsifying the formula.  ``None`` means no
-countermodel up to the bound, which is not a theoremhood claim.
+``find_countermodel`` returns the first Kripke model falsifying the
+formula: spaces come in ``enumerate_connected_spaces`` order (by cell count,
+up to isomorphism for small sizes), and within a space valuations come in
+``itertools.product`` order over the sorted variables, each a bitmask of
+cells, the first variable most significant.  ``None`` means no countermodel
+up to the bound, which is not a theoremhood claim.  The search and
+``true_in_algebra`` evaluate a formula bit-sliced (``bitslice``): one run
+per space covers every valuation, up to a fixed cap of cells x variables
+beyond which the leading variables are fixed outside the run.  ``evaluate``
+is the one-valuation reference evaluator, used on every carrier.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import bitslice as bs
 from .adjacency import AdjacencySpace, is_connected, mk_space
 from .algebra import ContactAlgebra, FiniteContactAlgebra, induced_algebra
 
@@ -113,6 +120,17 @@ def iff(a: Formula, b: Formula) -> Formula:
     return conj(implies(a, b), implies(b, a))
 
 
+def _children(node) -> tuple:
+    match node:
+        case Variable(_):
+            return ()
+        case Complement(t) | Not(t):
+            return (t,)
+        case Join(a, b) | Eq(a, b) | Contact(a, b) | Or(a, b):
+            return (a, b)
+    raise TypeError(f"not a term or formula: {node!r}")
+
+
 def term_variables(t: Term) -> set[str]:
     match t:
         case Variable(name):
@@ -179,6 +197,17 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+class _NestedTooDeeply(FormulaSyntaxError):
+    """Raised past ``MAX_NESTING``; never backtracked over."""
+
+
+# Deepest nesting accepted, counted both while parsing (prefix operators,
+# parentheses and right-nested ``=>`` open at once) and as the depth of the
+# parse tree.  Every recursive walk over a formula (evaluation, printing,
+# hashing) then stays far inside Python's default recursion limit.
+MAX_NESTING = 100
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<cname>C)(?=\()|(?P<var>[a-z][a-z0-9]*))")
 
@@ -220,6 +249,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -245,6 +275,15 @@ class _Parser:
         t = self._peek()
         return t[2] if t else len(self.text)
 
+    def _nested(self, parse):
+        """``parse()`` one level down, after a prefix operator or '('."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _NestedTooDeeply("nested too deeply", self._here())
+        out = parse()
+        self.depth -= 1
+        return out
+
     # formulas ---------------------------------------------------------
 
     def formula(self):
@@ -256,7 +295,7 @@ class _Parser:
     def imp(self):
         left = self.disj()
         if self._take_op("=>"):
-            return implies(left, self.imp())
+            return implies(left, self._nested(self.imp))
         return left
 
     def disj(self):
@@ -273,7 +312,7 @@ class _Parser:
 
     def unary(self):
         if self._take_op("~"):
-            return Not(self.unary())
+            return Not(self._nested(self.unary))
         return self.atom()
 
     def atom(self):
@@ -289,7 +328,7 @@ class _Parser:
             self._expect_op(")")
             return Contact(left, right)
         # either a relational atom over terms or a parenthesised formula
-        saved = self.pos
+        saved = self.pos, self.depth
         try:
             left = self.term()
             if self._take_op("=="):
@@ -300,10 +339,12 @@ class _Parser:
                 right = self.term()
                 return Eq(Join(left, right), right)
             raise FormulaSyntaxError("expected relation after term", self._here())
+        except _NestedTooDeeply:
+            raise
         except FormulaSyntaxError:
-            self.pos = saved
+            self.pos, self.depth = saved
         if self._take_op("("):
-            inner = self.formula()
+            inner = self._nested(self.formula)
             self._expect_op(")")
             return inner
         raise FormulaSyntaxError(f"cannot parse formula at {t[1]!r}", t[2])
@@ -324,7 +365,7 @@ class _Parser:
 
     def term_unary(self):
         if self._take_op("-"):
-            return Complement(self.term_unary())
+            return Complement(self._nested(self.term_unary))
         t = self._peek()
         if t is None:
             raise FormulaSyntaxError("unexpected end of term", len(self.text))
@@ -338,26 +379,37 @@ class _Parser:
             self.pos += 1
             return _OneMark()
         if self._take_op("("):
-            inner = self.term()
+            inner = self._nested(self.term)
             self._expect_op(")")
             return inner
         raise FormulaSyntaxError(f"cannot parse term at {t[1]!r}", t[2])
 
 
-def _first_variable(node) -> Optional[str]:
+def _check_depth(depth: int) -> None:
+    """The recursive walks over a parse tree stop here, before they recurse
+    past ``MAX_NESTING``: operator chains such as ``a | b | ...`` nest the
+    tree without nesting the parser."""
+    if depth > MAX_NESTING:
+        raise FormulaSyntaxError("nested too deeply", 0)
+
+
+def _first_variable(node, depth: int = 1) -> Optional[str]:
+    _check_depth(depth)
     match node:
         case Variable(name):
             return name
         case Complement(t):
-            return _first_variable(t)
+            return _first_variable(t, depth + 1)
         case Join(a, b) | Or(a, b) | Eq(a, b) | Contact(a, b):
-            return _first_variable(a) or _first_variable(b)
+            return _first_variable(a, depth + 1) or _first_variable(b, depth + 1)
         case Not(body):
-            return _first_variable(body)
+            return _first_variable(body, depth + 1)
     return None
 
 
-def _expand_marks(node, carrier: Term):
+def _expand_marks(node, carrier: Term, depth: int = 1):
+    _check_depth(depth)
+    depth += 1
     match node:
         case _ZeroMark():
             return zero_term(carrier)
@@ -366,40 +418,39 @@ def _expand_marks(node, carrier: Term):
         case Variable(_):
             return node
         case Complement(t):
-            return Complement(_expand_marks(t, carrier))
+            return Complement(_expand_marks(t, carrier, depth))
         case Join(a, b):
-            return Join(_expand_marks(a, carrier), _expand_marks(b, carrier))
+            return Join(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
         case Eq(a, b):
-            return Eq(_expand_marks(a, carrier), _expand_marks(b, carrier))
+            return Eq(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
         case Contact(a, b):
-            return Contact(_expand_marks(a, carrier), _expand_marks(b, carrier))
+            return Contact(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
         case Not(body):
-            return Not(_expand_marks(body, carrier))
+            return Not(_expand_marks(body, carrier, depth))
         case Or(a, b):
-            return Or(_expand_marks(a, carrier), _expand_marks(b, carrier))
+            return Or(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
     raise TypeError(f"unexpected node {node!r}")
+
+
+def _finish(parser: _Parser, raw):
+    if parser.pos != len(parser.tokens):
+        tok = parser.tokens[parser.pos]
+        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    carrier = Variable(_first_variable(raw) or "a")
+    return _expand_marks(raw, carrier)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; 0 and 1 expand over the first variable occurring
-    in the formula (or the variable ``a`` when there is none)."""
+    in the formula (or the variable ``a`` when there is none).  Input nested
+    deeper than ``MAX_NESTING`` levels is a ``FormulaSyntaxError``."""
     parser = _Parser(text)
-    raw = parser.formula()
-    if parser.pos != len(parser.tokens):
-        tok = parser.tokens[parser.pos]
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    carrier = Variable(_first_variable(raw) or "a")
-    return _expand_marks(raw, carrier)
+    return _finish(parser, parser.formula())
 
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
-    raw = parser.term()
-    if parser.pos != len(parser.tokens):
-        tok = parser.tokens[parser.pos]
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    carrier = Variable(_first_variable(raw) or "a")
-    return _expand_marks(raw, carrier)
+    return _finish(parser, parser.term())
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +493,42 @@ def evaluate(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object
 
 def true_in_algebra(f: Formula, algebra: FiniteContactAlgebra) -> bool:
     """Truth under every valuation (finite carriers only)."""
-    names = sorted(free_variables(f))
-    elements = algebra.elements()
-    for values in product(elements, repeat=len(names)):
-        if not evaluate(f, algebra, dict(zip(names, values))):
-            return False
-    return True
+    return compile_formula(f).first_falsifier(algebra) is None
+
+
+_OPCODES = {Complement: bs.COMPLEMENT, Join: bs.JOIN, Eq: bs.EQ,
+            Contact: bs.CONTACT, Not: bs.NOT, Or: bs.OR}
+
+
+def compile_formula(f: Formula) -> bs.Program:
+    """The formula as a bit-sliced program over its unique subterms.
+
+    Iterative, so operator chains compile without recursing; structurally
+    equal subterms (which the abbreviations duplicate) share one slot.
+    """
+    slots: dict[tuple, int] = {}
+    done: dict[int, int] = {}          # id(node) -> slot
+    code: list[tuple] = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        kids = _children(node)
+        if kids and not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in kids)
+            continue
+        if isinstance(node, Variable):
+            key = (bs.VAR, node.name)
+        else:
+            key = (_OPCODES[type(node)], *(done[id(kid)] for kid in kids))
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(code)
+            code.append(key)
+        done[id(node)] = slot
+    return bs.Program(code)
 
 
 # ---------------------------------------------------------------------------
@@ -764,23 +845,22 @@ def find_countermodel(f: Formula | str, max_cells: int
                       ) -> Optional[tuple[AdjacencySpace, dict[str, frozenset[str]]]]:
     """First falsifying Kripke model with at most ``max_cells`` cells.
 
-    Valuations assign each free variable a subset of cells, enumerated in
-    bitmask order.  None means no countermodel up to the bound.
+    Spaces come in ``enumerate_connected_spaces`` order and, within a
+    space, valuations in product order over the sorted variables, the
+    first variable most significant.  None means no countermodel up to
+    the bound.
     """
     if isinstance(f, str):
         f = parse(f)
     if max_cells < 1:
         raise ValueError("cell bound must be >= 1")
-    names = sorted(free_variables(f))
+    program = compile_formula(f)
     for space in enumerate_connected_spaces(max_cells):
         algebra = induced_algebra(space)
-        size = 1 << len(space.cells)
-        for masks in product(range(size), repeat=len(names)):
-            valuation = dict(zip(names, masks))
-            if not evaluate(f, algebra, valuation):
-                named = {name: frozenset(algebra.cells_of(mask))
-                         for name, mask in valuation.items()}
-                return space, named
+        masks = program.first_falsifier(algebra)
+        if masks is not None:
+            return space, {name: frozenset(algebra.cells_of(mask))
+                           for name, mask in zip(program.names, masks)}
     return None
 
 

@@ -123,17 +123,27 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
 
 
 def verify(cert: CountermodelCertificate) -> AuditReport:
-    """Re-run every stage check of a certificate independently."""
+    """Re-run every stage check of a certificate independently.
+
+    Total on any certificate that parses: a stage whose valuation leaves a
+    variable of the formula unbound fails with the variable as witness.
+    """
     report = AuditReport()
 
     def add(name: str, passed: bool, witness: str = ""):
         report.entries.append(AuditEntry(name, passed, witness if not passed else ""))
 
+    def add_false(name: str, evaluate_stage):
+        try:
+            add(name, not evaluate_stage())
+        except lg.UnboundVariable as exc:
+            add(name, False, f"unbound variable {exc.args[0]}")
+
     formula = lg.parse(cert.formula_text)
     add("formula-matches", formula == cert.formula)
 
-    add("discrete-eval-false",
-        not _eval_discrete(formula, cert.discrete_space, cert.discrete_valuation))
+    add_false("discrete-eval-false", lambda: _eval_discrete(
+        formula, cert.discrete_space, cert.discrete_valuation))
 
     add("pmorphism",
         check_pmorphism(cert.collapse, cert.untied_space, cert.discrete_space))
@@ -141,12 +151,13 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     lift_witness = next(
         ((name, x) for name, cells in cert.untied_valuation.items()
          for x in cert.untied_space.cells
-         if (x in cells) != (cert.collapse(x) in cert.discrete_valuation[name])),
+         if name not in cert.discrete_valuation
+         or (x in cells) != (cert.collapse(x) in cert.discrete_valuation[name])),
         None)
     add("valuation-lift", lift_witness is None, f"at {lift_witness}")
 
-    add("untied-eval-false",
-        not _eval_discrete(formula, cert.untied_space, cert.untied_valuation))
+    add_false("untied-eval-false", lambda: _eval_discrete(
+        formula, cert.untied_space, cert.untied_valuation))
 
     cells = cert.untied_space.cells
     image_ok = set(cert.images) == set(cells)
@@ -166,13 +177,14 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
 
         geo_witness = next(
             (name for name, cells_ in cert.untied_valuation.items()
-             if not cert.geometric_valuation[name].equals(
+             if name not in cert.geometric_valuation
+             or not cert.geometric_valuation[name].equals(
                  _union_image(cells_, cert.images, cert.dim))), None)
         add("geometric-valuation-is-merged-union", geo_witness is None,
             f"variable {geo_witness}")
 
-    add("geometric-eval-false",
-        not lg.evaluate(formula, CylinderAlgebra(cert.dim), cert.geometric_valuation))
+    add_false("geometric-eval-false", lambda: lg.evaluate(
+        formula, CylinderAlgebra(cert.dim), cert.geometric_valuation))
 
     return report
 

@@ -1,4 +1,6 @@
-"""Shared test machinery: tree enumeration and batched Kripke evaluation."""
+"""Shared test machinery: tree enumeration, batched Kripke evaluation, and
+the scalar countermodel search kept as the reference for the bit-sliced
+one."""
 
 from __future__ import annotations
 
@@ -7,8 +9,9 @@ from itertools import product
 import numpy as np
 
 from polycontact.adjacency import AdjacencySpace, mk_space
-from polycontact.algebra import FiniteContactAlgebra
-from polycontact.logic import Complement, Contact, Eq, Join, Not, Or, Variable, free_variables
+from polycontact.algebra import FiniteContactAlgebra, induced_algebra
+from polycontact.logic import (
+    Complement, Contact, Eq, Join, Not, Or, Variable, evaluate, free_variables)
 
 CELLS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -131,6 +134,20 @@ def batch_true_in_algebra(formula, algebra: FiniteContactAlgebra) -> bool:
         raise TypeError(f)
 
     if not names:
-        from polycontact.logic import evaluate
         return evaluate(formula, algebra, {})
     return bool(form(formula).all())
+
+
+def scalar_find_countermodel(formula, spaces):
+    """``logic.find_countermodel`` one valuation at a time over the given
+    spaces: valuations in ``itertools.product`` order over the sorted
+    variables, each checked with ``logic.evaluate``."""
+    names = sorted(free_variables(formula))
+    for space in spaces:
+        algebra = induced_algebra(space)
+        for masks in product(range(1 << len(space.cells)), repeat=len(names)):
+            valuation = dict(zip(names, masks))
+            if not evaluate(formula, algebra, valuation):
+                return space, {name: frozenset(algebra.cells_of(mask))
+                               for name, mask in valuation.items()}
+    return None

@@ -165,6 +165,16 @@ def test_parse_error_exit_2(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("formula", [
+    "~" * 3000 + "p == q",
+    "(" * 600 + "p == q" + ")" * 600,
+    " | ".join(["p == q"] * 1500),
+], ids=["3000-negations", "600-parens", "1500-disjuncts"])
+def test_deep_formula_exit_2(formula, capsys):
+    assert run(["countermodel", formula, "--bound", "2"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_io_error_exit_3(files, capsys):
     write, _ = files
     ok = write("ok.poly", Q1)

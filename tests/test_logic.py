@@ -1,12 +1,17 @@
 import random
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polycontact import bitslice as bs
 from polycontact import logic as lg
 from polycontact.adjacency import mk_space
-from polycontact.algebra import IntervalAlgebra, induced_algebra
+from polycontact.algebra import FiniteContactAlgebra, IntervalAlgebra, induced_algebra
 from polycontact.intervals import random_interval_polytope
-from helpers import batch_true_in_algebra
+from helpers import batch_true_in_algebra, scalar_find_countermodel
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -56,6 +61,31 @@ class TestParser:
     def test_term_parens_vs_formula_parens(self):
         assert lg.parse("(p + q) == q") == lg.parse("p + q == q")
         assert lg.parse("(p == q)") == lg.parse("p == q")
+
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "p == q",
+        "(" * 600 + "p == q" + ")" * 600,
+        " | ".join(["p == q"] * 1500),
+        " => ".join(["p == q"] * 1500),
+    ], ids=["3000-negations", "600-parens", "1500-disjuncts", "1500-implications"])
+    def test_nested_too_deeply(self, text):
+        with pytest.raises(lg.FormulaSyntaxError, match="nested too deeply"):
+            lg.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "-" * 3000 + "p",
+        "(" * 600 + "p" + ")" * 600,
+        " + ".join(["p"] * 1500),
+    ], ids=["3000-complements", "600-parens", "1500-joins"])
+    def test_term_nested_too_deeply(self, text):
+        with pytest.raises(lg.FormulaSyntaxError, match="nested too deeply"):
+            lg.parse_term(text)
+
+    def test_nesting_limit_admits_its_depth(self):
+        depth = lg.MAX_NESTING
+        assert lg.parse("(" * depth + "p == q" + ")" * depth) == lg.parse("p == q")
+        assert lg.parse(" | ".join(["p == q"] * (depth - 1))) is not None
+        assert lg.parse_term("-" * (depth - 1) + "p") is not None
 
 
 class TestEvaluate:
@@ -161,6 +191,146 @@ class TestCountermodel:
         # the search never visits, so it has no countermodel
         f = "x != 0 => (x != 1 => C(x,-x))"
         assert lg.find_countermodel(f, 4) is None
+
+
+NAMES = ("p", "q", "r")
+
+
+def terms():
+    return st.recursive(
+        st.sampled_from([lg.Variable(n) for n in NAMES]),
+        lambda sub: st.one_of(st.builds(lg.Complement, sub), st.builds(lg.Join, sub, sub)),
+        max_leaves=5)
+
+
+def formulas():
+    atoms = st.one_of(st.builds(lg.Eq, terms(), terms()),
+                      st.builds(lg.Contact, terms(), terms()))
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(st.builds(lg.Not, sub), st.builds(lg.Or, sub, sub)),
+        max_leaves=4)
+
+
+@st.composite
+def finite_algebras(draw, max_cells=4):
+    """Power-set algebras whose successor masks are arbitrary: the relation
+    need not be reflexive or symmetric."""
+    n = draw(st.integers(1, max_cells))
+    succ = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return FiniteContactAlgebra("abcd"[:n], succ)
+
+
+def random_formula_text(rng: random.Random, names, depth: int = 3) -> str:
+    """A formula in the concrete syntax, abbreviations included."""
+    def term(d):
+        if d == 0 or rng.random() < 0.3:
+            return rng.choice(names) if rng.random() < 0.8 else rng.choice("01")
+        op = rng.choice(["-", "+", "."])
+        if op == "-":
+            return f"-({term(d - 1)})"
+        return f"({term(d - 1)} {op} {term(d - 1)})"
+
+    def formula(d):
+        if d == 0 or rng.random() < 0.3:
+            rel = rng.choice(["==", "!=", "<=", "C"])
+            a, b = term(2), term(2)
+            return f"C({a}, {b})" if rel == "C" else f"{a} {rel} {b}"
+        op = rng.choice(["~", "|", "&", "=>", "<=>"])
+        if op == "~":
+            return f"~({formula(d - 1)})"
+        return f"({formula(d - 1)} {op} {formula(d - 1)})"
+
+    return formula(depth)
+
+
+def seeded_non_theorems(count: int, names, bound: int) -> list[lg.Formula]:
+    rng = random.Random(f"non-theorems/{len(names)}/{bound}")
+    out = []
+    while len(out) < count:
+        f = lg.parse(random_formula_text(rng, names))
+        if lg.free_variables(f) == set(names) and scalar_find_countermodel(
+                f, lg.enumerate_connected_spaces(bound)) is not None:
+            out.append(f)
+    return out
+
+
+class TestBitSlicedKernel:
+    """The bit-sliced search against the scalar evaluator it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(), finite_algebras(), st.sampled_from([bs.SLICE_BITS, 0, 3, 5]))
+    def test_every_bit_matches_evaluate(self, f, algebra, cap):
+        # a cap below cells x variables splits the valuations into runs
+        program = lg.compile_formula(f)
+        k = len(program.names)
+        valuations = product(algebra.elements(), repeat=k)
+        with mock.patch.object(bs, "SLICE_BITS", cap):
+            runs = list(program.truth_runs(algebra))
+        for prefix, truth, full in runs:
+            for v in range(full.bit_length()):
+                masks = next(valuations)
+                assert masks[:len(prefix)] == prefix
+                valuation = dict(zip(program.names, masks))
+                assert bool(truth >> v & 1) == lg.evaluate(f, algebra, valuation)
+        assert next(valuations, None) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(), finite_algebras(max_cells=3))
+    def test_true_in_algebra_matches_evaluate(self, f, algebra):
+        names = sorted(lg.free_variables(f))
+        expected = all(lg.evaluate(f, algebra, dict(zip(names, masks)))
+                       for masks in product(algebra.elements(), repeat=len(names)))
+        assert lg.true_in_algebra(f, algebra) == expected
+
+    def test_shared_subterms_compile_once(self):
+        f = lg.parse("C(p,q+r) <=> (C(p,q) | C(p,r))")
+        program = lg.compile_formula(f)
+        assert len(program.code) == len(set(program.code))
+        contacts = [op for op in program.code if op[0] == bs.CONTACT]
+        assert len(contacts) == 3
+
+    def test_axiom_instances_match_reference(self):
+        rng = random.Random(21)
+        two = [f for _, f in lg.generate_axiom_instances(("p", "q"))
+               if len(lg.free_variables(f)) == 2]
+        three = [f for _, f in lg.generate_axiom_instances(("p", "q", "r"), 1, 0)
+                 if len(lg.free_variables(f)) == 3]
+        for formulas_, bound in ((rng.sample(two, 20), 4), (rng.sample(three, 6), 3)):
+            for f in formulas_:
+                assert lg.find_countermodel(f, bound) is None
+                assert scalar_find_countermodel(
+                    f, lg.enumerate_connected_spaces(bound)) is None
+
+    @pytest.mark.parametrize("names,bound", [
+        (("p",), 4), (("p", "q"), 4), (("p", "q", "r"), 3)])
+    def test_non_theorems_match_reference(self, names, bound):
+        for f in seeded_non_theorems(12, names, bound):
+            assert lg.find_countermodel(f, bound) == scalar_find_countermodel(
+                f, lg.enumerate_connected_spaces(bound))
+
+    @pytest.mark.parametrize("cap", [0, 3, 5, 8])
+    def test_lowered_cap_matches_reference(self, cap, monkeypatch):
+        # below the cap, leading variables are fixed outside the kernel
+        monkeypatch.setattr(bs, "SLICE_BITS", cap)
+        for names, bound in ((("p", "q"), 4), (("p", "q", "r"), 3)):
+            for f in seeded_non_theorems(6, names, bound):
+                assert lg.find_countermodel(f, bound) == scalar_find_countermodel(
+                    f, lg.enumerate_connected_spaces(bound))
+
+    def test_crossing_the_cap_matches_reference(self):
+        # five pairwise-disjoint nonzero regions need five cells, so the
+        # search reaches 5 cells x 4 variables = 20 index bits, past the cap
+        f = lg.parse("~(p != 0 & q != 0 & r != 0 & s != 0 & p.q == 0 & p.r == 0 & "
+                     "p.s == 0 & q.r == 0 & q.s == 0 & r.s == 0 & p+q+r+s != 1)")
+        assert 5 * 4 > bs.SLICE_BITS
+        spaces = list(lg.enumerate_connected_spaces(5))
+        for space in spaces:
+            if len(space.cells) < 5:
+                assert batch_true_in_algebra(f, induced_algebra(space))
+        first = next(s for s in spaces if len(s.cells) == 5)
+        found = lg.find_countermodel(f, 5)
+        assert found is not None and found == scalar_find_countermodel(f, [first])
 
 
 class TestEnumeration:

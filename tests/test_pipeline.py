@@ -85,6 +85,33 @@ class TestVerify:
         assert "geometric-valuation-is-merged-union" in failing
 
 
+class TestVerifyIsTotal:
+    """A certificate that parses gets a verdict, never an exception."""
+
+    def test_missing_geometric_section(self):
+        text = pp.serialize_certificate(pp.synthesize(TRIANGLE_FORCER, 3, 1))
+        lines = text.splitlines()
+        start = lines.index("geometric {")
+        end = lines.index("}", start)
+        cert = pp.parse_certificate("\n".join(lines[:start] + lines[end + 1:]))
+        report = pp.verify(cert)
+        failing = {e.name: e.witness for e in report.entries if not e.passed}
+        assert failing["geometric-eval-false"] == "unbound variable p"
+        assert "geometric-valuation-is-merged-union" in failing
+
+    @pytest.mark.parametrize("stage,entry", [
+        (0, "discrete-eval-false"), (1, "untied-eval-false")])
+    def test_missing_val_line(self, stage, entry):
+        text = pp.serialize_certificate(pp.synthesize(TRIANGLE_FORCER, 3, 1))
+        lines = text.splitlines()
+        drop = [i for i, line in enumerate(lines) if line.startswith("val q:")][stage]
+        cert = pp.parse_certificate("\n".join(lines[:drop] + lines[drop + 1:]))
+        report = pp.verify(cert)
+        assert not report.passed
+        failing = {e.name: e.witness for e in report.entries if not e.passed}
+        assert failing[entry] == "unbound variable q"
+
+
 class TestSerialization:
     def test_round_trip_identical_report(self):
         cert = pp.synthesize(TRIANGLE_FORCER, 3, 1)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cylinder import CylinderPolytope
@@ -169,9 +171,10 @@ class PMorphism:
     def of(mapping: Mapping[str, str]) -> "PMorphism":
         return PMorphism(tuple(sorted(mapping.items())))
 
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
+    @cached_property
+    def mapping(self) -> Mapping[str, str]:
+        """The map as a read-only dict, built once."""
+        return MappingProxyType(dict(self.pairs))
 
     def __call__(self, cell: str) -> str:
         return self.mapping[cell]

@@ -8,8 +8,11 @@ A contact algebra pairs a Boolean algebra with a binary relation satisfying
     (C4)  x != 0  implies  C(x, x)
 
 The carriers here are: subsets of a finite cell set under the relation
-induced by an adjacency relation (elements are bitmasks), and polytopes on
-the line / in the plane / in cylinders under strong contact.
+induced by an adjacency relation (``FiniteContactAlgebra``, elements are
+bitmasks), and polytopes on the line, in the plane and in cylinders under
+strong contact (``PolytopeAlgebra``, built by ``IntervalAlgebra``,
+``PlaneAlgebra`` and ``CylinderAlgebra``), whose operations are the
+polytopes' own methods.
 
 ``audit_axioms`` checks the four conditions plus monotonicity and the
 overlap-extension property, exhaustively for finite carriers and on seeded
@@ -31,15 +34,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from . import intervals as iv
 from . import plane as pl
 from .adjacency import AdjacencySpace
-from .cylinder import CylinderPolytope, lift
+from .cylinder import CylinderPolytope, format_cylinder, lift
 
 
 class ContactAlgebra:
     """Interface: Boolean operations, distinguished 0 and 1, predicate C.
 
-    The meet is derived from complement and join by De Morgan.  ``equal``
-    is semantic equality of elements (syntactic forms may differ for plane
-    polytopes).
+    ``equal`` is semantic equality of elements (syntactic forms may differ
+    for plane polytopes).
     """
 
     def zero(self):
@@ -55,7 +57,7 @@ class ContactAlgebra:
         raise NotImplementedError
 
     def meet(self, x, y):
-        return self.complement(self.join(self.complement(x), self.complement(y)))
+        raise NotImplementedError
 
     def equal(self, x, y) -> bool:
         raise NotImplementedError
@@ -75,6 +77,10 @@ class ContactAlgebra:
 
     def sample(self, rng: random.Random):
         raise NotImplementedError("no sampler for this carrier")
+
+
+class UnknownCell(ValueError):
+    """A cell name that is not a cell of the finite carrier."""
 
 
 class FiniteContactAlgebra(ContactAlgebra):
@@ -137,6 +143,8 @@ class FiniteContactAlgebra(ContactAlgebra):
         index = {c: i for i, c in enumerate(self.cells)}
         out = 0
         for name in names:
+            if name not in index:
+                raise UnknownCell(f"unknown cell {name!r}")
             out |= 1 << index[name]
         return out
 
@@ -161,101 +169,67 @@ def induced_algebra(space: AdjacencySpace) -> FiniteContactAlgebra:
     return FiniteContactAlgebra(space.cells, succ)
 
 
-class IntervalAlgebra(ContactAlgebra):
+class PolytopeAlgebra(ContactAlgebra):
+    """Polytopes of one carrier under strong contact.
+
+    Every operation is the polytope's own method, so ``IntervalPolytope``,
+    ``PlanePolytope`` and ``CylinderPolytope`` alone decide what a carrier
+    offers.  ``is_zero`` is exact without a complement because canonical
+    forms keep only nonempty parts.
+    """
+
+    def __init__(self, zero, one, describe: Callable[[object], str],
+                 sample: Callable[[random.Random], object]):
+        self._zero, self._one = zero, one
+        self._describe, self._sample = describe, sample
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    def complement(self, x):
+        return x.complement()
+
+    def join(self, x, y):
+        return x.union(y)
+
+    def meet(self, x, y):
+        return x.reg_meet(y)
+
+    def equal(self, x, y) -> bool:
+        return x.equals(y)
+
+    def contact(self, x, y) -> bool:
+        return x.contact_sc(y)
+
+    def is_zero(self, x) -> bool:
+        return x.is_empty()
+
+    def describe(self, x) -> str:
+        return self._describe(x)
+
+    def sample(self, rng: random.Random):
+        return self._sample(rng)
+
+
+def IntervalAlgebra() -> PolytopeAlgebra:
     """Line polytopes under strong contact."""
-
-    def zero(self):
-        return iv.EMPTY
-
-    def one(self):
-        return iv.ALL
-
-    def complement(self, x):
-        return x.complement()
-
-    def join(self, x, y):
-        return x.union(y)
-
-    def meet(self, x, y):
-        return x.reg_meet(y)
-
-    def equal(self, x, y) -> bool:
-        return x.equals(y)
-
-    def contact(self, x, y) -> bool:
-        return x.contact_sc(y)
-
-    def describe(self, x) -> str:
-        return iv.format_intervals(x)
-
-    def sample(self, rng: random.Random):
-        return iv.random_interval_polytope(rng)
+    return PolytopeAlgebra(iv.EMPTY, iv.ALL, iv.format_intervals,
+                           iv.random_interval_polytope)
 
 
-class PlaneAlgebra(ContactAlgebra):
+def PlaneAlgebra() -> PolytopeAlgebra:
     """Plane polytopes under strong contact."""
-
-    def zero(self):
-        return pl.EMPTY
-
-    def one(self):
-        return pl.R2
-
-    def complement(self, x):
-        return x.complement()
-
-    def join(self, x, y):
-        return x.union(y)
-
-    def meet(self, x, y):
-        return x.reg_meet(y)
-
-    def equal(self, x, y) -> bool:
-        return x.equals(y)
-
-    def contact(self, x, y) -> bool:
-        return pl.contact_sc(x, y)
-
-    def describe(self, x) -> str:
-        return pl.format_plane(x)
-
-    def sample(self, rng: random.Random):
-        return pl.random_plane_polytope(rng)
+    return PolytopeAlgebra(pl.EMPTY, pl.R2, pl.format_plane, pl.random_plane_polytope)
 
 
-class CylinderAlgebra(ContactAlgebra):
-    """Cylinders over line polytopes under strong contact."""
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-
-    def zero(self):
-        return lift(iv.EMPTY, self.ambient_dim)
-
-    def one(self):
-        return lift(iv.ALL, self.ambient_dim)
-
-    def complement(self, x):
-        return x.complement()
-
-    def join(self, x, y):
-        return x.union(y)
-
-    def meet(self, x, y):
-        return x.reg_meet(y)
-
-    def equal(self, x, y) -> bool:
-        return x.equals(y)
-
-    def contact(self, x, y) -> bool:
-        return x.contact_sc(y)
-
-    def describe(self, x) -> str:
-        from .cylinder import format_cylinder
-        return format_cylinder(x)
-
-    def sample(self, rng: random.Random):
-        return lift(iv.random_interval_polytope(rng), self.ambient_dim)
+def CylinderAlgebra(ambient_dim: int) -> PolytopeAlgebra:
+    """Cylinders over line polytopes in ``ambient_dim`` dimensions."""
+    return PolytopeAlgebra(
+        lift(iv.EMPTY, ambient_dim), lift(iv.ALL, ambient_dim), format_cylinder,
+        lambda rng: lift(iv.random_interval_polytope(rng), ambient_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import adjacency as adj
 from . import algebra as alg
@@ -42,20 +43,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_geometry(path: str):
-    """Returns ("plane"|"cyl"|"interval", value) based on the leading keyword."""
-    text = _read(path)
-    head = text.strip().split(None, 1)[0] if text.strip() else ""
-    try:
-        if head == "poly":
-            return "plane", pl.parse_plane(text)
-        if head == "cyl":
-            return "cyl", cyl.parse_cylinder(text)
-        return "interval", iv.parse_intervals(text)
-    except ValueError as exc:
-        raise CliParseError(f"{path}: {exc}") from exc
-
-
 def _parse_box(text: str):
     parts = [Fraction(x) for x in text.split(",")]
     if len(parts) != 4:
@@ -72,6 +59,57 @@ def _parse_window(text: str):
     raise CliParseError("window must be xmin,xmax")
 
 
+def _draw_plane(items, viewport: str, witness=None) -> str:
+    return svgmod.plane_svg(items, witness=witness, box=_parse_box(viewport))
+
+
+def _draw_line(items, viewport: str, witness=None) -> str:
+    return svgmod.numberline_svg(items, window=_parse_window(viewport))
+
+
+class _Format(NamedTuple):
+    kind: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+    draw: Callable[..., str]
+
+
+# leading keyword of a region file -> its format; a file led by any other
+# word is an interval list
+_FORMATS = {
+    "poly": _Format("plane", pl.parse_plane, pl.format_plane, _draw_plane),
+    "cyl": _Format("cyl", cyl.parse_cylinder, cyl.format_cylinder, _draw_line),
+    None: _Format("interval", iv.parse_intervals, iv.format_intervals, _draw_line),
+}
+
+
+def _head(text: str):
+    words = text.split(None, 1)
+    return words[0] if words else None
+
+
+def _format_of(text: str) -> _Format:
+    return _FORMATS.get(_head(text), _FORMATS[None])
+
+
+def _load_geometry(path: str):
+    """(format, region) of a region file."""
+    text = _read(path)
+    fmt = _format_of(text)
+    try:
+        return fmt, fmt.parse(text)
+    except ValueError as exc:
+        raise CliParseError(f"{path}: {exc}") from exc
+
+
+def _load_like(fmt: _Format, path: str):
+    """The region in a second operand file, which must have format ``fmt``."""
+    fmt_b, b = _load_geometry(path)
+    if fmt_b is not fmt:
+        raise CliParseError(f"operands have different kinds: {fmt.kind} vs {fmt_b.kind}")
+    return b
+
+
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
@@ -81,58 +119,36 @@ def _bool(x: bool) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_contact(args, sc_line: bool) -> int:
-    kind_a, a = _load_geometry(args.file_a)
-    kind_b, b = _load_geometry(args.file_b)
-    if kind_a != kind_b:
-        raise CliParseError(f"operands have different kinds: {kind_a} vs {kind_b}")
-    c, sc, ov = a.contact_c(b), a.contact_sc(b), a.overlap(b)
-    witness = None
-    if sc and sc_line:
-        if kind_a == "plane":
-            witness = a.sc_witness(b)
-        elif kind_a == "cyl":
-            witness = a.sc_witness(b)
-        else:
-            witness = iv.contact_witness(a, b)
+    fmt, a = _load_geometry(args.file_a)
+    b = _load_like(fmt, args.file_b)
+    c = _bool(a.contact_c(b))
+    witness = a.sc_witness(b) if sc_line else None
     if sc_line:
-        print(f"SC={_bool(sc)} C={_bool(c)} overlap={_bool(ov)}")
-        if witness is not None:
-            if kind_a == "plane":
-                (x, y), r = witness
-                print(f"witness=disk centre=({x},{y}) radius={r}")
-            else:
-                lo, hi = witness
-                print(f"witness=interval ({lo},{hi})")
+        # strong contact holds exactly when the regions have a witness
+        print(f"SC={_bool(witness is not None)} C={c} overlap={_bool(a.overlap(b))}")
     else:
-        print(f"C={_bool(c)}")
+        print(f"C={c}")
+    if witness is not None and fmt.kind == "plane":
+        (x, y), r = witness
+        print(f"witness=disk centre=({x},{y}) radius={r}")
+    elif witness is not None:
+        lo, hi = witness
+        print(f"witness=interval ({lo},{hi})")
     if args.svg:
-        if kind_a == "plane":
-            box = _parse_box(args.viewport)
-            svg = svgmod.plane_svg([(a, "A"), (b, "B")], witness=witness, box=box)
-        else:
-            window = _parse_window(args.viewport)
-            svg = svgmod.numberline_svg([(a, "A"), (b, "B")], window=window)
-        _write(args.svg, svg)
+        _write(args.svg, fmt.draw([(a, "A"), (b, "B")], args.viewport, witness))
     return EXIT_OK
 
 
 def _cmd_bool_op(args) -> int:
-    kind_a, a = _load_geometry(args.file_a)
+    fmt, a = _load_geometry(args.file_a)
     if args.op == "complement":
         out = a.complement()
+    elif not args.file_b:
+        raise CliParseError(f"{args.op} needs two operands")
     else:
-        if not args.file_b:
-            raise CliParseError(f"{args.op} needs two operands")
-        kind_b, b = _load_geometry(args.file_b)
-        if kind_a != kind_b:
-            raise CliParseError("operands have different kinds")
+        b = _load_like(fmt, args.file_b)
         out = a.union(b) if args.op == "union" else a.reg_meet(b)
-    if kind_a == "plane":
-        print(pl.format_plane(out))
-    elif kind_a == "cyl":
-        print(cyl.format_cylinder(out))
-    else:
-        print(iv.format_intervals(out))
+    print(fmt.format(out))
     return EXIT_OK
 
 
@@ -264,21 +280,14 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_render(args) -> int:
     text = _read(args.file)
-    head = text.strip().split(None, 1)[0] if text.strip() else ""
-    if head == "certificate":
+    if _head(text) == "certificate":
         cert = pp.parse_certificate(text)
         items = [(cert.geometric_valuation[name], name)
                  for name in sorted(cert.geometric_valuation)]
-        svg = svgmod.numberline_svg(items, window=_parse_window(args.viewport))
-    elif head == "poly":
-        poly = pl.parse_plane(text)
-        svg = svgmod.plane_svg([(poly, "")], box=_parse_box(args.viewport))
-    elif head == "cyl":
-        c = cyl.parse_cylinder(text)
-        svg = svgmod.numberline_svg([(c, "")], window=_parse_window(args.viewport))
+        svg = _draw_line(items, args.viewport)
     else:
-        p = iv.parse_intervals(text)
-        svg = svgmod.numberline_svg([(p, "")], window=_parse_window(args.viewport))
+        fmt = _format_of(text)
+        svg = fmt.draw([(fmt.parse(text), "")], args.viewport)
     _write(args.svg, svg)
     print(f"svg written to {args.svg}")
     return EXIT_OK

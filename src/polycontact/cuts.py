@@ -24,11 +24,10 @@ from typing import Iterable, Optional, Sequence
 from .numeric import HalfSpace, Hyperplane, LineRelation, Point, flip, intersect_lines
 from .plane import (
     PlanePolytope,
-    _as_con,
-    _events_on,
-    _line_param,
-    _point_on,
-    feasible_point,
+    arrangement_edges,
+    core_point,
+    line_param,
+    point_on,
     point_on_boundary,
 )
 
@@ -87,7 +86,7 @@ def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
     bricks = []
     for signs in product((1, -1), repeat=len(cs.cuts)):
         cons = tuple(_side(cut, s) for cut, s in zip(cs.cuts, signs))
-        core = feasible_point(_as_con(h, True) for h in cons)
+        core = core_point(cons)
         if core is not None:
             bricks.append(Brick(signs, cons, core))
     return tuple(bricks)
@@ -137,32 +136,22 @@ class Sheet:
 
 def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
     out = []
-    for mu in cs.cuts:
-        base, direction = _line_param(mu)
-        ts = _events_on(mu, base, direction, cs.cuts)
-        if ts:
-            pieces = [(None, ts[0], ts[0] - 1)]
-            pieces += [(a, b, (a + b) / 2) for a, b in zip(ts, ts[1:])]
-            pieces.append((ts[-1], None, ts[-1] + 1))
-        else:
-            pieces = [(None, None, Fraction(0))]
-        for lo, hi, t_rep in pieces:
-            rep = _point_on(base, direction, t_rep)
-            signs = []
-            for nu in cs.cuts:
-                if nu == mu:
-                    continue
-                v = nu.value_at(rep)
-                if v == 0:  # excluded by the event construction
-                    raise RuntimeError("sheet representative on another cut")
-                signs.append((nu, 1 if v < 0 else -1))
-            out.append(Sheet(mu, lo, hi, rep, tuple(signs)))
+    for mu, lo, hi, rep in arrangement_edges(cs.cuts):
+        signs = []
+        for nu in cs.cuts:
+            if nu == mu:
+                continue
+            v = nu.value_at(rep)
+            if v == 0:  # excluded by arrangement_edges
+                raise RuntimeError("sheet representative on another cut")
+            signs.append((nu, 1 if v < 0 else -1))
+        out.append(Sheet(mu, lo, hi, rep, tuple(signs)))
     return tuple(out)
 
 
 def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
     """A few interior points of the sheet (for uniformity checks)."""
-    base, direction = _line_param(sheet.carrier)
+    base, direction = line_param(sheet.carrier)
     lo, hi = sheet.lo, sheet.hi
     if lo is None and hi is None:
         ts = [Fraction(k) for k in range(count)]
@@ -172,7 +161,7 @@ def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
         ts = [lo + k + 1 for k in range(count)]
     else:
         ts = [lo + (hi - lo) * Fraction(k + 1, count + 1) for k in range(count)]
-    return tuple(_point_on(base, direction, t) for t in ts)
+    return tuple(point_on(base, direction, t) for t in ts)
 
 
 @dataclass(frozen=True)

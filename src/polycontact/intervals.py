@@ -108,6 +108,10 @@ class IntervalPolytope:
         """Strong contact; on the line it coincides with contact_c."""
         return self.contact_c(other)
 
+    def sc_witness(self, other: "IntervalPolytope") -> tuple[Fraction, Fraction] | None:
+        """An open interval inside the union meeting both (``contact_witness``)."""
+        return contact_witness(self, other)
+
     def __repr__(self) -> str:
         return f"IntervalPolytope({format_intervals(self)})"
 

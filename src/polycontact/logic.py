@@ -232,16 +232,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _ZeroMark:
-    pass
-
-
-@dataclass(frozen=True)
-class _OneMark:
-    pass
-
-
 class _Parser:
     """Recursive descent with backtracking between term and formula parens."""
 
@@ -250,6 +240,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # 0 and 1 expand over the first variable of the text: the
+        # abbreviations keep operands in textual order, so it is also the
+        # first variable of the parse tree
+        first = next((t[1] for t in self.tokens if t[0] == "var"), "a")
+        self.carrier = Variable(first)
 
     def _peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -374,10 +369,10 @@ class _Parser:
             return Variable(t[1])
         if t[0] == "op" and t[1] == "0":
             self.pos += 1
-            return _ZeroMark()
+            return zero_term(self.carrier)
         if t[0] == "op" and t[1] == "1":
             self.pos += 1
-            return _OneMark()
+            return one_term(self.carrier)
         if self._take_op("("):
             inner = self._nested(self.term)
             self._expect_op(")")
@@ -385,59 +380,36 @@ class _Parser:
         raise FormulaSyntaxError(f"cannot parse term at {t[1]!r}", t[2])
 
 
-def _check_depth(depth: int) -> None:
-    """The recursive walks over a parse tree stop here, before they recurse
-    past ``MAX_NESTING``: operator chains such as ``a | b | ...`` nest the
-    tree without nesting the parser."""
-    if depth > MAX_NESTING:
+def _check_height(root) -> None:
+    """Reject a parse tree more than ``MAX_NESTING`` nodes high: operator
+    chains such as ``a | b | ...`` nest the tree without nesting the
+    parser, and every recursive walk over a formula must stay far inside
+    Python's recursion limit.  Heights are memoised by node identity,
+    because the abbreviations (``<=>`` above all) share subtrees; the walk
+    stops as soon as it is too deep."""
+    heights: dict[int, int] = {}
+
+    def height(node, depth: int) -> int:
+        h = heights.get(id(node))
+        if h is None:
+            if depth > MAX_NESTING:
+                raise FormulaSyntaxError("nested too deeply", 0)
+            h = 0
+            for kid in _children(node):
+                h = max(h, height(kid, depth + 1))
+            h = heights[id(node)] = h + 1
+        return h
+
+    if height(root, 1) > MAX_NESTING:
         raise FormulaSyntaxError("nested too deeply", 0)
 
 
-def _first_variable(node, depth: int = 1) -> Optional[str]:
-    _check_depth(depth)
-    match node:
-        case Variable(name):
-            return name
-        case Complement(t):
-            return _first_variable(t, depth + 1)
-        case Join(a, b) | Or(a, b) | Eq(a, b) | Contact(a, b):
-            return _first_variable(a, depth + 1) or _first_variable(b, depth + 1)
-        case Not(body):
-            return _first_variable(body, depth + 1)
-    return None
-
-
-def _expand_marks(node, carrier: Term, depth: int = 1):
-    _check_depth(depth)
-    depth += 1
-    match node:
-        case _ZeroMark():
-            return zero_term(carrier)
-        case _OneMark():
-            return one_term(carrier)
-        case Variable(_):
-            return node
-        case Complement(t):
-            return Complement(_expand_marks(t, carrier, depth))
-        case Join(a, b):
-            return Join(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
-        case Eq(a, b):
-            return Eq(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
-        case Contact(a, b):
-            return Contact(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
-        case Not(body):
-            return Not(_expand_marks(body, carrier, depth))
-        case Or(a, b):
-            return Or(_expand_marks(a, carrier, depth), _expand_marks(b, carrier, depth))
-    raise TypeError(f"unexpected node {node!r}")
-
-
-def _finish(parser: _Parser, raw):
+def _finish(parser: _Parser, tree):
     if parser.pos != len(parser.tokens):
         tok = parser.tokens[parser.pos]
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    carrier = Variable(_first_variable(raw) or "a")
-    return _expand_marks(raw, carrier)
+    _check_height(tree)
+    return tree
 
 
 def parse(text: str) -> Formula:

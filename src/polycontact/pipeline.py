@@ -31,7 +31,8 @@ from .adjacency import (
     project,
     untie,
 )
-from .algebra import AuditEntry, AuditReport, CylinderAlgebra, induced_algebra, merge
+from .algebra import (AuditEntry, AuditReport, CylinderAlgebra, UnknownCell,
+                      induced_algebra, merge)
 from .cylinder import CylinderPolytope, format_cylinder, lift, parse_cylinder
 from .intervals import EMPTY as EMPTY_LINE
 
@@ -126,7 +127,8 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     """Re-run every stage check of a certificate independently.
 
     Total on any certificate that parses: a stage whose valuation leaves a
-    variable of the formula unbound fails with the variable as witness.
+    variable of the formula unbound, or names a cell outside its space,
+    fails with the variable or the cell as witness.
     """
     report = AuditReport()
 
@@ -138,6 +140,8 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
             add(name, not evaluate_stage())
         except lg.UnboundVariable as exc:
             add(name, False, f"unbound variable {exc.args[0]}")
+        except UnknownCell as exc:
+            add(name, False, str(exc))
 
     formula = lg.parse(cert.formula_text)
     add("formula-matches", formula == cert.formula)
@@ -148,11 +152,12 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     add("pmorphism",
         check_pmorphism(cert.collapse, cert.untied_space, cert.discrete_space))
 
+    collapse = cert.collapse.mapping
     lift_witness = next(
         ((name, x) for name, cells in cert.untied_valuation.items()
          for x in cert.untied_space.cells
-         if name not in cert.discrete_valuation
-         or (x in cells) != (cert.collapse(x) in cert.discrete_valuation[name])),
+         if name not in cert.discrete_valuation or x not in collapse
+         or (x in cells) != (collapse[x] in cert.discrete_valuation[name])),
         None)
     add("valuation-lift", lift_witness is None, f"at {lift_witness}")
 
@@ -178,6 +183,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
         geo_witness = next(
             (name for name, cells_ in cert.untied_valuation.items()
              if name not in cert.geometric_valuation
+             or not cells_ <= cert.images.keys()
              or not cert.geometric_valuation[name].equals(
                  _union_image(cells_, cert.images, cert.dim))), None)
         add("geometric-valuation-is-merged-union", geo_witness is None,
@@ -294,6 +300,12 @@ def parse_certificate(text: str) -> CountermodelCertificate:
         raise CertificateFormatError("missing formula or dim")
     if "discrete" not in spaces or "untied" not in spaces:
         raise CertificateFormatError("missing a space section")
+    if dim < 1:
+        raise CertificateFormatError("dim must be >= 1")
+    odd = next((c for c in (*images.values(), *geometric.values()) if c.ambient_dim != dim), None)
+    if odd is not None:
+        raise CertificateFormatError(f"a cylinder of dimension {odd.ambient_dim} "
+                                     f"in a certificate of dim {dim}")
     return CountermodelCertificate(
         formula_text=formula_text, formula=lg.parse(formula_text), dim=dim,
         discrete_space=spaces["discrete"], discrete_valuation=valuations["discrete"],

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numeric import (
     DimensionMismatch,
@@ -126,6 +126,12 @@ def _as_con(h: HalfSpace, strict: bool) -> LinCon:
     return (a, b, c, strict)
 
 
+def core_point(halfspaces: Iterable[HalfSpace]) -> Optional[Point]:
+    """A rational point in the interior of the intersection of closed
+    half-planes, or None when that interior is empty."""
+    return feasible_point(_as_con(h, True) for h in halfspaces)
+
+
 def _negated_strict(h: HalfSpace) -> LinCon:
     """The open complement ``normal.x > offset`` as a strict constraint."""
     (a, b), c = h.normal, h.offset
@@ -154,7 +160,7 @@ class BasicPolytope:
         return all(h.value_at(p) < 0 for h in self.constraints)
 
     def interior_point(self) -> Point:
-        pt = feasible_point(_as_con(h, True) for h in self.constraints)
+        pt = core_point(self.constraints)
         if pt is None:  # excluded by the mk_basic invariant
             raise ValueError("basic polytope lost its interior")
         return pt
@@ -175,7 +181,7 @@ def mk_basic(halfspaces: Iterable[HalfSpace]) -> Optional[BasicPolytope]:
     for h in current:
         if h.dim != 2:
             raise DimensionMismatch("mk_basic expects half-planes")
-    if feasible_point(_as_con(h, True) for h in current) is None:
+    if core_point(current) is None:
         return None
     for h in list(current):
         rest = [g for g in current if g != h]
@@ -285,50 +291,56 @@ def overlap(p: PlanePolytope, q: PlanePolytope) -> bool:
     return _overlap_witness(p, q) is not None
 
 
-def _line_param(mu: Hyperplane) -> tuple[Point, tuple[Fraction, Fraction]]:
+def line_param(mu: Hyperplane) -> tuple[Point, tuple[Fraction, Fraction]]:
     """A rational base point on the line and a direction vector along it."""
     (a, b), c = mu.normal, mu.offset
     base = (Fraction(0), c / b) if b != 0 else (c / a, Fraction(0))
     return base, (-b, a)
 
 
-def _point_on(base: Point, direction, t: Fraction) -> Point:
+def point_on(base: Point, direction, t: Fraction) -> Point:
+    """The point at parameter ``t`` of a line given by ``line_param``."""
     return (base[0] + t * direction[0], base[1] + t * direction[1])
 
 
-def _events_on(mu: Hyperplane, base: Point, direction, lines: Sequence[Hyperplane]
-               ) -> list[Fraction]:
-    ts = set()
-    for nu in lines:
-        if nu == mu:
-            continue
-        denom = dot(nu.normal, direction)
-        if denom == 0:
-            continue  # parallel, never meets mu
-        t = (nu.offset - dot(nu.normal, base)) / denom
-        ts.add(t)
-    return sorted(ts)
+def arrangement_edges(lines: Sequence[Hyperplane]
+                      ) -> Iterator[tuple[Hyperplane, Optional[Fraction],
+                                          Optional[Fraction], Point]]:
+    """The open edges of the arrangement of distinct lines, lazily.
 
-
-def _safe_normal_step(x: Point, mu: Hyperplane, lines: Sequence[Hyperplane]) -> Fraction:
-    """An eps such that x +/- eps*normal crosses no line except mu itself."""
-    bounds = []
-    for nu in lines:
-        if nu == mu:
-            continue
-        shift = dot(nu.normal, mu.normal)
-        if shift == 0:
-            continue
-        val = nu.value_at(x)
-        bounds.append(abs(val) / abs(shift))
-    return min(bounds) / 2 if bounds else Fraction(1)
+    Each line in turn is cut at its crossings with the others, and each
+    relatively open piece is yielded in order along ``line_param``'s
+    direction as ``(line, lo, hi, rep)``: the parameters of its ends (None
+    for an unbounded end) and a point inside it, at parameter ``hi - 1``,
+    the midpoint or ``lo + 1`` (0 on a line no other line crosses), which
+    lies on no other line.
+    """
+    for mu in lines:
+        base, direction = line_param(mu)
+        crossings = set()
+        for nu in lines:
+            if nu is mu:
+                continue
+            denom = dot(nu.normal, direction)
+            if denom != 0:  # parallel lines never cross
+                crossings.add((nu.offset - dot(nu.normal, base)) / denom)
+        ts = sorted(crossings)
+        if ts:
+            pieces = [(None, ts[0], ts[0] - 1)]
+            pieces += [(a, b, (a + b) / 2) for a, b in zip(ts, ts[1:])]
+            pieces.append((ts[-1], None, ts[-1] + 1))
+        else:
+            pieces = [(None, None, Fraction(0))]
+        for lo, hi, t in pieces:
+            yield mu, lo, hi, point_on(base, direction, t)
 
 
 def _facet_probe(p: PlanePolytope, q: PlanePolytope, mu: Hyperplane,
                  x: Point, lines: Sequence[Hyperplane]) -> bool:
     """True when, locally at x on mu, Int(p) fills one open side and Int(q)
     the other.  x must avoid every line except mu."""
-    eps = _safe_normal_step(x, mu, lines)
+    # _sector_step would skip mu anyway; leaving it out spares evaluating it
+    eps = _sector_step(x, mu.normal, [nu for nu in lines if nu is not mu])
     n = mu.normal
     plus = (x[0] + eps * n[0], x[1] + eps * n[1])
     minus = (x[0] - eps * n[0], x[1] - eps * n[1])
@@ -340,11 +352,11 @@ def _facet_probe(p: PlanePolytope, q: PlanePolytope, mu: Hyperplane,
 def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     """None, or ("overlap", point, basic, basic), or ("facet", line, point).
 
-    The facet search pools the constraint lines of both arguments, cuts each
-    line at its intersections with the others, and probes one interior point
-    per resulting open piece.  Side classification is constant along a piece
-    because the probe points of a piece all lie in the same two open cells
-    of the pooled arrangement.
+    The facet search pools the constraint lines of both arguments and
+    probes one interior point per edge of their arrangement
+    (``arrangement_edges``).  Side classification is constant along an edge
+    because its points all lie between the same two open cells of the
+    pooled arrangement.
     """
     if p.is_empty() or q.is_empty():
         return None
@@ -352,19 +364,9 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     if ow is not None:
         return ("overlap", *ow)
     lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
-    for mu in lines:
-        base, direction = _line_param(mu)
-        ts = _events_on(mu, base, direction, lines)
-        if ts:
-            reps = [ts[0] - 1]
-            reps += [(a + b) / 2 for a, b in zip(ts, ts[1:])]
-            reps.append(ts[-1] + 1)
-        else:
-            reps = [Fraction(0)]
-        for t in reps:
-            x = _point_on(base, direction, t)
-            if _facet_probe(p, q, mu, x, lines):
-                return ("facet", mu, x)
+    for mu, _, _, x in arrangement_edges(lines):
+        if _facet_probe(p, q, mu, x, lines):
+            return ("facet", mu, x)
     return None
 
 
@@ -474,13 +476,17 @@ def _angle_cmp(d1, d2) -> int:
     return 0
 
 
-def _sector_step(v: Point, direction, other_lines: Sequence[Hyperplane]) -> Fraction:
+def _sector_step(v: Point, direction, lines: Sequence[Hyperplane]) -> Fraction:
+    """An eps such that v + t*direction, for 0 < |t| <= eps, meets none of
+    the lines that miss v."""
     bounds = []
-    for lam in other_lines:
+    for lam in lines:
         shift = dot(lam.normal, direction)
         if shift == 0:
             continue
-        bounds.append(abs(lam.value_at(v)) / abs(shift))
+        val = lam.value_at(v)
+        if val != 0:
+            bounds.append(abs(val) / abs(shift))
     return min(bounds) / 2 if bounds else Fraction(1)
 
 
@@ -495,7 +501,6 @@ def point_in_interior(poly: PlanePolytope, v: Point) -> bool:
         return False
     lines = poly.constraint_lines()
     thru = [l for l in lines if l.contains(v)]
-    off = [l for l in lines if not l.contains(v)]
     if not thru:
         return True
     if len(thru) == 1:
@@ -504,7 +509,7 @@ def point_in_interior(poly: PlanePolytope, v: Point) -> bool:
     else:
         dirs = set()
         for l in thru:
-            _, d = _line_param(l)
+            _, d = line_param(l)
             dirs.add(d)
             dirs.add((-d[0], -d[1]))
         ordered = sorted(dirs, key=cmp_to_key(_angle_cmp))
@@ -512,7 +517,7 @@ def point_in_interior(poly: PlanePolytope, v: Point) -> bool:
         for d1, d2 in zip(ordered, ordered[1:] + ordered[:1]):
             mids.append((d1[0] + d2[0], d1[1] + d2[1]))
     for m in mids:
-        eps = _sector_step(v, m, off)
+        eps = _sector_step(v, m, lines)
         sample = (v[0] + eps * m[0], v[1] + eps * m[1])
         if not poly.contains(sample):
             return False

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from polycontact.cli import run
@@ -103,6 +105,13 @@ def test_eval(files, capsys):
     assert "true-in-space=true" in out and "axiom-instance=C1" in out
 
 
+def test_eval_unknown_cell_exit_2(files, capsys):
+    write, _ = files
+    g = write("t.graph", TRIANGLE)
+    assert run(["eval", "C(p,q)", g, "--val", "p=z", "--val", "q=b"]) == 2
+    assert "unknown cell 'z'" in capsys.readouterr().err
+
+
 def test_countermodel_exit_codes(capsys):
     assert run(["countermodel", "C(p,q) => p.q != 0", "--bound", "3"]) == 1
     out = capsys.readouterr().out
@@ -169,7 +178,8 @@ def test_parse_error_exit_2(files, capsys):
     "~" * 3000 + "p == q",
     "(" * 600 + "p == q" + ")" * 600,
     " | ".join(["p == q"] * 1500),
-], ids=["3000-negations", "600-parens", "1500-disjuncts"])
+    " <=> ".join(["p == q"] * 30),
+], ids=["3000-negations", "600-parens", "1500-disjuncts", "30-link-iff-chain"])
 def test_deep_formula_exit_2(formula, capsys):
     assert run(["countermodel", formula, "--bound", "2"]) == 2
     assert "nested too deeply" in capsys.readouterr().err
@@ -197,3 +207,86 @@ def test_deterministic_output(files, capsys):
     first = capsys.readouterr().out
     run(["audit", g, "--samples", "10", "--seed", "4"])
     assert capsys.readouterr().out == first
+
+
+# One region text per carrier, keyed by the file's leading keyword: A and B
+# touch and overlap, A and FAR are apart.  Expected stdout is pinned.
+REGIONS = {
+    "interval": ("(-inf,1]; [2,5]", "[1,2]; [4,7]", "[10,11]"),
+    "cyl": ("cyl n=2 { (-inf,1]; [2,5] }", "cyl n=2 { [1,2]; [4,7] }",
+            "cyl n=2 { [10,11] }"),
+    "poly": ("poly { basic { -1 0 <= 0; 0 -1 <= 0 } }",
+             "poly { basic { 1 0 <= 0; 0 -1 <= 0; 0 1 <= 2 } }",
+             "poly { basic { 1 0 <= -10; -1 0 <= 11 } }"),
+}
+
+PINNED = {
+    "interval": {
+        "sc-check": "SC=true C=true overlap=true\nwitness=interval (0,2)\n",
+        "union": "(-inf,7]\n",
+        "meet": "[4,5]\n",
+        "complement": "[1,2]; [5,inf)\n",
+        "svg": "d370c1c35c4bf513",
+    },
+    "cyl": {
+        "sc-check": "SC=true C=true overlap=true\nwitness=interval (0,2)\n",
+        "union": "cyl n=2 { (-inf,7] }\n",
+        "meet": "cyl n=2 { [4,5] }\n",
+        "complement": "cyl n=2 { [1,2]; [5,inf) }\n",
+        "svg": "d370c1c35c4bf513",
+    },
+    "poly": {
+        "sc-check": "SC=true C=true overlap=false\nwitness=disk centre=(0,1) radius=1/2\n",
+        "union": "poly { basic { -1 0 <= 0; 0 -1 <= 0 } "
+                 "basic { 0 -1 <= 0; 0 1 <= 2; 1 0 <= 0 } }\n",
+        "meet": "poly { }\n",
+        "complement": "poly { basic { 0 1 <= 0 } basic { 1 0 <= 0 } }\n",
+        "svg": "d5e5bb4ddad1f0cc",
+    },
+}
+
+
+@pytest.fixture(params=sorted(REGIONS))
+def carrier(request, files):
+    write, tmp_path = files
+    kind = request.param
+    a, b, far = (write(f"{name}.{kind}", text)
+                 for name, text in zip(("a", "b", "far"), REGIONS[kind]))
+    return kind, a, b, far, tmp_path
+
+
+def test_contact_checks_every_carrier(carrier, capsys):
+    kind, a, b, far, _ = carrier
+    assert run(["sc-check", a, b]) == 0
+    assert capsys.readouterr().out == PINNED[kind]["sc-check"]
+    assert run(["c-check", a, b]) == 0
+    assert capsys.readouterr().out == "C=true\n"
+    assert run(["sc-check", a, far]) == 0
+    assert capsys.readouterr().out == "SC=false C=false overlap=false\n"
+    assert run(["c-check", a, far]) == 0
+    assert capsys.readouterr().out == "C=false\n"
+
+
+@pytest.mark.parametrize("op", ["union", "meet", "complement"])
+def test_bool_op_every_carrier(carrier, op, capsys):
+    kind, a, b, _, _ = carrier
+    argv = ["bool-op", op, a] + ([] if op == "complement" else [b])
+    assert run(argv) == 0
+    assert capsys.readouterr().out == PINNED[kind][op]
+
+
+def test_render_every_carrier(carrier, capsys):
+    kind, a, _, _, tmp_path = carrier
+    svg = tmp_path / f"{kind}.svg"
+    assert run(["render", a, "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == f"svg written to {svg}\n"
+    digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert digest[:16] == PINNED[kind]["svg"]
+
+
+@pytest.mark.parametrize("target", ["interval", "plane", "cylinder"])
+def test_audit_every_carrier(target, capsys):
+    assert run(["audit", target, "--samples", "12", "--seed", "2", "--dim", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "C1 PASS\nC2 PASS\nC3 PASS\nC4 PASS\nmonotonicity PASS\n"
+        "overlap-extension PASS\nconnected=true\n")

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from unittest import mock
 
@@ -80,6 +81,15 @@ class TestParser:
     def test_term_nested_too_deeply(self, text):
         with pytest.raises(lg.FormulaSyntaxError, match="nested too deeply"):
             lg.parse_term(text)
+
+    def test_iff_chain_parses_in_linear_time(self):
+        # each <=> shares its operands; expanding them apart doubled the
+        # parse work per link (a 19-link chain took about half a minute)
+        start = time.perf_counter()
+        f = lg.parse(" <=> ".join(["p == q"] * 20))
+        assert time.perf_counter() - start < 2.0
+        # an even number of equal links folds to a tautology
+        assert lg.find_countermodel(f, 3) is None
 
     def test_nesting_limit_admits_its_depth(self):
         depth = lg.MAX_NESTING

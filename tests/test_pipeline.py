@@ -111,6 +111,23 @@ class TestVerifyIsTotal:
         failing = {e.name: e.witness for e in report.entries if not e.passed}
         assert failing[entry] == "unbound variable q"
 
+    @pytest.mark.parametrize("stage,entry", [
+        (0, "discrete-eval-false"), (1, "untied-eval-false")])
+    def test_val_line_names_unknown_cell(self, stage, entry):
+        lines = pp.serialize_certificate(pp.synthesize(TRIANGLE_FORCER, 3, 1)).splitlines()
+        edit = [i for i, line in enumerate(lines) if line.startswith("val q:")][stage]
+        lines[edit] = "val q: z"
+        report = pp.verify(pp.parse_certificate("\n".join(lines)))
+        failing = {e.name: e.witness for e in report.entries if not e.passed}
+        assert failing[entry] == "unknown cell 'z'"
+
+    def test_untied_section_without_map_lines(self):
+        text = pp.serialize_certificate(pp.synthesize(TRIANGLE_FORCER, 3, 1))
+        lines = [line for line in text.splitlines() if not line.startswith("map ")]
+        report = pp.verify(pp.parse_certificate("\n".join(lines)))
+        failing = {e.name for e in report.entries if not e.passed}
+        assert {"pmorphism", "valuation-lift"} <= failing
+
 
 class TestSerialization:
     def test_round_trip_identical_report(self):
@@ -125,3 +142,13 @@ class TestSerialization:
             pp.parse_certificate("not a certificate")
         with pytest.raises(pp.CertificateFormatError):
             pp.parse_certificate("certificate {\nnonsense: 1\n}")
+
+    @pytest.mark.parametrize("old,new", [
+        ("dim: 1", "dim: 0"), ("cell a: cyl n=1", "cell a: cyl n=2"),
+        ("var q: cyl n=1", "var q: cyl n=3")])
+    def test_dimension_errors(self, old, new):
+        # verify would raise on these, so they do not parse
+        text = pp.serialize_certificate(pp.synthesize(CONTACT_NOT_OVERLAP, 2, 1))
+        assert old in text
+        with pytest.raises(pp.CertificateFormatError):
+            pp.parse_certificate(text.replace(old, new))

@@ -336,19 +336,23 @@ def project(space: AdjacencySpace, walk: Sequence[str], n: int = 1
     return images
 
 
+class ProjectionError(RuntimeError):
+    """The projected images fail the self-check of ``project``."""
+
+
 def _check_projection(space: AdjacencySpace, images: dict[str, CylinderPolytope]) -> None:
     cells = space.cells
     total = images[cells[0]]
     for x in cells[1:]:
         total = total.union(images[x])
     if not total.is_all():
-        raise RuntimeError("projection images do not cover the line")
+        raise ProjectionError("projection images do not cover the line")
     for i, x in enumerate(cells):
         for y in cells[i + 1:]:
             if images[x].overlap(images[y]):
-                raise RuntimeError(f"projection images of {x!r} and {y!r} overlap")
+                raise ProjectionError(f"projection images of {x!r} and {y!r} overlap")
             if space.adjacent(x, y) != images[x].contact_sc(images[y]):
-                raise RuntimeError(
+                raise ProjectionError(
                     f"adjacency of ({x!r}, {y!r}) disagrees with image contact")
 
 

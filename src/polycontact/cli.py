@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (or "no countermodel up to the bound"), 1 a
 countermodel or audit failure was found (so shells can branch on it),
-2 parse error, 3 I/O error.
+2 parse error, 3 I/O error, 4 an internal check failed (a pipeline stage
+identity, the projection self-check, or a synthesized certificate that does
+not verify).
 
 All reports are plain text with machine-greppable ``key=value`` lines.
 """
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class CliParseError(ValueError):
@@ -275,7 +278,7 @@ def _cmd_synthesize(args) -> int:
         items = [(cert.geometric_valuation[name], name)
                  for name in sorted(cert.geometric_valuation)]
         _write(args.svg, svgmod.numberline_svg(items, window=window))
-    return EXIT_FOUND
+    return EXIT_FOUND if report.passed else EXIT_INTERNAL
 
 
 def _cmd_render(args) -> int:
@@ -390,6 +393,9 @@ def run(argv: list[str]) -> int:
     except (CliParseError, lg.FormulaSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (pp.PipelineError, adj.ProjectionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

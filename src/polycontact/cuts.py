@@ -12,13 +12,19 @@ choices on every other cut and adjoining either side of its own carrier.
 A polytope whose constraint lines all belong to the system is a union of
 bricks, and its boundary decomposes as a union of sheets plus a subset of
 the vertices.
+
+Sheets and bricks are both read off one walk over the edges of the cut
+arrangement (``plane.arrangement_edges``): an edge is a sheet, its sign
+vector gives the sheet's side on every other cut, and its two flanks are
+bricks.  Every brick flanks some sheet, so the decomposition needs one
+Fourier-Motzkin call per brick, O(k^2) for k cuts, and no search over the
+2^k alternatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .numeric import HalfSpace, Hyperplane, LineRelation, Point, flip, intersect_lines
@@ -80,15 +86,29 @@ class Brick:
 
 
 def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
-    """All alternatives whose strict system is feasible; cores are disjoint."""
+    """All alternatives whose strict system is feasible; cores are disjoint.
+
+    With at least one cut every brick's core is an open face of the cut
+    arrangement that borders an edge, and both faces flanking an edge are
+    cores, so the bricks are read off the flanks of ``arrangement_edges``
+    and sorted into ``itertools.product((1, -1), ...)`` order.  A core
+    point is found by Fourier-Motzkin once per brick, O(k^2) calls for k
+    cuts instead of one per each of the 2^k alternatives.
+    """
     if not cs.cuts:
         raise ValueError("brick decomposition needs at least one cut")
+    own_bit = {id(cut): 1 << j for j, cut in enumerate(cs.cuts)}
+    faces = set()
+    for mu, _, _, _, above in arrangement_edges(cs.cuts):
+        faces.add(above)
+        faces.add(above | own_bit[id(mu)])
+    # a set bit is the positive side of its cut, sign -1
+    alternatives = {tuple(-1 if face >> j & 1 else 1 for j in range(len(cs.cuts)))
+                    for face in faces}
     bricks = []
-    for signs in product((1, -1), repeat=len(cs.cuts)):
+    for signs in sorted(alternatives, reverse=True):
         cons = tuple(_side(cut, s) for cut, s in zip(cs.cuts, signs))
-        core = core_point(cons)
-        if core is not None:
-            bricks.append(Brick(signs, cons, core))
+        bricks.append(Brick(signs, cons, core_point(cons)))
     return tuple(bricks)
 
 
@@ -136,16 +156,10 @@ class Sheet:
 
 def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
     out = []
-    for mu, lo, hi, rep in arrangement_edges(cs.cuts):
-        signs = []
-        for nu in cs.cuts:
-            if nu == mu:
-                continue
-            v = nu.value_at(rep)
-            if v == 0:  # excluded by arrangement_edges
-                raise RuntimeError("sheet representative on another cut")
-            signs.append((nu, 1 if v < 0 else -1))
-        out.append(Sheet(mu, lo, hi, rep, tuple(signs)))
+    for mu, lo, hi, rep, above in arrangement_edges(cs.cuts):
+        signs = tuple((nu, -1 if above >> j & 1 else 1)
+                      for j, nu in enumerate(cs.cuts) if nu is not mu)
+        out.append(Sheet(mu, lo, hi, rep, signs))
     return tuple(out)
 
 

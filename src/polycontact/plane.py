@@ -15,9 +15,10 @@ Contact relations, strongest to weakest:
   meets both regions.  Decided as overlap, or a shared crossing facet: a
   positive-length segment on some constraint line with the interior of one
   region on one open side and the interior of the other region opposite.
-  The facet search walks the arrangement of all pooled constraint lines and
-  classifies each open edge by sampling just off both sides at an exactly
-  safe distance;
+  The facet search walks the edges of the arrangement of all pooled
+  constraint lines and classifies both open faces flanking each edge by
+  their sign vectors, which the walk carries along as bitmasks, so no
+  point is probed;
 * ``contact_c``  - the closed point sets intersect.
 
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
@@ -305,26 +306,46 @@ def point_on(base: Point, direction, t: Fraction) -> Point:
 
 def arrangement_edges(lines: Sequence[Hyperplane]
                       ) -> Iterator[tuple[Hyperplane, Optional[Fraction],
-                                          Optional[Fraction], Point]]:
+                                          Optional[Fraction], Point, int]]:
     """The open edges of the arrangement of distinct lines, lazily.
 
     Each line in turn is cut at its crossings with the others, and each
     relatively open piece is yielded in order along ``line_param``'s
-    direction as ``(line, lo, hi, rep)``: the parameters of its ends (None
-    for an unbounded end) and a point inside it, at parameter ``hi - 1``,
+    direction as ``(line, lo, hi, rep, above)``: the parameters of its ends
+    (None for an unbounded end), a point inside it, at parameter ``hi - 1``,
     the midpoint or ``lo + 1`` (0 on a line no other line crosses), which
-    lies on no other line.
+    lies on no other line, and the edge's sign vector as an int with bit j
+    set when ``lines[j]`` is positive (``value_at > 0``) on the edge.  The
+    line's own bit is clear; the open faces flanking the edge have sign
+    vectors ``above | bit`` (the side its normal points to) and ``above``.
+
+    The sign vector of the first piece comes from the slope of each
+    crossing line along the direction (or, for a parallel line, its sign at
+    the base point); crossing a breakpoint flips the bits of the lines
+    through it.
     """
     for mu in lines:
         base, direction = line_param(mu)
-        crossings = set()
-        for nu in lines:
+        (bx, by), (dx, dy) = base, direction
+        above = 0
+        flips: dict[Fraction, int] = {}
+        for j, nu in enumerate(lines):
             if nu is mu:
                 continue
-            denom = dot(nu.normal, direction)
-            if denom != 0:  # parallel lines never cross
-                crossings.add((nu.offset - dot(nu.normal, base)) / denom)
-        ts = sorted(crossings)
+            a, b = nu.normal
+            # nu's value at base + t*direction is slope*t - gap
+            slope = a * dx + b * dy
+            gap = nu.offset - a * bx - b * by
+            bit = 1 << j
+            if slope == 0:  # parallel lines never cross
+                if gap < 0:
+                    above |= bit
+                continue
+            if slope < 0:  # positive before the crossing
+                above |= bit
+            t = gap / slope
+            flips[t] = flips.get(t, 0) | bit
+        ts = sorted(flips)
         if ts:
             pieces = [(None, ts[0], ts[0] - 1)]
             pieces += [(a, b, (a + b) / 2) for a, b in zip(ts, ts[1:])]
@@ -332,31 +353,49 @@ def arrangement_edges(lines: Sequence[Hyperplane]
         else:
             pieces = [(None, None, Fraction(0))]
         for lo, hi, t in pieces:
-            yield mu, lo, hi, point_on(base, direction, t)
+            if lo is not None:
+                above ^= flips[lo]
+            yield mu, lo, hi, point_on(base, direction, t), above
 
 
-def _facet_probe(p: PlanePolytope, q: PlanePolytope, mu: Hyperplane,
-                 x: Point, lines: Sequence[Hyperplane]) -> bool:
-    """True when, locally at x on mu, Int(p) fills one open side and Int(q)
-    the other.  x must avoid every line except mu."""
-    # _sector_step would skip mu anyway; leaving it out spares evaluating it
-    eps = _sector_step(x, mu.normal, [nu for nu in lines if nu is not mu])
-    n = mu.normal
-    plus = (x[0] + eps * n[0], x[1] + eps * n[1])
-    minus = (x[0] - eps * n[0], x[1] - eps * n[1])
-    p_plus, p_minus = p.contains(plus), p.contains(minus)
-    q_plus, q_minus = q.contains(plus), q.contains(minus)
-    return (p_plus and q_minus) or (p_minus and q_plus)
+def _sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
+                ) -> list[tuple[int, int]]:
+    """Per part, ``(need_pos, need_neg)``: the bits of the indexed lines the
+    part's interior lies on the positive, and on the negative, side of.
+
+    A half-plane whose normal is its boundary's canonical normal is the
+    negative side of that line; otherwise it is the positive side.
+    """
+    masks = []
+    for part in poly.parts:
+        need_pos = need_neg = 0
+        for h in part.constraints:
+            line = h.boundary()
+            if h.normal == line.normal:
+                need_neg |= 1 << index[line]
+            else:
+                need_pos |= 1 << index[line]
+        masks.append((need_pos, need_neg))
+    return masks
+
+
+def _fills(masks: list[tuple[int, int]], face: int) -> bool:
+    """Whether the polytope with these part masks contains the open face
+    with sign vector ``face`` (bit set: positive side)."""
+    return any(face & need_pos == need_pos and not face & need_neg
+               for need_pos, need_neg in masks)
 
 
 def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     """None, or ("overlap", point, basic, basic), or ("facet", line, point).
 
-    The facet search pools the constraint lines of both arguments and
-    probes one interior point per edge of their arrangement
-    (``arrangement_edges``).  Side classification is constant along an edge
-    because its points all lie between the same two open cells of the
-    pooled arrangement.
+    The facet search pools the constraint lines of both arguments and walks
+    the edges of their arrangement (``arrangement_edges``).  Every constraint
+    line is a pooled line, so each polytope either contains an open face of
+    the arrangement or misses it, and which is read off the face's sign
+    vector.  An edge on ``mu`` is a shared crossing facet when one polytope
+    fills its flank ``above | bit(mu)`` and the other its flank ``above``;
+    the first such edge in walk order is returned with its point ``rep``.
     """
     if p.is_empty() or q.is_empty():
         return None
@@ -364,8 +403,13 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     if ow is not None:
         return ("overlap", *ow)
     lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
-    for mu, _, _, x in arrangement_edges(lines):
-        if _facet_probe(p, q, mu, x, lines):
+    index = {line: j for j, line in enumerate(lines)}
+    own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
+    p_masks, q_masks = _sign_masks(p, index), _sign_masks(q, index)
+    for mu, _, _, x, above in arrangement_edges(lines):
+        plus = above | own_bit[id(mu)]
+        if ((_fills(p_masks, plus) and _fills(q_masks, above))
+                or (_fills(p_masks, above) and _fills(q_masks, plus))):
             return ("facet", mu, x)
     return None
 
@@ -385,7 +429,7 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
     """An open disk inside ``p | q`` meeting both, when SC holds.
 
     Overlap case: a ball around an interior point of the regularised meet.
-    Facet case: the half-disk construction at the probed facet point, with
+    Facet case: the half-disk construction at the facet edge's point, with
     radius half the distance to the nearest other constraint line.
     """
     analysis = _sc_analysis(p, q)

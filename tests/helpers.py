@@ -1,6 +1,6 @@
-"""Shared test machinery: tree enumeration, batched Kripke evaluation, and
-the scalar countermodel search kept as the reference for the bit-sliced
-one."""
+"""Shared test machinery: tree enumeration, batched Kripke evaluation, the
+scalar countermodel search kept as the reference for the bit-sliced one,
+and the point-probing plane references kept for the sign-vector walk."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 
+from polycontact import cuts as cu
+from polycontact import plane as pl
 from polycontact.adjacency import AdjacencySpace, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.logic import (
@@ -151,3 +153,51 @@ def scalar_find_countermodel(formula, spaces):
                 return space, {name: frozenset(algebra.cells_of(mask))
                                for name, mask in valuation.items()}
     return None
+
+
+def probe_facet(p, q, mu, x, lines) -> bool:
+    """True when, locally at x on mu, Int(p) fills one open side and Int(q)
+    the other, decided by membership of two points just off mu at a
+    distance no other line comes closer than.  x must avoid every line
+    except mu."""
+    eps = pl._sector_step(x, mu.normal, [nu for nu in lines if nu is not mu])
+    n = mu.normal
+    plus = (x[0] + eps * n[0], x[1] + eps * n[1])
+    minus = (x[0] - eps * n[0], x[1] - eps * n[1])
+    p_plus, p_minus = p.contains(plus), p.contains(minus)
+    q_plus, q_minus = q.contains(plus), q.contains(minus)
+    return (p_plus and q_minus) or (p_minus and q_plus)
+
+
+def probe_sc_analysis(p, q):
+    """``plane._sc_analysis`` with each edge classified by ``probe_facet``
+    instead of by sign vectors."""
+    if p.is_empty() or q.is_empty():
+        return None
+    ow = pl._overlap_witness(p, q)
+    if ow is not None:
+        return ("overlap", *ow)
+    lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
+    for mu, _, _, x, _ in pl.arrangement_edges(lines):
+        if probe_facet(p, q, mu, x, lines):
+            return ("facet", mu, x)
+    return None
+
+
+def exhaustive_brick_decomposition(cs):
+    """``cuts.brick_decomposition`` by one Fourier-Motzkin call for each of
+    the 2^k alternatives, in ``itertools.product`` order."""
+    bricks = []
+    for signs in product((1, -1), repeat=len(cs.cuts)):
+        cons = tuple(cut.sides()[0 if s > 0 else 1] for cut, s in zip(cs.cuts, signs))
+        core = pl.core_point(cons)
+        if core is not None:
+            bricks.append(cu.Brick(signs, cons, core))
+    return tuple(bricks)
+
+
+def evaluated_other_signs(cs, sheet):
+    """A sheet's ``other_signs`` from the sign of every other cut at its
+    representative point."""
+    return tuple((nu, 1 if nu.value_at(sheet.rep) < 0 else -1)
+                 for nu in cs.cuts if nu != sheet.carrier)

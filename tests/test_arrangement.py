@@ -1,0 +1,141 @@
+"""Differential tests of the sign-vector arrangement walk.
+
+``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
+the facet search, ``cuts.sheets`` and ``cuts.brick_decomposition`` read
+their answers off it.  Each is checked against the point-probing reference
+it replaced (``tests/helpers.py``) on random cut systems of 1-9 lines with
+parallel families (normals in {-2..2}^2) and pencils of concurrent lines.
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polycontact import cuts as cu
+from polycontact import plane as pl
+from polycontact.numeric import HalfSpace, Hyperplane, flip
+from helpers import (
+    evaluated_other_signs, exhaustive_brick_decomposition, probe_sc_analysis)
+
+MAX_LINES = 9
+# pairwise non-parallel directions, so a pencil keeps all its lines
+PENCIL_NORMALS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)]
+
+coefficients = st.integers(-2, 2)
+normals = st.tuples(coefficients, coefficients).filter(lambda n: n != (0, 0))
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+def mk_line(normal, offset) -> Hyperplane:
+    return Hyperplane((F(normal[0]), F(normal[1])), offset)
+
+
+def line_through(normal, point) -> Hyperplane:
+    return mk_line(normal, normal[0] * point[0] + normal[1] * point[1])
+
+
+@st.composite
+def line_lists(draw):
+    """1-9 distinct lines, in drawn (not sorted) order, with a pencil of
+    three or more concurrent lines about half the time."""
+    lines = []
+    if draw(st.booleans()):
+        centre = (draw(small_fractions), draw(small_fractions))
+        pencil = draw(st.lists(st.sampled_from(PENCIL_NORMALS), min_size=3,
+                               max_size=5, unique=True))
+        lines += [line_through(n, centre) for n in pencil]
+    lines += draw(st.lists(st.builds(mk_line, normals, small_fractions),
+                           min_size=0 if lines else 1,
+                           max_size=MAX_LINES - len(lines)))
+    return draw(st.permutations(list(dict.fromkeys(lines))))
+
+
+SINGLE_LINE = [mk_line((1, 0), F(0))]
+PARALLEL_FAMILY = [mk_line((1, 1), F(c)) for c in (-2, 0, 1, 3)] + [mk_line((0, 1), F(0))]
+PENCIL = [line_through(n, (F(1), F(1))) for n in PENCIL_NORMALS[:4]]
+
+
+@st.composite
+def polytope_over(draw, lines):
+    """The empty or full polytope, or a union of 1-3 parts each cut out by
+    sides of some of the given lines."""
+    kind = draw(st.sampled_from(["empty", "full", "parts", "parts", "parts"]))
+    if kind == "empty":
+        return pl.EMPTY
+    if kind == "full":
+        return pl.R2
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=4, unique=True))
+        sets.append([cut.sides()[draw(st.integers(0, 1))] for cut in chosen])
+    return pl.PlanePolytope.from_constraint_sets(sets)
+
+
+def translated(poly, dx, dy):
+    return pl.PlanePolytope.from_constraint_sets(
+        [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
+          for h in part.constraints] for part in poly.parts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_lists())
+@example(SINGLE_LINE)
+@example(PARALLEL_FAMILY)
+@example(PENCIL)
+def test_above_is_the_sign_vector_at_rep(lines):
+    for mu, _, _, rep, above in pl.arrangement_edges(lines):
+        for j, nu in enumerate(lines):
+            if nu is mu:
+                assert not above >> j & 1
+            else:
+                assert bool(above >> j & 1) == (nu.value_at(rep) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_lists())
+@example(SINGLE_LINE)
+@example(PARALLEL_FAMILY)
+@example(PENCIL)
+def test_bricks_and_sheets_match_references(lines):
+    cs = cu.CutSystem.of(lines)
+    assert cu.brick_decomposition(cs) == exhaustive_brick_decomposition(cs)
+    for sheet in cu.sheets(cs):
+        assert sheet.other_signs == evaluated_other_signs(cs, sheet)
+
+
+def mirrored(poly, rng):
+    """The parts of a polytope, each with one constraint flipped: mirror
+    pieces across their facets, which touch the parts without overlapping."""
+    sets = []
+    for part in poly.parts:
+        cons = list(part.constraints)
+        if cons:
+            i = rng.randrange(len(cons))
+            cons[i] = flip(cons[i])
+        sets.append(cons)
+    return pl.PlanePolytope.from_constraint_sets(sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), line_lists())
+def test_sc_analysis_matches_probes_on_shared_lines(data, lines):
+    p = data.draw(polytope_over(lines))
+    if data.draw(st.booleans()):
+        q = mirrored(p, data.draw(st.randoms(use_true_random=False)))
+    else:
+        q = data.draw(polytope_over(lines))
+    assert pl._sc_analysis(p, q) == probe_sc_analysis(p, q)
+    assert pl._sc_analysis(q, p) == probe_sc_analysis(q, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), small_fractions, small_fractions)
+def test_sc_analysis_matches_probes_on_random_polytopes(seed, bounded, dx, dy):
+    rng = random.Random(seed)
+    p = pl.random_plane_polytope(rng, bounded=bounded)
+    others = [pl.random_plane_polytope(rng, bounded=bounded), translated(p, dx, dy),
+              mirrored(p, rng), mirrored(translated(p, dx, 0), rng), pl.EMPTY, pl.R2]
+    for q in others:
+        assert pl._sc_analysis(p, q) == probe_sc_analysis(p, q)

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from polycontact.algebra import AuditEntry, AuditReport
 from polycontact.cli import run
 from polycontact import adjacency as adj
 from polycontact import pipeline as pp
@@ -150,6 +151,43 @@ def test_synthesize_certificate(files, capsys):
     assert pp.verify(cert).passed
     assert "verified=true" in out
     assert (tmp_path / "cm.svg").read_text().startswith("<svg")
+
+
+def test_synthesize_unverified_exit_4(monkeypatch, capsys):
+    argv = ["synthesize", "C(p,q) => p.q != 0", "--bound", "2"]
+    assert run(argv) == 1
+    verified_out = capsys.readouterr().out
+    monkeypatch.setattr(pp, "verify", lambda cert: AuditReport(
+        [AuditEntry("stage", False, "forced")]))
+    assert run(argv) == 4
+    out = capsys.readouterr().out
+    assert out == verified_out.replace("verified=true", "verified=false")
+
+
+def _fail_projection(*args):
+    raise adj.ProjectionError("projection images do not cover the line")
+
+
+@pytest.mark.parametrize("name, stub, message", [
+    ("check_pmorphism", lambda *args: False, "untying did not produce a p-morphism"),
+    ("project", _fail_projection, "projection images do not cover the line"),
+], ids=["pipeline-error", "projection-error"])
+def test_synthesize_internal_check_exit_4(name, stub, message, monkeypatch, capsys):
+    monkeypatch.setattr(pp, name, stub)
+    assert run(["synthesize", "C(p,q) => p.q != 0", "--bound", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_project_self_check_exit_4(files, monkeypatch, capsys):
+    write, _ = files
+    g = write("p.graph", "space { cells a b; edges a-b; }")
+    monkeypatch.setattr(adj, "project", _fail_projection)
+    assert run(["project", g]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: projection images do not cover the line\n"
 
 
 def test_synthesize_none(capsys):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -57,6 +59,41 @@ class TestBricks:
     def test_needs_cuts(self):
         with pytest.raises(ValueError):
             cu.brick_decomposition(cu.CutSystem.of([]))
+
+    @staticmethod
+    def _core_point_calls(monkeypatch, cs):
+        calls = []
+
+        def counted(halfspaces):
+            calls.append(halfspaces)
+            return pl.core_point(halfspaces)
+
+        monkeypatch.setattr(cu, "core_point", counted)
+        bricks = cu.brick_decomposition(cs)
+        return len(calls), bricks
+
+    def test_one_core_point_call_per_brick_in_general_position(self, monkeypatch):
+        # tangents y = a*x - a^2 of a parabola: no two parallel, no three
+        # concurrent, so 20 lines cut the plane into 1 + 20 + 190 faces
+        cs = cu.CutSystem.of(Hyperplane((F(-a), F(1)), F(-a * a)) for a in range(20))
+        calls, bricks = self._core_point_calls(monkeypatch, cs)
+        assert len(bricks) == 211
+        assert calls == 211
+
+    def test_one_core_point_call_per_brick_degenerate(self, monkeypatch):
+        # a pencil of three lines through the origin (6 faces), crossed at
+        # three points each by three parallel lines (4 more faces each)
+        parallel = [Hyperplane((F(1), F(0)), F(c)) for c in (-1, 1, 2)]
+        pencil = [X_AXIS, Hyperplane((F(1), F(1)), F(0)), Hyperplane((F(1), F(-1)), F(0))]
+        cs = cu.CutSystem.of(parallel + pencil)
+        calls, bricks = self._core_point_calls(monkeypatch, cs)
+        assert calls == len(bricks) == 18
+
+
+def test_cuts_imports_no_private_plane_name():
+    tree = ast.parse(inspect.getsource(cu))
+    assert not [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "plane" for a in node.names if a.name.startswith("_")]
 
 
 class TestSheets:

@@ -91,6 +91,19 @@ class TestParser:
         # an even number of equal links folds to a tautology
         assert lg.find_countermodel(f, 3) is None
 
+    def test_free_variables_linear_on_iff_chain(self):
+        # built without the parser, which rejects 30 operands as too deep;
+        # as a tree the chain has 2^29 leaves
+        p, q = lg.Variable("p"), lg.Variable("q")
+        f = lg.Eq(p, q)
+        for _ in range(29):
+            f = lg.iff(f, lg.Contact(p, lg.Complement(q)))
+        start = time.perf_counter()
+        assert lg.free_variables(f) == {"p", "q"}
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(TypeError, match="not a formula"):
+            lg.free_variables(p)
+
     def test_nesting_limit_admits_its_depth(self):
         depth = lg.MAX_NESTING
         assert lg.parse("(" * depth + "p == q" + ")" * depth) == lg.parse("p == q")

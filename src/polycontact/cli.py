@@ -127,8 +127,10 @@ def _cmd_contact(args, sc_line: bool) -> int:
     c = _bool(a.contact_c(b))
     witness = a.sc_witness(b) if sc_line else None
     if sc_line:
-        # strong contact holds exactly when the regions have a witness
-        print(f"SC={_bool(witness is not None)} C={c} overlap={_bool(a.overlap(b))}")
+        # strong contact holds exactly when the regions have a witness, and
+        # overlap implies strong contact
+        overlap = witness is not None and a.overlap(b)
+        print(f"SC={_bool(witness is not None)} C={c} overlap={_bool(overlap)}")
     else:
         print(f"C={c}")
     if witness is not None and fmt.kind == "plane":

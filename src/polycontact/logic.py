@@ -24,15 +24,16 @@ three implication/negation schemes), the equational Boolean-algebra basis
 the four contact schemes, and the connectedness scheme.
 
 ``find_countermodel`` returns the first Kripke model falsifying the
-formula: spaces come in ``enumerate_connected_spaces`` order (by cell count,
-up to isomorphism for small sizes), and within a space valuations come in
-``itertools.product`` order over the sorted variables, each a bitmask of
-cells, the first variable most significant.  ``None`` means no countermodel
-up to the bound, which is not a theoremhood claim.  The search and
-``true_in_algebra`` evaluate a formula bit-sliced (``bitslice``): one run
-per space covers every valuation, up to a fixed cap of cells x variables
-beyond which the leading variables are fixed outside the run.  ``evaluate``
-is the one-valuation reference evaluator, used on every carrier.
+formula: spaces come in ``enumerate_connected_spaces`` order (one per
+isomorphism class at every size, by cell count, then canonical bitmask),
+and within a space valuations come in ``itertools.product`` order over the
+sorted variables, each a bitmask of cells, the first variable most
+significant.  ``None`` means no countermodel up to the bound, which is not
+a theoremhood claim.  The search and ``true_in_algebra`` evaluate a
+formula bit-sliced (``bitslice``): one run per space covers every
+valuation, up to a fixed cap of cells x variables beyond which the leading
+variables are fixed outside the run.  ``evaluate`` is the one-valuation
+reference evaluator, used on every carrier.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import bitslice as bs
-from .adjacency import AdjacencySpace, is_connected, mk_space
+from .adjacency import AdjacencySpace, mk_space
 from .algebra import ContactAlgebra, FiniteContactAlgebra, induced_algebra
 
 
@@ -51,18 +52,69 @@ from .algebra import ContactAlgebra, FiniteContactAlgebra, induced_algebra
 # terms and formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Variable:
+class _Node:
+    """Structural ``==`` and ``hash`` for terms and formulas.
+
+    Both are iterative and visit each shared subtree once, because the
+    abbreviations (``<=>`` above all) share subtrees: a chain of n ``<=>``
+    links is a DAG of O(n) nodes but a tree of 2^n.  The hash is cached per
+    node; ``==`` compares each pair of nodes once by identity.
+    """
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                if node._hash is not None:
+                    stack.pop()
+                    continue
+                fields = [getattr(node, name) for name in node.__match_args__]
+                todo = [v for v in fields if isinstance(v, _Node) and v._hash is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                object.__setattr__(node, "_hash", hash((type(node), *map(hash, fields))))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if not isinstance(a, _Node):
+                if a != b:
+                    return False
+                continue
+            key = (id(a), id(b))
+            if key not in seen:
+                seen.add(key)
+                for name in a.__match_args__:
+                    stack.append((getattr(a, name), getattr(b, name)))
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Variable(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Complement:
+@dataclass(frozen=True, eq=False)
+class Complement(_Node):
     term: "Term"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False)
+class Join(_Node):
     left: "Term"
     right: "Term"
 
@@ -70,25 +122,25 @@ class Join:
 Term = Variable | Complement | Join
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, eq=False)
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Contact:
+@dataclass(frozen=True, eq=False)
+class Contact(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -761,13 +813,14 @@ def _degree_profiles(mask: int, n: int, pairs: list[tuple[int, int]]) -> list:
     return [(degs[v], tuple(sorted(degs[u] for u in adj[v]))) for v in range(n)]
 
 
-def _is_canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> bool:
-    """Whether the mask is the canonical representative of its class.
+def _canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> int:
+    """The canonical representative of the mask's isomorphism class.
 
     Canonical form: the minimum relabelling among those that place each
     cell into the position block of its degree profile (profiles sorted).
-    The candidate set is the same for isomorphic graphs, so exactly one
-    mask per isomorphism class is canonical.
+    The candidate set is the same for isomorphic graphs, so the minimum is
+    one mask per isomorphism class.  The identity need not respect the
+    blocks, so ``mask`` itself need not be a candidate.
     """
     index = {pair: k for k, pair in enumerate(pairs)}
     profiles = _degree_profiles(mask, n, pairs)
@@ -783,7 +836,7 @@ def _is_canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> bool:
         start += len(g)
     bits = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
     perm = [0] * n
-    attained = False
+    best = None
     for assignment in product(*(permutations(block) for block in blocks)):
         for group, targets in zip(groups, assignment):
             for src, dst in zip(group, targets):
@@ -792,45 +845,61 @@ def _is_canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> bool:
         for i, j in bits:
             pi, pj = perm[i], perm[j]
             out |= 1 << index[(pi, pj) if pi < pj else (pj, pi)]
-        if out < mask:
-            return False
-        if out == mask:
-            attained = True
-    return attained
+        if best is None or out < best:
+            best = out
+    return best
 
 
-_SPACE_CACHE: dict[tuple[int, int], list[AdjacencySpace]] = {}
+_MASK_CACHE: dict[int, list[int]] = {1: [0]}
+_SPACE_CACHE: dict[int, list[AdjacencySpace]] = {}
 
 
-def _spaces_with_cells(n: int, dedupe_limit: int) -> list[AdjacencySpace]:
-    key = (n, dedupe_limit)
-    if key not in _SPACE_CACHE:
+def _connected_masks(n: int) -> list[int]:
+    """The canonical adjacency bitmasks of the connected graphs on n cells,
+    ascending.
+
+    Every connected graph on n >= 2 cells has a cell whose removal leaves
+    it connected (a leaf of a spanning tree), so each class arises from a
+    representative on n - 1 cells plus a new last cell with a nonempty set
+    of neighbours; canonicalising those candidates finds every class.
+    """
+    if n not in _MASK_CACHE:
+        pairs = _pair_bits(n)
+        index = {pair: k for k, pair in enumerate(pairs)}
+        # bit positions of the smaller graph's pairs, and of the new cell's
+        old_bits = [1 << index[pair] for pair in _pair_bits(n - 1)]
+        new_bits = [1 << index[(v, n - 1)] for v in range(n - 1)]
+        found = set()
+        for small in _connected_masks(n - 1):
+            base = sum(bit for k, bit in enumerate(old_bits) if small >> k & 1)
+            for nbrs in range(1, 1 << (n - 1)):
+                mask = base | sum(bit for v, bit in enumerate(new_bits) if nbrs >> v & 1)
+                found.add(_canonical_mask(mask, n, pairs))
+        _MASK_CACHE[n] = sorted(found)
+    return _MASK_CACHE[n]
+
+
+def _spaces_with_cells(n: int) -> list[AdjacencySpace]:
+    if n not in _SPACE_CACHE:
         cells = list(_CELL_NAMES[:n])
         pairs = _pair_bits(n)
-        out = []
-        for mask in range(1 << len(pairs)):
-            edges = [(cells[i], cells[j])
-                     for k, (i, j) in enumerate(pairs) if mask >> k & 1]
-            space = mk_space(cells, edges)
-            if not is_connected(space):
-                continue
-            if n <= dedupe_limit and not _is_canonical_mask(mask, n, pairs):
-                continue
-            out.append(space)
-        _SPACE_CACHE[key] = out
-    return _SPACE_CACHE[key]
+        _SPACE_CACHE[n] = [
+            mk_space(cells, [(cells[i], cells[j])
+                             for k, (i, j) in enumerate(pairs) if mask >> k & 1])
+            for mask in _connected_masks(n)]
+    return _SPACE_CACHE[n]
 
 
-def enumerate_connected_spaces(max_cells: int, dedupe_limit: int = 6
-                               ) -> Iterator[AdjacencySpace]:
-    """Connected spaces by cell count, then adjacency bitmask.
+def enumerate_connected_spaces(max_cells: int) -> Iterator[AdjacencySpace]:
+    """Connected spaces, one per isomorphism class, by cell count, then
+    canonical adjacency bitmask.
 
-    Up to ``dedupe_limit`` cells only canonical representatives (minimal
-    bitmask under cell permutations) are produced; results are cached, so
-    repeated searches over the same bound enumerate once.
+    Each class is represented by its canonical bitmask (``_canonical_mask``)
+    at every size; results are cached, so repeated searches over the same
+    bound enumerate once.
     """
     for n in range(1, max_cells + 1):
-        yield from _spaces_with_cells(n, dedupe_limit)
+        yield from _spaces_with_cells(n)
 
 
 def find_countermodel(f: Formula | str, max_cells: int

@@ -1,16 +1,19 @@
 """Shared test machinery: tree enumeration, batched Kripke evaluation, the
 scalar countermodel search kept as the reference for the bit-sliced one,
-and the point-probing plane references kept for the sign-vector walk."""
+the labelled-graph scan kept as the reference for the augmentation
+enumeration, and the point-probing plane references kept for the
+sign-vector walk."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from polycontact import cuts as cu
 from polycontact import plane as pl
-from polycontact.adjacency import AdjacencySpace, mk_space
+from polycontact import logic as lg
+from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.logic import (
     Complement, Contact, Eq, Join, Not, Or, Variable, evaluate, free_variables)
@@ -86,6 +89,21 @@ def all_trees(max_cells: int) -> list[AdjacencySpace]:
                 continue
             seen.add(key)
             out.append(mk_space(cells, [(cells[a], cells[b]) for a, b in edges]))
+    return out
+
+
+def scan_connected_spaces(n: int) -> list[AdjacencySpace]:
+    """``logic.enumerate_connected_spaces`` at exactly n cells by scanning
+    all 2^(n choose 2) labelled graphs: connected ones whose adjacency
+    bitmask is its own canonical form, in bitmask order."""
+    cells = list(CELLS[:n])
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        space = mk_space(cells, [(cells[i], cells[j])
+                                 for k, (i, j) in enumerate(pairs) if mask >> k & 1])
+        if is_connected(space) and lg._canonical_mask(mask, n, pairs) == mask:
+            out.append(space)
     return out
 
 

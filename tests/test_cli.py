@@ -31,6 +31,24 @@ def test_sc_check_vertical_angles(files, capsys):
     assert "SC=false C=true overlap=false" in out
 
 
+def test_sc_check_negative_runs_one_overlap_search(files, capsys, monkeypatch):
+    # overlap implies strong contact, so an SC-negative pair needs no
+    # second overlap search after the witness search
+    write, _ = files
+    a, b = write("a.poly", Q1), write("b.poly", Q3)
+    calls = []
+    search = pl._overlap_witness
+
+    def counted(p, q):
+        calls.append(1)
+        return search(p, q)
+
+    monkeypatch.setattr(pl, "_overlap_witness", counted)
+    assert run(["sc-check", a, b]) == 0
+    assert capsys.readouterr().out == "SC=false C=true overlap=false\n"
+    assert len(calls) == 1
+
+
 def test_sc_check_intervals_with_witness(files, capsys):
     write, _ = files
     a = write("a.iv", "(-inf,1]; [2,inf)")

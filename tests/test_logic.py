@@ -3,6 +3,7 @@ import time
 from itertools import product
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from polycontact import logic as lg
 from polycontact.adjacency import mk_space
 from polycontact.algebra import FiniteContactAlgebra, IntervalAlgebra, induced_algebra
 from polycontact.intervals import random_interval_polytope
-from helpers import batch_true_in_algebra, scalar_find_countermodel
+from helpers import batch_true_in_algebra, scalar_find_countermodel, scan_connected_spaces
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -103,6 +104,26 @@ class TestParser:
         assert time.perf_counter() - start < 1.0
         with pytest.raises(TypeError, match="not a formula"):
             lg.free_variables(p)
+
+    def test_eq_and_hash_linear_on_iff_chain(self):
+        # two separate parses share no nodes; as trees they have 2^20 leaves
+        text = " <=> ".join(["p == q"] * 20)
+        a, b = lg.parse(text), lg.parse(text)
+        c = lg.parse(" <=> ".join(["p == q"] * 19 + ["p == r"]))
+        start = time.perf_counter()
+        assert hash(a) == hash(b) and a == b
+        assert a != c and b != c
+        assert time.perf_counter() - start < 1.0
+        assert len({a, b, c}) == 2
+
+    def test_eq_and_hash_are_structural(self):
+        p, q = lg.Variable("p"), lg.Variable("q")
+        assert lg.Eq(p, q) == lg.Eq(lg.Variable("p"), lg.Variable("q"))
+        assert hash(lg.Eq(p, q)) == hash(lg.Eq(lg.Variable("p"), lg.Variable("q")))
+        assert lg.Eq(p, q) != lg.Contact(p, q)
+        assert lg.Eq(p, q) != lg.Eq(q, p)
+        assert lg.Complement(p) != p and p != "p"
+        assert lg.parse("p <= q") == lg.parse("(p + q) == q")
 
     def test_nesting_limit_admits_its_depth(self):
         depth = lg.MAX_NESTING
@@ -356,13 +377,53 @@ class TestBitSlicedKernel:
         assert found is not None and found == scalar_find_countermodel(f, [first])
 
 
+def as_networkx(space):
+    graph = nx.Graph()
+    graph.add_nodes_from(space.cells)
+    graph.add_edges_from(space.edges)
+    return graph
+
+
+def degree_key(graph) -> tuple:
+    return tuple(sorted(d for _, d in graph.degree()))
+
+
 class TestEnumeration:
     def test_space_counts_up_to_iso(self):
-        # connected graphs up to isomorphism: 1, 1, 2, 6, 21, 112
+        # connected graphs up to isomorphism (OEIS A001349)
         counts = {}
-        for space in lg.enumerate_connected_spaces(6):
+        for space in lg.enumerate_connected_spaces(7):
             counts[len(space.cells)] = counts.get(len(space.cells), 0) + 1
-        assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+        assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+    def test_matches_labelled_scan(self):
+        # the augmentation keeps the scan's representatives and their order
+        spaces = list(lg.enumerate_connected_spaces(6))
+        scanned = [s for n in range(1, 7) for s in scan_connected_spaces(n)]
+        assert [(s.cells, s.edges) for s in spaces] == \
+            [(s.cells, s.edges) for s in scanned]
+
+    def test_one_space_per_atlas_class(self):
+        # the atlas lists every graph on up to 7 nodes once up to isomorphism
+        atlas: dict[tuple, list] = {}
+        for graph in nx.graph_atlas_g():
+            if len(graph) and nx.is_connected(graph):
+                atlas.setdefault(degree_key(graph), []).append(graph)
+        matched = set()
+        for space in lg.enumerate_connected_spaces(7):
+            graph = as_networkx(space)
+            hits = [id(g) for g in atlas.get(degree_key(graph), [])
+                    if nx.is_isomorphic(g, graph)]
+            assert len(hits) == 1 and hits[0] not in matched
+            matched.add(hits[0])
+        assert len(matched) == sum(len(gs) for gs in atlas.values())
+
+    def test_bound_seven_search(self):
+        # 996 spaces, 2^(3n) valuations each; the labelled scan alone
+        # visited 2^21 graphs on 7 cells
+        start = time.perf_counter()
+        assert lg.find_countermodel("~C(p,q+r) | C(p,q) | C(p,r)", 7) is None
+        assert time.perf_counter() - start < 60.0
 
     def test_all_connected(self):
         from polycontact.adjacency import is_connected

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import adjacency as adj
@@ -24,6 +23,7 @@ from . import logic as lg
 from . import pipeline as pp
 from . import plane as pl
 from . import svg as svgmod
+from .numeric import rational
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -47,19 +47,25 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_box(text: str):
-    parts = [Fraction(x) for x in text.split(",")]
+    parts = [rational(x) for x in text.split(",")]
     if len(parts) != 4:
         raise CliParseError("viewport must be xmin,ymin,xmax,ymax")
+    if not (parts[0] < parts[2] and parts[1] < parts[3]):
+        raise CliParseError("viewport must have xmin < xmax and ymin < ymax")
     return tuple(parts)
 
 
 def _parse_window(text: str):
-    parts = [Fraction(x) for x in text.split(",")]
+    parts = [rational(x) for x in text.split(",")]
     if len(parts) == 2:
-        return parts[0], parts[1]
-    if len(parts) == 4:
-        return parts[0], parts[2]
-    raise CliParseError("window must be xmin,xmax")
+        lo, hi = parts
+    elif len(parts) == 4:
+        lo, hi = parts[0], parts[2]
+    else:
+        raise CliParseError("window must be xmin,xmax")
+    if not lo < hi:
+        raise CliParseError("window must have xmin < xmax")
+    return lo, hi
 
 
 def _draw_plane(items, viewport: str, witness=None) -> str:

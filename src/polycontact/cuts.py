@@ -13,28 +13,32 @@ A polytope whose constraint lines all belong to the system is a union of
 bricks, and its boundary decomposes as a union of sheets plus a subset of
 the vertices.
 
-Sheets and bricks are both read off one walk over the edges of the cut
-arrangement (``plane.arrangement_edges``): an edge is a sheet, its sign
-vector gives the sheet's side on every other cut, and its two flanks are
-bricks.  Every brick flanks some sheet, so the decomposition needs one
-Fourier-Motzkin call per brick, O(k^2) for k cuts, and no search over the
-2^k alternatives.
+Everything here is read off one walk over the edges of the cut arrangement
+(``plane.arrangement_edges``): an edge is a sheet, its sign vector gives
+the sheet's side on every other cut, and its two flanks are bricks.  The
+bricks are the open faces of the arrangement (``plane.faces``), found with
+one Fourier-Motzkin core point each, O(k^2) for k cuts, and no search over
+the 2^k alternatives.  Which bricks a polytope fills is read off their
+sign vectors (``plane.fills``), so its boundary representation needs no
+Fourier-Motzkin call and no point test at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .numeric import HalfSpace, Hyperplane, LineRelation, Point, flip, intersect_lines
 from .plane import (
     PlanePolytope,
     arrangement_edges,
     core_point,
+    faces,
+    fills,
     line_param,
     point_on,
-    point_on_boundary,
+    sign_masks,
 )
 
 
@@ -55,13 +59,6 @@ class CutSystem:
     def for_polytope(poly: PlanePolytope,
                      extra: Iterable[Hyperplane] = ()) -> "CutSystem":
         return CutSystem.of(list(poly.constraint_lines()) + list(extra))
-
-    def sides(self) -> tuple[HalfSpace, ...]:
-        out = []
-        for cut in self.cuts:
-            out.append(_side(cut, +1))
-            out.append(_side(cut, -1))
-        return tuple(out)
 
     def vertices(self) -> tuple[Point, ...]:
         pts = set()
@@ -88,40 +85,22 @@ class Brick:
 def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
     """All alternatives whose strict system is feasible; cores are disjoint.
 
-    With at least one cut every brick's core is an open face of the cut
-    arrangement that borders an edge, and both faces flanking an edge are
-    cores, so the bricks are read off the flanks of ``arrangement_edges``
-    and sorted into ``itertools.product((1, -1), ...)`` order.  A core
-    point is found by Fourier-Motzkin once per brick, O(k^2) calls for k
-    cuts instead of one per each of the 2^k alternatives.
+    Every brick's core is an open face of the cut arrangement
+    (``plane.faces``); the bricks are sorted into
+    ``itertools.product((1, -1), ...)`` order.  A core point is found by
+    Fourier-Motzkin once per brick, O(k^2) calls for k cuts instead of one
+    per each of the 2^k alternatives.
     """
     if not cs.cuts:
         raise ValueError("brick decomposition needs at least one cut")
-    own_bit = {id(cut): 1 << j for j, cut in enumerate(cs.cuts)}
-    faces = set()
-    for mu, _, _, _, above in arrangement_edges(cs.cuts):
-        faces.add(above)
-        faces.add(above | own_bit[id(mu)])
     # a set bit is the positive side of its cut, sign -1
     alternatives = {tuple(-1 if face >> j & 1 else 1 for j in range(len(cs.cuts)))
-                    for face in faces}
+                    for face in faces(cs.cuts)}
     bricks = []
     for signs in sorted(alternatives, reverse=True):
         cons = tuple(_side(cut, s) for cut, s in zip(cs.cuts, signs))
         bricks.append(Brick(signs, cons, core_point(cons)))
     return tuple(bricks)
-
-
-def block_bricks(cs: CutSystem, partial: dict[Hyperplane, int],
-                 decomposition: Optional[Sequence[Brick]] = None) -> tuple[Brick, ...]:
-    """Bricks whose alternatives extend the given partial side choice."""
-    decomposition = brick_decomposition(cs) if decomposition is None else decomposition
-    idx = {cut: i for i, cut in enumerate(cs.cuts)}
-    out = []
-    for brick in decomposition:
-        if all(brick.signs[idx[cut]] == s for cut, s in partial.items()):
-            out.append(brick)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -140,27 +119,17 @@ class Sheet:
     rep: Point
     other_signs: tuple[tuple[Hyperplane, int], ...]
 
-    def flank_signs(self, cs: CutSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Sign vectors of the two flanking bricks, aligned with cs.cuts order."""
-        chosen = dict(self.other_signs)
-        plus, minus = [], []
-        for cut in cs.cuts:
-            if cut == self.carrier:
-                plus.append(1)
-                minus.append(-1)
-            else:
-                plus.append(chosen[cut])
-                minus.append(chosen[cut])
-        return tuple(plus), tuple(minus)
+
+def _sheet(cuts: tuple[Hyperplane, ...], mu: Hyperplane, lo: Optional[Fraction],
+           hi: Optional[Fraction], rep: Point, above: int) -> Sheet:
+    """The sheet of an edge yielded by ``arrangement_edges(cuts)``."""
+    signs = tuple((nu, -1 if above >> j & 1 else 1)
+                  for j, nu in enumerate(cuts) if nu is not mu)
+    return Sheet(mu, lo, hi, rep, signs)
 
 
 def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
-    out = []
-    for mu, lo, hi, rep, above in arrangement_edges(cs.cuts):
-        signs = tuple((nu, -1 if above >> j & 1 else 1)
-                      for j, nu in enumerate(cs.cuts) if nu is not mu)
-        out.append(Sheet(mu, lo, hi, rep, signs))
-    return tuple(out)
+    return tuple(_sheet(cs.cuts, *edge) for edge in arrangement_edges(cs.cuts))
 
 
 def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
@@ -185,39 +154,31 @@ class BoundaryRepresentation:
     corner_points: tuple[Point, ...]
 
 
-def polytope_brick_signs(poly: PlanePolytope, cs: CutSystem,
-                         decomposition: Sequence[Brick]) -> frozenset[tuple[int, ...]]:
-    """The unique set of bricks whose union is the polytope.
-
-    Requires every constraint line of the polytope to be a cut of the
-    system; then each core lies wholly inside or outside the polytope and
-    membership of the core point decides the brick.
-    """
-    poly_lines = set(poly.constraint_lines())
-    if not poly_lines <= set(cs.cuts):
-        raise ValueError("polytope constraint lines must be cuts of the system")
-    return frozenset(b.signs for b in decomposition if poly.contains(b.core_point))
-
-
 def boundary_representation(poly: PlanePolytope,
                             extra_cuts: Iterable[Hyperplane] = ()
                             ) -> BoundaryRepresentation:
     """Decompose the boundary of a polytope as sheets plus corner points.
 
-    A sheet belongs to the boundary iff exactly one of its two flanking bricks is a
-    brick of the polytope; the corner points are the system vertices lying
-    on the boundary.  Degenerate inputs (empty, whole plane) have empty
+    One walk over the edges of the cut arrangement: a sheet belongs to the
+    boundary iff the polytope fills exactly one of its two flanking faces
+    (``plane.fills`` on their sign vectors).  The corner points are the
+    system vertices on the boundary, and they are the finite ends of the
+    boundary sheets, sorted: a vertex is on the boundary exactly when its
+    incident faces are mixed, some filled and some not; the faces around
+    it follow one another across its incident edges, so the fill changes
+    across one of them, which is then a boundary sheet ending at the
+    vertex, and conversely a boundary sheet's two flanks are incident faces
+    of each of its ends.  Degenerate inputs (empty, whole plane) have empty
     boundary and yield empty parts.
     """
     cs = CutSystem.for_polytope(poly, extra_cuts)
-    if not cs.cuts:
-        return BoundaryRepresentation(cs, (), ())
-    decomposition = brick_decomposition(cs)
-    brickset = polytope_brick_signs(poly, cs, decomposition)
-    in_boundary = []
-    for sheet in sheets(cs):
-        plus, minus = sheet.flank_signs(cs)
-        if (plus in brickset) != (minus in brickset):
-            in_boundary.append(sheet)
-    corners = tuple(v for v in cs.vertices() if point_on_boundary(poly, v))
-    return BoundaryRepresentation(cs, tuple(in_boundary), corners)
+    index = {cut: j for j, cut in enumerate(cs.cuts)}
+    masks = sign_masks(poly, index)
+    boundary, corners = [], set()
+    for edge in arrangement_edges(cs.cuts):
+        mu, lo, hi, _, above = edge
+        if fills(masks, above | 1 << index[mu]) != fills(masks, above):
+            boundary.append(_sheet(cs.cuts, *edge))
+            base, direction = line_param(mu)
+            corners.update(point_on(base, direction, t) for t in (lo, hi) if t is not None)
+    return BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))

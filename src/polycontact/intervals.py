@@ -245,8 +245,8 @@ def parse_intervals(text: str) -> IntervalPolytope:
         if not m:
             raise IntervalFormatError(f"bad interval piece: {chunk.strip()!r}")
         open_b, lo_s, hi_s, close_b = m.groups()
-        lo = None if lo_s == "-inf" else Fraction(lo_s)
-        hi = None if hi_s == "inf" else Fraction(hi_s)
+        lo = None if lo_s == "-inf" else rational(lo_s)
+        hi = None if hi_s == "inf" else rational(hi_s)
         if (lo is None) != (open_b == "("):
             raise IntervalFormatError(f"finite ends must use '[': {chunk.strip()!r}")
         if (hi is None) != (close_b == ")"):

@@ -38,13 +38,19 @@ class Side(Enum):
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like ``-3/4`` and Fractions to Fraction."""
+    """Coerce ints, strings like ``-3/4`` and Fractions to Fraction.
+
+    A malformed string, zero denominators included, raises ``ValueError``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value.strip()!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

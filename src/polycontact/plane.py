@@ -6,7 +6,8 @@ half-planes: a basic polytope is a regularised intersection of half-planes
 dropped), and a polytope is a finite union of basics.  All emptiness and
 redundancy questions reduce to feasibility of small linear systems with
 strict or non-strict inequalities, decided exactly by Fourier-Motzkin
-elimination over rationals.
+elimination over rationals.  Equality of polytopes does not: it compares
+the faces each one fills (below).
 
 Contact relations, strongest to weakest:
 
@@ -14,12 +15,19 @@ Contact relations, strongest to weakest:
 * ``contact_sc`` - strong contact: a connected open subset of the union
   meets both regions.  Decided as overlap, or a shared crossing facet: a
   positive-length segment on some constraint line with the interior of one
-  region on one open side and the interior of the other region opposite.
-  The facet search walks the edges of the arrangement of all pooled
-  constraint lines and classifies both open faces flanking each edge by
-  their sign vectors, which the walk carries along as bitmasks, so no
-  point is probed;
+  region on one open side and the interior of the other region opposite;
 * ``contact_c``  - the closed point sets intersect.
+
+Face membership has one kernel.  When every constraint line of a polytope
+is a line of an arrangement, each open face of the arrangement lies inside
+the polytope or misses it, and which is read off the face's sign vector
+(``sign_masks``, ``fills``).  ``arrangement_edges`` walks the edges of the
+arrangement carrying their sign vectors as bitmasks, so the open faces
+(``faces``) and the two flanks of each edge are known with no point probe
+and no Fourier-Motzkin call.  ``equals``, the facet search of
+``contact_sc`` and the boundary machinery of ``cuts`` are tests on these
+sign vectors.  ``point_in_interior`` and ``point_on_boundary`` stay as an
+independent pointwise predicate that samples the sectors around a point.
 
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
 rational radius small enough to be checked by exact containment tests
@@ -236,8 +244,15 @@ class PlanePolytope:
         return result
 
     def equals(self, other: "PlanePolytope") -> bool:
-        return (self.reg_meet(other.complement()).is_empty()
-                and other.reg_meet(self.complement()).is_empty())
+        """Whether both fill the same open faces of the arrangement of their
+        pooled constraint lines.
+
+        Each polytope is the closure of the faces it fills, and regular
+        closed sets are equal exactly when they agree on a dense open set,
+        so the test is exact; it makes no Fourier-Motzkin call.
+        """
+        lines, p_masks, q_masks = _pooled(self, other)
+        return all(fills(p_masks, f) == fills(q_masks, f) for f in faces(lines))
 
     def contact_c(self, other: "PlanePolytope") -> bool:
         return contact_c(self, other)
@@ -358,8 +373,26 @@ def arrangement_edges(lines: Sequence[Hyperplane]
             yield mu, lo, hi, point_on(base, direction, t), above
 
 
-def _sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
-                ) -> list[tuple[int, int]]:
+def faces(lines: Sequence[Hyperplane]) -> set[int]:
+    """The sign vectors of the open 2-faces of the arrangement of distinct
+    lines, as ints with bit j set on the positive side of ``lines[j]``.
+
+    With at least one line every face borders an edge, so the faces are
+    the flanks ``above`` and ``above | bit`` of the edges; with no line the
+    one face is the plane, ``0``.
+    """
+    if not lines:
+        return {0}
+    own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
+    out = set()
+    for mu, _, _, _, above in arrangement_edges(lines):
+        out.add(above)
+        out.add(above | own_bit[id(mu)])
+    return out
+
+
+def sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
+               ) -> list[tuple[int, int]]:
     """Per part, ``(need_pos, need_neg)``: the bits of the indexed lines the
     part's interior lies on the positive, and on the negative, side of.
 
@@ -379,37 +412,42 @@ def _sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
     return masks
 
 
-def _fills(masks: list[tuple[int, int]], face: int) -> bool:
+def fills(masks: list[tuple[int, int]], face: int) -> bool:
     """Whether the polytope with these part masks contains the open face
     with sign vector ``face`` (bit set: positive side)."""
     return any(face & need_pos == need_pos and not face & need_neg
                for need_pos, need_neg in masks)
 
 
+def _pooled(p: PlanePolytope, q: PlanePolytope):
+    """The sorted pooled constraint lines of both polytopes, and each one's
+    ``sign_masks`` over them."""
+    lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
+    index = {line: j for j, line in enumerate(lines)}
+    return lines, sign_masks(p, index), sign_masks(q, index)
+
+
 def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     """None, or ("overlap", point, basic, basic), or ("facet", line, point).
 
-    The facet search pools the constraint lines of both arguments and walks
-    the edges of their arrangement (``arrangement_edges``).  Every constraint
-    line is a pooled line, so each polytope either contains an open face of
-    the arrangement or misses it, and which is read off the face's sign
-    vector.  An edge on ``mu`` is a shared crossing facet when one polytope
-    fills its flank ``above | bit(mu)`` and the other its flank ``above``;
-    the first such edge in walk order is returned with its point ``rep``.
+    The facet search walks the edges of the arrangement of the pooled
+    constraint lines (``arrangement_edges``) and reads which polytope fills
+    each flank off its sign vector (``fills``).  An edge on ``mu`` is a
+    shared crossing facet when one polytope fills its flank
+    ``above | bit(mu)`` and the other its flank ``above``; the first such
+    edge in walk order is returned with its point ``rep``.
     """
     if p.is_empty() or q.is_empty():
         return None
     ow = _overlap_witness(p, q)
     if ow is not None:
         return ("overlap", *ow)
-    lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
-    index = {line: j for j, line in enumerate(lines)}
+    lines, p_masks, q_masks = _pooled(p, q)
     own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
-    p_masks, q_masks = _sign_masks(p, index), _sign_masks(q, index)
     for mu, _, _, x, above in arrangement_edges(lines):
         plus = above | own_bit[id(mu)]
-        if ((_fills(p_masks, plus) and _fills(q_masks, above))
-                or (_fills(p_masks, above) and _fills(q_masks, plus))):
+        if ((fills(p_masks, plus) and fills(q_masks, above))
+                or (fills(p_masks, above) and fills(q_masks, plus))):
             return ("facet", mu, x)
     return None
 
@@ -501,7 +539,7 @@ def sc_witness_valid(p: PlanePolytope, q: PlanePolytope,
 
 
 # ---------------------------------------------------------------------------
-# interior membership at a point (used by boundary machinery)
+# interior membership at a point (pointwise, independent of the face kernel)
 # ---------------------------------------------------------------------------
 
 def _angle_cmp(d1, d2) -> int:

@@ -1,8 +1,9 @@
 """Shared test machinery: tree enumeration, batched Kripke evaluation, the
 scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
-enumeration, and the point-probing plane references kept for the
-sign-vector walk."""
+enumeration, the point-probing plane references kept for the sign-vector
+walk, and the Fourier-Motzkin ``equals`` and brick-based boundary
+representation kept for the face kernel."""
 
 from __future__ import annotations
 
@@ -219,3 +220,47 @@ def evaluated_other_signs(cs, sheet):
     representative point."""
     return tuple((nu, 1 if nu.value_at(sheet.rep) < 0 else -1)
                  for nu in cs.cuts if nu != sheet.carrier)
+
+
+def demorgan_equals(p, q):
+    """``PlanePolytope.equals`` by two De Morgan complements and two
+    regularised meets, all decided by Fourier-Motzkin."""
+    return (p.reg_meet(q.complement()).is_empty()
+            and q.reg_meet(p.complement()).is_empty())
+
+
+def flank_signs(sheet, cs):
+    """Sign vectors of the two bricks flanking a sheet, aligned with the
+    order of ``cs.cuts``: the carrier's positive-sign side, then its other."""
+    chosen = dict(sheet.other_signs)
+    plus = tuple(1 if cut == sheet.carrier else chosen[cut] for cut in cs.cuts)
+    minus = tuple(-1 if cut == sheet.carrier else chosen[cut] for cut in cs.cuts)
+    return plus, minus
+
+
+def polytope_brick_signs(poly, cs, decomposition):
+    """The unique set of bricks whose union is the polytope.
+
+    Every constraint line of the polytope must be a cut of the system; then
+    each core lies wholly inside or outside the polytope, and membership of
+    the core point decides the brick."""
+    assert set(poly.constraint_lines()) <= set(cs.cuts)
+    return frozenset(b.signs for b in decomposition if poly.contains(b.core_point))
+
+
+def reference_boundary_representation(poly, extra_cuts=()):
+    """``cuts.boundary_representation`` from the bricks: a sheet is in the
+    boundary when exactly one of its flanking bricks has its core point in
+    the polytope, and a corner is a system vertex that passes
+    ``plane.point_on_boundary``."""
+    cs = cu.CutSystem.for_polytope(poly, extra_cuts)
+    if not cs.cuts:
+        return cu.BoundaryRepresentation(cs, (), ())
+    brickset = polytope_brick_signs(poly, cs, cu.brick_decomposition(cs))
+    in_boundary = []
+    for sheet in cu.sheets(cs):
+        plus, minus = flank_signs(sheet, cs)
+        if (plus in brickset) != (minus in brickset):
+            in_boundary.append(sheet)
+    corners = tuple(v for v in cs.vertices() if pl.point_on_boundary(poly, v))
+    return cu.BoundaryRepresentation(cs, tuple(in_boundary), corners)

@@ -1,10 +1,13 @@
 """Differential tests of the sign-vector arrangement walk.
 
 ``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
-the facet search, ``cuts.sheets`` and ``cuts.brick_decomposition`` read
-their answers off it.  Each is checked against the point-probing reference
-it replaced (``tests/helpers.py``) on random cut systems of 1-9 lines with
-parallel families (normals in {-2..2}^2) and pencils of concurrent lines.
+the facet search, ``PlanePolytope.equals``, ``cuts.sheets``,
+``cuts.brick_decomposition`` and ``cuts.boundary_representation`` read
+their answers off it.  Each is checked against the point-probing or
+Fourier-Motzkin reference it replaced (``tests/helpers.py``) on random cut
+systems of 1-9 lines with parallel families (normals in {-2..2}^2) and
+pencils of concurrent lines, and on random polytopes with translated,
+mirrored and split copies.
 """
 
 import random
@@ -17,7 +20,8 @@ from polycontact import cuts as cu
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace, Hyperplane, flip
 from helpers import (
-    evaluated_other_signs, exhaustive_brick_decomposition, probe_sc_analysis)
+    demorgan_equals, evaluated_other_signs, exhaustive_brick_decomposition,
+    probe_sc_analysis, reference_boundary_representation)
 
 MAX_LINES = 9
 # pairwise non-parallel directions, so a pencil keeps all its lines
@@ -139,3 +143,50 @@ def test_sc_analysis_matches_probes_on_random_polytopes(seed, bounded, dx, dy):
               mirrored(p, rng), mirrored(translated(p, dx, 0), rng), pl.EMPTY, pl.R2]
     for q in others:
         assert pl._sc_analysis(p, q) == probe_sc_analysis(p, q)
+
+
+def halves(poly, line):
+    """The constraint sets of every part of a polytope cut in two along a
+    line: the same region, or less when one set is left out."""
+    return [list(part.constraints) + [side] for part in poly.parts for side in line.sides()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), line_lists())
+def test_equals_and_boundary_match_references_on_shared_lines(data, lines):
+    p = data.draw(polytope_over(lines))
+    kind = data.draw(st.sampled_from(["other", "mirrored", "split", "chipped", "union"]))
+    if kind == "other":
+        q = data.draw(polytope_over(lines))
+    elif kind == "mirrored":
+        q = mirrored(p, data.draw(st.randoms(use_true_random=False)))
+    elif kind in ("split", "chipped"):
+        sets = halves(p, data.draw(st.sampled_from(lines)))
+        q = pl.PlanePolytope.from_constraint_sets(sets[1:] if kind == "chipped" else sets)
+    else:
+        q = p.union(data.draw(polytope_over(lines)))
+    assert p.equals(q) == demorgan_equals(p, q)
+    assert q.equals(p) == demorgan_equals(q, p)
+    extra = data.draw(st.lists(st.sampled_from(lines), max_size=3))
+    assert cu.boundary_representation(p, extra) == reference_boundary_representation(p, extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), small_fractions, small_fractions)
+def test_equals_and_boundary_match_references_on_random_polytopes(seed, bounded, dx, dy):
+    rng = random.Random(seed)
+    p = pl.random_plane_polytope(rng, bounded=bounded)
+    line = mk_line((rng.randint(-2, 2), rng.randint(1, 2)), F(rng.randint(-4, 4)))
+    sets = halves(p, line)
+    others = [pl.random_plane_polytope(rng, bounded=bounded), translated(p, dx, dy),
+              mirrored(p, rng), pl.PlanePolytope.from_constraint_sets(sets),
+              pl.PlanePolytope.from_constraint_sets(sets[1:]),
+              pl.PlanePolytope.from_constraint_sets(halves(translated(p, dx, 0), line)),
+              pl.EMPTY, pl.R2]
+    for q in others:
+        assert p.equals(q) == demorgan_equals(p, q)
+    for q in others[:3]:
+        extra = q.constraint_lines()
+        assert (cu.boundary_representation(p, extra)
+                == reference_boundary_representation(p, extra))
+    assert cu.boundary_representation(p) == reference_boundary_representation(p)

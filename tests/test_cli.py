@@ -230,6 +230,32 @@ def test_parse_error_exit_2(files, capsys):
     capsys.readouterr()
 
 
+CERT_WITH_ZERO_DENOMINATOR = pp.serialize_certificate(
+    pp.synthesize("C(p,q) => p.q != 0", 2, 1)).replace("{ [1,2] }", "{ [1,2/0] }", 1)
+
+
+@pytest.mark.parametrize("name, text, viewport", [
+    ("a.poly", "poly { basic { 1/0 0 <= 1 } }", "-6,-6,6,6"),
+    ("a.iv", "[0,1/0]", "-6,6"),
+    ("a.cyl", "cyl n=2 { [-1/0,1] }", "-6,6"),
+    ("a.cert", CERT_WITH_ZERO_DENOMINATOR, "-6,6"),
+    ("a.poly", Q1, "0,0,1/0,1"),
+    ("a.iv", "[0,1]", "0,1/0"),
+    ("a.poly", Q1, "0,0,0,0"),
+    ("a.iv", "[0,1]", "1,1"),
+], ids=["poly", "interval", "cyl", "certificate", "viewport-box", "viewport-window",
+        "empty-box", "empty-window"])
+def test_division_by_zero_input_exit_2(name, text, viewport, files, capsys):
+    # a zero denominator, or a viewport of zero width the renderer divides by
+    write, tmp_path = files
+    argv = ["render", write(name, text), "--svg", str(tmp_path / "a.svg"),
+            f"--viewport={viewport}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("formula", [
     "~" * 3000 + "p == q",
     "(" * 600 + "p == q" + ")" * 600,

@@ -10,6 +10,7 @@ from polycontact import cuts as cu
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace, Hyperplane
 from polycontact.plane import _as_con, feasible_point
+from helpers import demorgan_equals, flank_signs, polytope_brick_signs
 
 X_AXIS = Hyperplane((F(0), F(1)), F(0))
 Y_AXIS = Hyperplane((F(1), F(0)), F(0))
@@ -46,16 +47,6 @@ class TestBricks:
                             for h in b1.constraints + b2.constraints]
                 assert feasible_point(combined) is None
 
-    def test_block_is_union_of_extending_bricks(self):
-        cs = cu.CutSystem.of([Y_AXIS, X_AXIS])
-        # the block {x >= 0} extends to the two right-hand quadrant bricks
-        idx = cs.cuts.index(Y_AXIS)
-        sign = 1 if HalfSpace(Y_AXIS.normal, Y_AXIS.offset).value_at((F(1), F(0))) <= 0 else -1
-        chosen = cu.block_bricks(cs, {Y_AXIS: sign})
-        assert len(chosen) == 2
-        for brick in chosen:
-            assert brick.core_point[0] > 0
-
     def test_needs_cuts(self):
         with pytest.raises(ValueError):
             cu.brick_decomposition(cu.CutSystem.of([]))
@@ -90,6 +81,27 @@ class TestBricks:
         assert calls == len(bricks) == 18
 
 
+def test_equals_and_boundary_make_no_fourier_motzkin_call(monkeypatch):
+    rng = random.Random(41)
+    polys = [pl.random_plane_polytope(rng, max_parts=3, bounded=b) for b in (False, True) * 4]
+    polys += [p.complement().complement() for p in polys[:4]] + [pl.EMPTY, pl.R2, Q1]
+    expected = [demorgan_equals(p, q) for p in polys for q in polys]
+    calls = []
+
+    def counted(cons):
+        calls.append(cons)
+        return feasible_point(cons)
+
+    monkeypatch.setattr(pl, "feasible_point", counted)
+    assert [p.equals(q) for p in polys for q in polys] == expected
+    for p in polys:
+        cu.boundary_representation(p, extra_cuts=[X_AXIS, Y_AXIS])
+    assert calls == []
+    # the counter is live: a complement still runs Fourier-Motzkin
+    Q1.complement()
+    assert calls
+
+
 def test_cuts_imports_no_private_plane_name():
     tree = ast.parse(inspect.getsource(cu))
     assert not [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -113,7 +125,7 @@ class TestSheets:
         cs = cu.CutSystem.of([X_AXIS, Y_AXIS, X_ONE])
         decomposition = {b.signs: b for b in cu.brick_decomposition(cs)}
         for sheet in cu.sheets(cs):
-            plus, minus = sheet.flank_signs(cs)
+            plus, minus = flank_signs(sheet, cs)
             assert plus in decomposition and minus in decomposition
             for signs in (plus, minus):
                 brick = decomposition[signs]
@@ -177,9 +189,9 @@ class TestBoundaryRepresentation:
             if not cs.cuts:
                 continue
             decomposition = cu.brick_decomposition(cs)
-            brickset = cu.polytope_brick_signs(poly, cs, decomposition)
+            brickset = polytope_brick_signs(poly, cs, decomposition)
             for sheet in cu.sheets(cs):
-                plus, minus = sheet.flank_signs(cs)
+                plus, minus = flank_signs(sheet, cs)
                 inside = (plus in brickset) + (minus in brickset)
                 expected = {2: "interior", 1: "boundary", 0: "outside"}[inside]
                 for pt in cu.sheet_points(sheet):

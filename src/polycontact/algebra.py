@@ -416,24 +416,20 @@ def merge(images: Mapping[str, CylinderPolytope],
             unions[mask] = union_of(rest).union(images[cells[low.bit_length() - 1]])
         return unions[mask]
 
-    adjacent: dict[tuple[str, str], bool] = {}
-    for x in cells:
-        for y in cells:
-            adjacent[(x, y)] = images[x].contact_sc(images[y])
+    # the relation the images induce on cells, as one neighbour mask per cell
+    discrete = FiniteContactAlgebra(cells, [
+        sum(1 << j for j, y in enumerate(cells) if images[x].contact_sc(images[y]))
+        for x in cells])
+    contact_masks = discrete.contact
 
     report = AuditReport()
     if space is not None:
         mismatch = next(
-            ((x, y) for x in cells for y in cells
-             if space.adjacent(x, y) != adjacent[(x, y)]), None)
+            ((x, y) for i, x in enumerate(cells) for j, y in enumerate(cells)
+             if space.adjacent(x, y) != bool(discrete.succ[i] >> j & 1)), None)
         report.entries.append(AuditEntry(
             "adjacency-vs-image-contact", mismatch is None,
             "" if mismatch is None else f"pair={mismatch}"))
-
-    def contact_masks(a: int, b: int) -> bool:
-        return any(adjacent[(x, y)]
-                   for i, x in enumerate(cells) if a >> i & 1
-                   for j, y in enumerate(cells) if b >> j & 1)
 
     full = (1 << n) - 1
     if n <= exhaustive_limit:

@@ -3,7 +3,13 @@
 A value is a sorted tuple of maximal closed pieces ``(lo, hi)`` where ``None``
 stands for an unbounded end.  Canonical form means pieces are pairwise
 separated by gaps of positive length and no piece is a single point, so two
-values denote the same regular closed set iff they are equal tuples.
+values denote the same regular closed set iff they are equal tuples.  Every
+``IntervalPolytope`` is canonical: construction rejects any other tuple.
+
+The operations (``union``, ``reg_meet``, ``contact_c`` and what is built on
+them) are linear sweeps over two canonical piece tuples, with no sort and no
+re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
+text, projected pieces, ``from_pieces`` and the random generator.
 
 Only finite unions are representable.  Regular closed sets built from
 infinitely many segments (for instance the closure of an infinite union of
@@ -22,7 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .numeric import rational
 
@@ -39,9 +45,16 @@ class IntervalPolytope:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        for lo, hi in self.pieces:
-            if lo is not None and hi is not None and lo >= hi:
-                raise ValueError(f"degenerate piece [{lo}, {hi}] in canonical value")
+        # canonical iff the endpoints, read left to right, strictly increase
+        # and only the first and the last of them are unbounded
+        ends = [x for piece in self.pieces for x in piece]
+        if ends and ends[0] is None:
+            del ends[0]
+        if ends and ends[-1] is None:
+            del ends[-1]
+        for a, b in zip(ends, ends[1:]):
+            if a is None or b is None or a >= b:
+                raise ValueError(f"pieces not canonical: {self.pieces}")
 
     # -- constructors -------------------------------------------------
 
@@ -79,18 +92,29 @@ class IntervalPolytope:
         return IntervalPolytope(tuple(out))
 
     def union(self, other: "IntervalPolytope") -> "IntervalPolytope":
-        return canonicalize(self.pieces + other.pieces)
+        """Both piece tuples in order of left end, coalesced: no sort."""
+        if not other.pieces:
+            return self
+        if not self.pieces:
+            return other
+        return IntervalPolytope(tuple(_coalesce(_by_left_end(self.pieces, other.pieces))))
 
     def reg_meet(self, other: "IntervalPolytope") -> "IntervalPolytope":
         """Regularised intersection; touching-point intersections vanish."""
-        out = []
-        for a in self.pieces:
-            for b in other.pieces:
-                lo = _max_lo(a[0], b[0])
-                hi = _min_hi(a[1], b[1])
-                if _positive_length(lo, hi):
-                    out.append((lo, hi))
-        return canonicalize(out)
+        a, b = self.pieces, other.pieces
+        out: list[Piece] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo, hi = _max_lo(alo, blo), _min_hi(ahi, bhi)
+            if _positive_length(lo, hi):
+                out.append((lo, hi))
+            # the piece that ends first meets no later piece of the other list
+            if ahi is None or (bhi is not None and bhi < ahi):
+                j += 1
+            else:
+                i += 1
+        return IntervalPolytope(tuple(out))
 
     def equals(self, other: "IntervalPolytope") -> bool:
         return self.pieces == other.pieces
@@ -99,7 +123,17 @@ class IntervalPolytope:
 
     def contact_c(self, other: "IntervalPolytope") -> bool:
         """Topological contact: the closed sets share a point."""
-        return any(_pieces_touch(a, b) for a in self.pieces for b in other.pieces)
+        a, b = self.pieces, other.pieces
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            if ahi is not None and blo is not None and ahi < blo:
+                i += 1  # a[i] ends before b[j] and every later piece of b
+            elif bhi is not None and alo is not None and bhi < alo:
+                j += 1
+            else:
+                return True
+        return False
 
     def overlap(self, other: "IntervalPolytope") -> bool:
         return not self.reg_meet(other).is_empty()
@@ -140,12 +174,6 @@ def _positive_length(lo: Fraction | None, hi: Fraction | None) -> bool:
     return lo is None or hi is None or lo < hi
 
 
-def _pieces_touch(a: Piece, b: Piece) -> bool:
-    lo = _max_lo(a[0], b[0])
-    hi = _min_hi(a[1], b[1])
-    return lo is None or hi is None or lo <= hi
-
-
 def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
     """Merge overlapping or touching pieces, drop single points, sort.
 
@@ -160,17 +188,37 @@ def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
             raise ValueError(f"piece with lo > hi: [{lo}, {hi}]")
         pieces.append((lo, hi))
     pieces.sort(key=lambda p: _lo_key(p[0]))
+    kept = tuple(p for p in _coalesce(pieces) if _positive_length(*p))
+    return IntervalPolytope(kept)
+
+
+def _coalesce(pieces: Iterable[Piece]) -> list[Piece]:
+    """Merge the pieces of a list sorted by left end where they overlap or
+    merely touch (closed pieces)."""
     merged: list[Piece] = []
     for lo, hi in pieces:
         if merged:
             plo, phi = merged[-1]
-            # closed pieces merge when they overlap or merely touch
             if phi is None or lo is None or lo <= phi:
                 merged[-1] = (plo, _max_hi_merge(phi, hi))
                 continue
         merged.append((lo, hi))
-    kept = tuple(p for p in merged if _positive_length(*p))
-    return IntervalPolytope(kept)
+    return merged
+
+
+def _by_left_end(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> Iterator[Piece]:
+    """The pieces of two canonical tuples, in order of left end."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        alo, blo = a[i][0], b[j][0]
+        if alo is None or (blo is not None and alo <= blo):
+            yield a[i]
+            i += 1
+        else:
+            yield b[j]
+            j += 1
+    yield from a[i:]
+    yield from b[j:]
 
 
 def _max_hi_merge(a: Fraction | None, b: Fraction | None) -> Fraction | None:

@@ -40,17 +40,22 @@ class Side(Enum):
 def rational(value) -> Fraction:
     """Coerce ints, strings like ``-3/4`` and Fractions to Fraction.
 
-    A malformed string, zero denominators included, raises ``ValueError``.
+    A malformed string, zero denominators included, raises ``ValueError``,
+    and so does exponent notation: ``Fraction('1e10000000')`` would spend
+    seconds building a ten-million-digit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent notation in {text!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value.strip()!r}") from None
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

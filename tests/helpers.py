@@ -2,8 +2,9 @@
 scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
 enumeration, the point-probing plane references kept for the sign-vector
-walk, and the Fourier-Motzkin ``equals`` and brick-based boundary
-representation kept for the face kernel."""
+walk, the Fourier-Motzkin ``equals`` and brick-based boundary
+representation kept for the face kernel, and the ``canonicalize``-based
+and all-pairs line operations kept for the linear sweeps."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from itertools import combinations, product
 import numpy as np
 
 from polycontact import cuts as cu
+from polycontact import intervals as iv
 from polycontact import plane as pl
 from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
@@ -264,3 +266,29 @@ def reference_boundary_representation(poly, extra_cuts=()):
             in_boundary.append(sheet)
     corners = tuple(v for v in cs.vertices() if pl.point_on_boundary(poly, v))
     return cu.BoundaryRepresentation(cs, tuple(in_boundary), corners)
+
+
+def reference_union(p, q):
+    """``IntervalPolytope.union`` by re-sorting and re-merging all pieces."""
+    return iv.canonicalize(p.pieces + q.pieces)
+
+
+def reference_reg_meet(p, q):
+    """``IntervalPolytope.reg_meet`` from every pair of pieces."""
+    out = []
+    for a in p.pieces:
+        for b in q.pieces:
+            lo, hi = iv._max_lo(a[0], b[0]), iv._min_hi(a[1], b[1])
+            if lo is None or hi is None or lo < hi:
+                out.append((lo, hi))
+    return iv.canonicalize(out)
+
+
+def reference_contact_c(p, q):
+    """``IntervalPolytope.contact_c``: some pair of pieces shares a point."""
+    for a in p.pieces:
+        for b in q.pieces:
+            lo, hi = iv._max_lo(a[0], b[0]), iv._min_hi(a[1], b[1])
+            if lo is None or hi is None or lo <= hi:
+                return True
+    return False

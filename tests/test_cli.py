@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -254,6 +255,24 @@ def test_division_by_zero_input_exit_2(name, text, viewport, files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text, viewport", [
+    ("a.poly", "poly { basic { 1e10000000 0 <= 1 } }", "-6,-6,6,6"),
+    ("a.poly", Q1, "0,0,1e10000000,1"),
+], ids=["poly", "viewport"])
+def test_exponent_notation_exit_2(name, text, viewport, files, capsys):
+    # Fraction('1e10000000') alone takes seconds: the literal is refused first
+    write, tmp_path = files
+    argv = ["render", write(name, text), "--svg", str(tmp_path / "a.svg"),
+            f"--viewport={viewport}"]
+    start = time.process_time()
+    assert run(argv) == 2
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exponent notation in '1e10000000'" in captured.err
 
 
 @pytest.mark.parametrize("formula", [

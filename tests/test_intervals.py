@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycontact import intervals as iv
+from helpers import reference_contact_c, reference_reg_meet, reference_union
 from sc_oracle import interval_sc_oracle
 
 P = iv.parse_intervals
@@ -48,6 +49,28 @@ def test_contact_triples():
     a2 = P("[0,1]")
     assert not a2.contact_c(c) and not a2.contact_sc(c) and not a2.overlap(c)
     assert a.contact_c(a) and a.contact_sc(a) and a.overlap(a)
+
+
+@pytest.mark.parametrize("pieces", [
+    ((F(1), F(2)), (F(0), F(1))),          # unsorted: [0, 2] in two pieces
+    ((F(0), F(2)), (F(1), F(3))),          # overlapping
+    ((F(0), F(1)), (F(1), F(2))),          # touching, a gap of length 0
+    ((F(1), F(1)),),                       # a single point
+    ((F(2), F(1)),),                       # reversed
+    ((F(0), None), (F(2), F(3))),          # an unbounded end inside
+    ((F(0), F(1)), (None, F(3))),
+    ((None, None), (None, None)),
+    ((None, F(0)), (None, F(0))),
+])
+def test_non_canonical_value_rejected(pieces):
+    with pytest.raises(ValueError, match="not canonical"):
+        iv.IntervalPolytope(pieces)
+
+
+def test_canonical_values_accepted():
+    for pieces in [(), ((None, None),), ((None, F(0)),), ((F(0), None),),
+                   ((None, F(0)), (F(1, 2), F(1)), (F(3), None))]:
+        assert iv.IntervalPolytope(pieces).pieces == pieces
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
@@ -103,6 +126,40 @@ def test_overlap_implies_contact(x, y):
 def test_connectedness(x):
     if not x.is_empty() and not x.is_all():
         assert x.contact_sc(x.complement())
+
+
+# endpoints on a grid of halves, so pieces often share an endpoint or touch
+# end to end
+grid = st.builds(F, st.integers(-6, 6), st.just(2))
+
+
+@st.composite
+def grid_polytopes(draw):
+    ends = sorted(draw(st.lists(grid, max_size=6)))
+    pieces = list(zip(ends[::2], ends[1::2]))
+    if draw(st.booleans()):
+        pieces.append((None, draw(grid)))
+    if draw(st.booleans()):
+        pieces.append((draw(grid), None))
+    return iv.canonicalize(pieces)
+
+
+line_polytopes = st.one_of(st.just(iv.EMPTY), st.just(iv.ALL), grid_polytopes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_polytopes, line_polytopes)
+@example(P("[0,1]"), P("[1,2]"))
+@example(P("(-inf,0]"), P("[0,inf)"))
+@example(P("(-inf,0]; [1,2]"), P("[0,1]; [2,3]"))
+@example(P("[0,1]; [2,3]"), P("[1,2]"))
+@example(iv.EMPTY, iv.ALL)
+def test_sweeps_match_references(x, y):
+    for a, b in ((x, y), (y, x)):
+        assert a.union(b) == reference_union(a, b)
+        assert a.reg_meet(b) == reference_reg_meet(a, b)
+        assert a.contact_c(b) == a.contact_sc(b) == reference_contact_c(a, b)
+        assert a.overlap(b) == (not reference_reg_meet(a, b).is_empty())
 
 
 def test_sc_is_c_and_matches_definition_oracle():

@@ -134,6 +134,11 @@ class TestRationalExactness:
         with pytest.raises(TypeError):
             rational(0.5)
 
+    @pytest.mark.parametrize("text", ["1e10000000", "2E3", "-1.5e-2", " 3e0 "])
+    def test_exponent_notation_rejected(self, text):
+        with pytest.raises(ValueError, match="exponent notation"):
+            rational(text)
+
 
 class TestSqrtLower:
     def test_bounds(self):

@@ -1,12 +1,26 @@
+import hashlib
+
 import pytest
 
+from polycontact import intervals as iv
 from polycontact import pipeline as pp
+from polycontact.algebra import merge
 from polycontact.cylinder import lift
 from polycontact.intervals import parse_intervals
 
 CONTACT_NOT_OVERLAP = "C(p,q) => p.q != 0"
 TRIANGLE_FORCER = ("~( C(p,q) & C(q,r) & C(p,r) & "
                    "p.q == 0 & q.r == 0 & p.r == 0 )")
+# false exactly on three disjoint nonzero regions p, q, r and the rest,
+# in contact on the edges of the diamond (K4 minus the q-rest edge) or of
+# K4; their certificates untie to 6 cells (merge checks all 4^6 mask
+# pairs) and to 7 cells (merge checks seeded samples)
+_FORCER_ATOMS = ("~(p <= -q) | ~(p <= -r) | ~(q <= -r) | p == 0 | q == 0 | "
+                 "r == 0 | -(p + q + r) == 0 | ~C(p, q) | ~C(p, r) | "
+                 "~C(p, -(p + q + r)) | ~C(q, r) | {}C(q, -(p + q + r)) | "
+                 "~C(r, -(p + q + r))")
+DIAMOND_FORCER = _FORCER_ATOMS.format("")
+K4_FORCER = _FORCER_ATOMS.format("~")
 
 
 class TestSynthesize:
@@ -152,3 +166,68 @@ class TestSerialization:
         assert old in text
         with pytest.raises(pp.CertificateFormatError):
             pp.parse_certificate(text.replace(old, new))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the same 16 PASS lines for every sound certificate
+ALL_PASS_REPORT = "c21d4e44f411941e11f29c3cd39ff5ceb0f940e4bce41b58a9cd9de64ad9c63f"
+
+
+@pytest.mark.parametrize("formula,bound,dim,cells,cert_sha", [
+    (CONTACT_NOT_OVERLAP, 2, 1, 2,
+     "9f67fc04da0136a13f19fc461202e634c1f9120c694cfe8c8b0ded8f877bc2a9"),
+    (CONTACT_NOT_OVERLAP, 2, 3, 2,
+     "d55e915b3668f24139e5580432cd834e21cc1df89caadd090d279a6c74b372ce"),
+    (TRIANGLE_FORCER, 3, 1, 4,
+     "4fcae1a84847f4017d5f83d1d0744348c9316aa9a144d674f0f87392df6913bf"),
+    (TRIANGLE_FORCER, 3, 3, 4,
+     "af65e5e3ffffe2e689daf442b9d2cc9ef3c26504b9067b555cbb4c7f2629bf41"),
+    (DIAMOND_FORCER, 4, 1, 6,
+     "a75d5933dd2834141bf8c48872876d4aa10d7362968a32a052221fd494448f85"),
+    (DIAMOND_FORCER, 4, 3, 6,
+     "850299b24c8f72ec3c91644d3dc4ae32b6241ebeebd4d8dfd41013d6be9b2223"),
+    (K4_FORCER, 4, 1, 7,
+     "7b8628bc392dc0b9c5d4fd50190eff853ea10c86480aaf811b1c63a0f96fa0ea"),
+    (K4_FORCER, 4, 3, 7,
+     "a3b7028b58882def12e4f213de07d4599d93f35ee88e81a2d580f2fa5f86fb4f"),
+], ids=[f"{name}-dim{dim}" for name in ("flagship", "triangle", "diamond", "K4")
+        for dim in (1, 3)])
+def test_pinned_certificate_and_report(formula, bound, dim, cells, cert_sha):
+    cert = pp.synthesize(formula, bound, dim)
+    assert len(cert.untied_space.cells) == cells
+    assert _sha(pp.serialize_certificate(cert)) == cert_sha
+    assert _sha(pp.verify(cert).text()) == ALL_PASS_REPORT
+
+
+@pytest.mark.parametrize("formula,report_sha", [
+    (DIAMOND_FORCER, "9a0b1295b4a6797740aa41241c3ef832edff36baaeed90f5b7f52c2043c9f56c"),
+    (K4_FORCER, "6524f3f00f0b6b8e874212abf3d58301e12c1124b6cc216fd955839dc08c1e1d"),
+], ids=["diamond", "K4"])
+def test_pinned_report_of_tampered_certificate(formula, report_sha):
+    # the last cell's image moved onto two others: the witnesses of the
+    # failing merge checks are the first ones found, in the order checked
+    cert = pp.synthesize(formula, 4, 1)
+    cert.images[max(cert.images)] = lift(parse_intervals("[1/2,3/2]; [5,6]"), 1)
+    assert _sha(pp.verify(cert).text()) == report_sha
+
+
+def test_merge_makes_no_canonicalize_call(monkeypatch):
+    # every union, meet and contact in merge is a sweep over canonical
+    # pieces; only raw input goes through canonicalize
+    cert = pp.synthesize(DIAMOND_FORCER, 4, 3)
+    canonicalize = iv.canonicalize
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return canonicalize(raw)
+
+    monkeypatch.setattr(iv, "canonicalize", counted)
+    iv.parse_intervals("[0,1]")
+    assert len(calls) == 1
+    result = merge(cert.images, space=cert.untied_space)
+    assert len(result.cells) == 6 and result.report.passed
+    assert len(calls) == 1

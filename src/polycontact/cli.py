@@ -308,6 +308,9 @@ def _cmd_render(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+BOUND_HELP = f"most cells a countermodel may have, 1 to {lg.MAX_BOUND} (default 4)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycontact",
@@ -367,12 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", nargs="?",
                    help="formula text (or use --file)")
     p.add_argument("--file", help="file with one formula per line, '#' comments")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=4, help=BOUND_HELP)
     p.set_defaults(fn=_cmd_countermodel)
 
     p = sub.add_parser("synthesize", help="full geometric countermodel certificate")
     p.add_argument("formula")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=4, help=BOUND_HELP)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--out", help="write the certificate to this path")
     add_svg(p, plane_default="-2,14")

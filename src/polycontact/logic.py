@@ -902,6 +902,21 @@ def enumerate_connected_spaces(max_cells: int) -> Iterator[AdjacencySpace]:
         yield from _spaces_with_cells(n)
 
 
+# Largest cell bound the search accepts.  Bound 8 enumerates 11,117
+# connected spaces of 8 cells; bound 9 would canonicalise about 2.8 million
+# one-cell augmentations (11,117 x 255) on the way to 261,080 classes, all
+# of them cached.
+MAX_BOUND = 8
+
+
+def check_bound(max_cells: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= max_cells <= MAX_BOUND``."""
+    if max_cells < 1:
+        raise ValueError("cell bound must be >= 1")
+    if max_cells > MAX_BOUND:
+        raise ValueError(f"cell bound must be <= {MAX_BOUND}, got {max_cells}")
+
+
 def find_countermodel(f: Formula | str, max_cells: int
                       ) -> Optional[tuple[AdjacencySpace, dict[str, frozenset[str]]]]:
     """First falsifying Kripke model with at most ``max_cells`` cells.
@@ -909,12 +924,11 @@ def find_countermodel(f: Formula | str, max_cells: int
     Spaces come in ``enumerate_connected_spaces`` order and, within a
     space, valuations in product order over the sorted variables, the
     first variable most significant.  None means no countermodel up to
-    the bound.
+    the bound.  A bound outside ``1..MAX_BOUND`` raises ``ValueError``.
     """
+    check_bound(max_cells)
     if isinstance(f, str):
         f = parse(f)
-    if max_cells < 1:
-        raise ValueError("cell bound must be >= 1")
     program = compile_formula(f)
     for space in enumerate_connected_spaces(max_cells):
         algebra = induced_algebra(space)

@@ -13,6 +13,12 @@ syntactic equality coincides with geometric equality:
 * a hyperplane ``{x : n.x = c}`` is scaled so the first nonzero normal
   coordinate equals 1 (sign is free for an equation, which identifies the
   two oriented descriptions of the same line).
+
+Each half-space and hyperplane also carries its integer form
+(``integer_form``): the canonical coefficients times the lcm of their
+denominators, a positive scaling, so the same set.  It is computed once per
+object, and the plane kernel decides feasibility and walks arrangements on
+it, building ``Fraction`` values only for the points it returns.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Rational = Fraction
@@ -94,6 +101,13 @@ def _canonical_scale(normal: tuple[Fraction, ...], offset: Fraction,
     return tuple(c / factor for c in normal), offset / factor
 
 
+def _integer_form(normal: tuple[Fraction, ...], offset: Fraction) -> tuple[int, ...]:
+    """``(*normal, offset)`` times the lcm of their denominators."""
+    coefficients = (*normal, offset)
+    scale = math.lcm(*(c.denominator for c in coefficients))
+    return tuple(c.numerator * (scale // c.denominator) for c in coefficients)
+
+
 @dataclass(frozen=True, order=True)
 class HalfSpace:
     """Closed half-space ``{x : normal.x <= offset}`` in canonical scaling."""
@@ -112,12 +126,22 @@ class HalfSpace:
     def dim(self) -> int:
         return len(self.normal)
 
+    @cached_property
+    def integer_form(self) -> tuple[int, ...]:
+        """``(*normal, offset)`` scaled to integers by the lcm of their
+        denominators: the same half-space with integer coefficients."""
+        return _integer_form(self.normal, self.offset)
+
     def value_at(self, p: Point) -> Fraction:
         """normal.p - offset; negative inside, zero on the boundary."""
         return dot(self.normal, p) - self.offset
 
-    def boundary(self) -> "Hyperplane":
+    @cached_property
+    def _boundary(self) -> "Hyperplane":
         return Hyperplane(self.normal, self.offset)
+
+    def boundary(self) -> "Hyperplane":
+        return self._boundary
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*x{i}" for i, c in enumerate(self.normal) if c)
@@ -141,6 +165,12 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return len(self.normal)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, ...]:
+        """``(*normal, offset)`` scaled to integers by the lcm of their
+        denominators; its first nonzero coordinate is that lcm."""
+        return _integer_form(self.normal, self.offset)
 
     def value_at(self, p: Point) -> Fraction:
         return dot(self.normal, p) - self.offset

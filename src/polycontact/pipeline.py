@@ -76,7 +76,9 @@ def _union_image(cells: frozenset[str], images: dict[str, CylinderPolytope],
 def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
                ) -> Optional[CountermodelCertificate]:
     """Build a geometric countermodel certificate, or None if the search
-    up to ``max_cells`` cells finds no discrete countermodel."""
+    up to ``max_cells`` cells finds no discrete countermodel.  A bound
+    outside ``1..logic.MAX_BOUND`` raises ``ValueError``."""
+    lg.check_bound(max_cells)
     text = formula if isinstance(formula, str) else lg.format_formula(formula)
     parsed = lg.parse(text)
     if dim < 1:

@@ -6,8 +6,10 @@ half-planes: a basic polytope is a regularised intersection of half-planes
 dropped), and a polytope is a finite union of basics.  All emptiness and
 redundancy questions reduce to feasibility of small linear systems with
 strict or non-strict inequalities, decided exactly by Fourier-Motzkin
-elimination over rationals.  Equality of polytopes does not: it compares
-the faces each one fills (below).
+elimination over scaled integers: each half-plane's integer form
+(``HalfSpace.integer_form``), bounds compared by cross-multiplying, and
+``Fraction`` values built only for the witness point returned.  Equality
+of polytopes does not: it compares the faces each one fills (below).
 
 Contact relations, strongest to weakest:
 
@@ -36,6 +38,7 @@ rational radius small enough to be checked by exact containment tests
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,84 +58,89 @@ from .numeric import (
     sqrt_lower,
 )
 
-# linear constraint a*x + b*y (< | <=) c
-LinCon = tuple[Fraction, Fraction, Fraction, bool]
+# linear constraint a*x + b*y (< | <=) c, coefficients int or Fraction
+LinCon = tuple[int | Fraction, int | Fraction, int | Fraction, bool]
 
 
 # ---------------------------------------------------------------------------
 # exact feasibility of strict/non-strict systems (Fourier-Motzkin)
 # ---------------------------------------------------------------------------
 
-def _solve_1d(cons: list[tuple[Fraction, Fraction, bool]]) -> Optional[Fraction]:
-    """Witness for a system of constraints ``a*t (<|<=) c``, or None."""
-    lo: tuple[Fraction, bool] | None = None  # t > / >= value
-    hi: tuple[Fraction, bool] | None = None  # t < / <= value
+def _solve_1d(cons: list[tuple[int, int, bool]]) -> Optional[tuple[int, int]]:
+    """Witness ``(p, q)``, q > 0, for the value ``t = p/q`` satisfying every
+    integer constraint ``a*t (<|<=) c``, or None.
+
+    Each bound ``c/a`` is kept as a numerator and a positive denominator,
+    and bounds are compared by cross-multiplying.  The witness is the
+    midpoint of the tightest bounds, one past the only one, or 0.
+    """
+    lo_p = lo_q = hi_p = hi_q = None  # t > / >= lo_p/lo_q, t < / <= hi_p/hi_q
+    lo_strict = hi_strict = False
     for a, c, strict in cons:
-        if a == 0:
-            if c < 0 or (c == 0 and strict):
-                return None
-            continue
-        bound = c / a
         if a > 0:
-            if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                hi = (bound, strict)
-        else:
-            if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                lo = (bound, strict)
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi[0] - 1
-    if hi is None:
-        return lo[0] + 1
-    if lo[0] < hi[0]:
-        return (lo[0] + hi[0]) / 2
-    if lo[0] == hi[0] and not lo[1] and not hi[1]:
-        return lo[0]
+            if (hi_q is None or c * hi_q < hi_p * a
+                    or (strict and c * hi_q == hi_p * a)):
+                hi_p, hi_q, hi_strict = c, a, strict
+        elif a < 0:
+            if (lo_q is None or c * lo_q < lo_p * a
+                    or (strict and c * lo_q == lo_p * a)):
+                lo_p, lo_q, lo_strict = -c, -a, strict
+        elif c < 0 or (c == 0 and strict):
+            return None
+    if lo_q is None:
+        return (0, 1) if hi_q is None else (hi_p - hi_q, hi_q)
+    if hi_q is None:
+        return lo_p + lo_q, lo_q
+    lo, hi = lo_p * hi_q, hi_p * lo_q
+    if lo < hi:
+        return lo + hi, 2 * lo_q * hi_q
+    if lo == hi and not lo_strict and not hi_strict:
+        return lo_p, lo_q
     return None
 
 
 def feasible_point(cons: Iterable[LinCon]) -> Optional[Point]:
     """A rational point satisfying every constraint, or None.
 
-    Eliminates y first: each (lower, upper) pair of y-bounds yields an
-    x-constraint, strict when either side is strict; the resulting
-    one-variable system is solved directly and y is back-substituted.
+    Coefficients may be ints or Fractions; each constraint with a Fraction
+    is first scaled to integers by the lcm of its denominators, which
+    changes neither its solutions nor the point returned.  Eliminates y
+    first: each (lower, upper) pair of y-bounds yields an x-constraint,
+    strict when either side is strict; the resulting one-variable system is
+    solved directly, and y is back-substituted at ``x = p/q`` by scaling
+    its constraints by q.  Only the returned point is a Fraction.
     """
-    cons = list(cons)
-    x_cons: list[tuple[Fraction, Fraction, bool]] = []
-    uppers: list[LinCon] = []
-    lowers: list[LinCon] = []
+    x_cons: list[tuple[int, int, bool]] = []
+    uppers: list[tuple[int, int, int, bool]] = []
+    lowers: list[tuple[int, int, int, bool]] = []
     for a, b, c, strict in cons:
-        if b == 0:
-            if a == 0:
-                if c < 0 or (c == 0 and strict):
-                    return None
-            else:
-                x_cons.append((a, c, strict))
-        elif b > 0:
+        if not type(a) is type(b) is type(c) is int:
+            scale = math.lcm(a.denominator, b.denominator, c.denominator)
+            a, b, c = (int(v * scale) for v in (a, b, c))
+        if b > 0:
             uppers.append((a, b, c, strict))
-        else:
+        elif b < 0:
             lowers.append((a, b, c, strict))
+        elif a:
+            x_cons.append((a, c, strict))
+        elif c < 0 or (c == 0 and strict):
+            return None
     for al, bl, cl, sl in lowers:
         for au, bu, cu, su in uppers:
             # (cl - al*x)/bl <= (cu - au*x)/bu with bl<0<bu
-            a_new = bu * al - bl * au
-            c_new = bu * cl - bl * cu
-            x_cons.append((a_new, c_new, sl or su))
+            x_cons.append((bu * al - bl * au, bu * cl - bl * cu, sl or su))
     x = _solve_1d(x_cons)
     if x is None:
         return None
-    y_cons = [(b, c - a * x, strict) for a, b, c, strict in cons if b != 0]
-    y = _solve_1d(y_cons)
+    p, q = x
+    y = _solve_1d([(b * q, c * q - a * p, strict) for a, b, c, strict in lowers + uppers])
     if y is None:
         return None
-    return (x, y)
+    return Fraction(p, q), Fraction(*y)
 
 
 def _as_con(h: HalfSpace, strict: bool) -> LinCon:
-    (a, b), c = h.normal, h.offset
-    return (a, b, c, strict)
+    return (*h.integer_form, strict)
 
 
 def core_point(halfspaces: Iterable[HalfSpace]) -> Optional[Point]:
@@ -143,7 +151,7 @@ def core_point(halfspaces: Iterable[HalfSpace]) -> Optional[Point]:
 
 def _negated_strict(h: HalfSpace) -> LinCon:
     """The open complement ``normal.x > offset`` as a strict constraint."""
-    (a, b), c = h.normal, h.offset
+    a, b, c = h.integer_form
     return (-a, -b, -c, True)
 
 
@@ -337,28 +345,36 @@ def arrangement_edges(lines: Sequence[Hyperplane]
     The sign vector of the first piece comes from the slope of each
     crossing line along the direction (or, for a parallel line, its sign at
     the base point); crossing a breakpoint flips the bits of the lines
-    through it.
+    through it.  Slopes, gaps and crossings come from the lines' integer
+    forms: a slope's sign is an integer determinant's, and a crossing's
+    parameter is one quotient of integers, rescaled to ``line_param``'s
+    direction.
     """
     for mu in lines:
-        base, direction = line_param(mu)
-        (bx, by), (dx, dy) = base, direction
+        # mu is (A*x + B*y = C) / m with m its lead coefficient, so
+        # line_param's base is (0, C/k) or (C/k, 0) for k = B or A, and its
+        # direction is (-B, A) / m
+        A, B, C = mu.integer_form
+        m = A or B
+        k = B or A
         above = 0
         flips: dict[Fraction, int] = {}
         for j, nu in enumerate(lines):
             if nu is mu:
                 continue
-            a, b = nu.normal
-            # nu's value at base + t*direction is slope*t - gap
-            slope = a * dx + b * dy
-            gap = nu.offset - a * bx - b * by
+            a, b, c = nu.integer_form
+            # nu's value at base + t*direction is (det*t/m - gap/k) times
+            # a positive factor
+            det = b * A - a * B
+            gap = c * k - (b if B else a) * C
             bit = 1 << j
-            if slope == 0:  # parallel lines never cross
-                if gap < 0:
+            if det == 0:  # parallel lines never cross
+                if gap * k < 0:
                     above |= bit
                 continue
-            if slope < 0:  # positive before the crossing
+            if det < 0:  # positive before the crossing
                 above |= bit
-            t = gap / slope
+            t = Fraction(gap * m, det * k)
             flips[t] = flips.get(t, 0) | bit
         ts = sorted(flips)
         if ts:
@@ -367,6 +383,7 @@ def arrangement_edges(lines: Sequence[Hyperplane]
             pieces.append((ts[-1], None, ts[-1] + 1))
         else:
             pieces = [(None, None, Fraction(0))]
+        base, direction = line_param(mu)
         for lo, hi, t in pieces:
             if lo is not None:
                 above ^= flips[lo]
@@ -428,14 +445,16 @@ def _pooled(p: PlanePolytope, q: PlanePolytope):
 
 
 def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
-    """None, or ("overlap", point, basic, basic), or ("facet", line, point).
+    """None, or ("overlap", point, basic, basic), or ("facet", line, point,
+    pooled lines).
 
     The facet search walks the edges of the arrangement of the pooled
     constraint lines (``arrangement_edges``) and reads which polytope fills
     each flank off its sign vector (``fills``).  An edge on ``mu`` is a
     shared crossing facet when one polytope fills its flank
     ``above | bit(mu)`` and the other its flank ``above``; the first such
-    edge in walk order is returned with its point ``rep``.
+    edge in walk order is returned with its point ``rep`` and the pooled
+    lines.
     """
     if p.is_empty() or q.is_empty():
         return None
@@ -448,7 +467,7 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
         plus = above | own_bit[id(mu)]
         if ((fills(p_masks, plus) and fills(q_masks, above))
                 or (fills(p_masks, above) and fills(q_masks, plus))):
-            return ("facet", mu, x)
+            return ("facet", mu, x, lines)
     return None
 
 
@@ -479,8 +498,7 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
                  for h in a.constraints + b.constraints]
         r = min(dists) / 2 if dists else Fraction(1)
         return z, r
-    _, mu, x = analysis
-    lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
+    _, mu, x, lines = analysis
     dists = [sqrt_lower(point_line_dist_sq(x, nu)) for nu in lines if nu != mu]
     r = min(dists) / 2 if dists else Fraction(1)
     return x, r

@@ -3,11 +3,14 @@ scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
 enumeration, the point-probing plane references kept for the sign-vector
 walk, the Fourier-Motzkin ``equals`` and brick-based boundary
-representation kept for the face kernel, and the ``canonicalize``-based
-and all-pairs line operations kept for the linear sweeps."""
+representation kept for the face kernel, the ``canonicalize``-based and
+all-pairs line operations kept for the linear sweeps, and the ``Fraction``
+Fourier-Motzkin elimination and arrangement walk kept for the integer
+plane kernel."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -201,7 +204,7 @@ def probe_sc_analysis(p, q):
     lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
     for mu, _, _, x, _ in pl.arrangement_edges(lines):
         if probe_facet(p, q, mu, x, lines):
-            return ("facet", mu, x)
+            return ("facet", mu, x, lines)
     return None
 
 
@@ -292,3 +295,113 @@ def reference_contact_c(p, q):
             if lo is None or hi is None or lo <= hi:
                 return True
     return False
+
+
+def _reference_solve_1d(cons):
+    """Witness for a system of constraints ``a*t (<|<=) c``, or None."""
+    lo = None  # t > / >= value
+    hi = None  # t < / <= value
+    for a, c, strict in cons:
+        if a == 0:
+            if c < 0 or (c == 0 and strict):
+                return None
+            continue
+        bound = c / a
+        if a > 0:
+            if hi is None or bound < hi[0] or (bound == hi[0] and strict):
+                hi = (bound, strict)
+        else:
+            if lo is None or bound > lo[0] or (bound == lo[0] and strict):
+                lo = (bound, strict)
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi[0] - 1
+    if hi is None:
+        return lo[0] + 1
+    if lo[0] < hi[0]:
+        return (lo[0] + hi[0]) / 2
+    if lo[0] == hi[0] and not lo[1] and not hi[1]:
+        return lo[0]
+    return None
+
+
+def reference_feasible_point(cons):
+    """``plane.feasible_point`` by Fourier-Motzkin over ``Fraction``: y is
+    eliminated pairwise, the x-system solved by dividing out each bound,
+    and y back-substituted."""
+    cons = [tuple(Fraction(v) for v in con[:3]) + (con[3],) for con in cons]
+    x_cons, uppers, lowers = [], [], []
+    for a, b, c, strict in cons:
+        if b == 0:
+            if a == 0:
+                if c < 0 or (c == 0 and strict):
+                    return None
+            else:
+                x_cons.append((a, c, strict))
+        elif b > 0:
+            uppers.append((a, b, c, strict))
+        else:
+            lowers.append((a, b, c, strict))
+    for al, bl, cl, sl in lowers:
+        for au, bu, cu, su in uppers:
+            x_cons.append((bu * al - bl * au, bu * cl - bl * cu, sl or su))
+    x = _reference_solve_1d(x_cons)
+    if x is None:
+        return None
+    y = _reference_solve_1d([(b, c - a * x, strict) for a, b, c, strict in cons if b != 0])
+    if y is None:
+        return None
+    return (x, y)
+
+
+def reference_mk_basic(halfspaces):
+    """``plane.mk_basic`` with every feasibility test by
+    ``reference_feasible_point`` on the ``Fraction`` coefficients."""
+    current = sorted(set(halfspaces))
+    if reference_feasible_point([(*h.normal, h.offset, True) for h in current]) is None:
+        return None
+    for h in list(current):
+        rest = [g for g in current if g != h]
+        system = [(*g.normal, g.offset, False) for g in rest]
+        system.append((-h.normal[0], -h.normal[1], -h.offset, True))
+        if reference_feasible_point(system) is None:
+            current = rest
+    return pl.BasicPolytope(tuple(current))
+
+
+def reference_arrangement_edges(lines):
+    """``plane.arrangement_edges`` in ``Fraction`` arithmetic: each slope,
+    gap and crossing parameter along ``line_param``'s direction, and each
+    representative point by ``point_on``."""
+    for mu in lines:
+        base, direction = pl.line_param(mu)
+        (bx, by), (dx, dy) = base, direction
+        above = 0
+        flips = {}
+        for j, nu in enumerate(lines):
+            if nu is mu:
+                continue
+            a, b = nu.normal
+            slope = a * dx + b * dy
+            gap = nu.offset - a * bx - b * by
+            bit = 1 << j
+            if slope == 0:
+                if gap < 0:
+                    above |= bit
+                continue
+            if slope < 0:
+                above |= bit
+            t = gap / slope
+            flips[t] = flips.get(t, 0) | bit
+        ts = sorted(flips)
+        if ts:
+            pieces = [(None, ts[0], ts[0] - 1)]
+            pieces += [(a, b, (a + b) / 2) for a, b in zip(ts, ts[1:])]
+            pieces.append((ts[-1], None, ts[-1] + 1))
+        else:
+            pieces = [(None, None, Fraction(0))]
+        for lo, hi, t in pieces:
+            if lo is not None:
+                above ^= flips[lo]
+            yield mu, lo, hi, pl.point_on(base, direction, t), above

@@ -1,5 +1,10 @@
 """Differential tests of the sign-vector arrangement walk.
 
+``plane.arrangement_edges`` runs on the lines' integer forms; its edges are
+compared whole, ``(line, lo, hi, rep, above)``, with the ``Fraction`` walk
+it replaced, on the random cut systems below and on lines whose
+coefficients have denominators up to 10^6.
+
 ``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
 the facet search, ``PlanePolytope.equals``, ``cuts.sheets``,
 ``cuts.brick_decomposition`` and ``cuts.boundary_representation`` read
@@ -21,7 +26,7 @@ from polycontact import plane as pl
 from polycontact.numeric import HalfSpace, Hyperplane, flip
 from helpers import (
     demorgan_equals, evaluated_other_signs, exhaustive_brick_decomposition,
-    probe_sc_analysis, reference_boundary_representation)
+    probe_sc_analysis, reference_arrangement_edges, reference_boundary_representation)
 
 MAX_LINES = 9
 # pairwise non-parallel directions, so a pencil keeps all its lines
@@ -81,6 +86,56 @@ def translated(poly, dx, dy):
     return pl.PlanePolytope.from_constraint_sets(
         [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
           for h in part.constraints] for part in poly.parts])
+
+
+BIG_DEN = 10**6
+wide_fractions = st.fractions(-9, 9, max_denominator=BIG_DEN)
+
+
+@st.composite
+def wide_line_lists(draw):
+    """1-9 distinct lines with coefficients of denominators up to 10^6:
+    free lines, a parallel family (one normal, rescaled) and a pencil
+    through one point, in drawn order."""
+    normal = st.tuples(wide_fractions, wide_fractions).filter(lambda n: n != (0, 0))
+    lines = []
+    if draw(st.booleans()):
+        n = draw(normal)
+        for _ in range(draw(st.integers(2, 4))):
+            k = draw(st.fractions(F(1, BIG_DEN), 5, max_denominator=BIG_DEN))
+            lines.append(Hyperplane((n[0] * k, n[1] * k), draw(wide_fractions)))
+    if draw(st.booleans()):
+        x0, y0 = draw(wide_fractions), draw(wide_fractions)
+        for n in draw(st.lists(st.sampled_from(PENCIL_NORMALS), min_size=2, max_size=4,
+                               unique=True)):
+            k = draw(wide_fractions.filter(bool))
+            lines.append(line_through((n[0] * k, n[1] * k), (x0, y0)))
+    lines += draw(st.lists(st.builds(Hyperplane, normal, wide_fractions),
+                           min_size=0 if lines else 1, max_size=MAX_LINES - len(lines)))
+    return draw(st.permutations(list(dict.fromkeys(lines))[:MAX_LINES]))
+
+
+def assert_edges_match_reference(lines):
+    edges = list(pl.arrangement_edges(lines))
+    assert edges == list(reference_arrangement_edges(lines))
+    for _, lo, hi, rep, _ in edges:
+        assert all(t is None or type(t) is F for t in (lo, hi))
+        assert all(type(v) is F for v in rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_lists())
+@example(SINGLE_LINE)
+@example(PARALLEL_FAMILY)
+@example(PENCIL)
+def test_edges_equal_fraction_reference(lines):
+    assert_edges_match_reference(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_line_lists())
+def test_edges_equal_fraction_reference_on_wide_denominators(lines):
+    assert_edges_match_reference(lines)
 
 
 @settings(max_examples=150, deadline=None)

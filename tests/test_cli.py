@@ -1,5 +1,8 @@
 import hashlib
+import random
 import time
+from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,6 +11,7 @@ from polycontact.cli import run
 from polycontact import adjacency as adj
 from polycontact import pipeline as pp
 from polycontact import plane as pl
+from polycontact.numeric import HalfSpace, flip, intersect_lines
 
 
 @pytest.fixture
@@ -138,6 +142,23 @@ def test_countermodel_exit_codes(capsys):
     assert "space {" in out and "val p:" in out
     assert run(["countermodel", "x == x", "--bound", "3"]) == 0
     assert capsys.readouterr().out.strip() == "none"
+
+
+@pytest.mark.parametrize("argv", [
+    ["countermodel", "C(p,q) => p.q != 0", "--bound", "9"],
+    ["countermodel", "--file", "FORMULAS", "--bound", "9"],
+    ["synthesize", "C(p,q) => p.q != 0", "--bound", "9"],
+], ids=["countermodel", "countermodel-file", "synthesize"])
+def test_bound_above_max_exit_2(argv, files, capsys):
+    # bound 9 would canonicalise about 2.8 million candidate spaces
+    write, _ = files
+    argv = [write("f.txt", "x == x\n") if a == "FORMULAS" else a for a in argv]
+    start = time.process_time()
+    assert run(argv) == 2
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cell bound must be <= 8, got 9\n"
 
 
 def test_countermodel_formula_file(files, capsys):
@@ -391,3 +412,83 @@ def test_audit_every_carrier(target, capsys):
     assert capsys.readouterr().out == (
         "C1 PASS\nC2 PASS\nC3 PASS\nC4 PASS\nmonotonicity PASS\n"
         "overlap-extension PASS\nconnected=true\n")
+
+
+# ---------------------------------------------------------------------------
+# sc-check stdout over a seeded corpus, witness lines included
+# ---------------------------------------------------------------------------
+
+def _corners(poly):
+    pts = set()
+    for part in poly.parts:
+        lines = [h.boundary() for h in part.constraints]
+        for i, l1 in enumerate(lines):
+            for l2 in lines[i + 1:]:
+                _, v = intersect_lines(l1, l2)
+                if v is not None and part.contains(v):
+                    pts.add(v)
+    return sorted(pts)
+
+
+def _moved(poly, dx, dy):
+    return pl.PlanePolytope.from_constraint_sets(
+        [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
+          for h in part.constraints] for part in poly.parts])
+
+
+def _mirrored(poly, rng):
+    """Each part with one constraint flipped: touches it along a facet."""
+    sets = []
+    for part in poly.parts:
+        cons = list(part.constraints)
+        i = rng.randrange(len(cons))
+        cons[i] = flip(cons[i])
+        sets.append(cons)
+    return pl.PlanePolytope.from_constraint_sets(sets)
+
+
+def _sc_pair(rng, kind):
+    a = pl.random_plane_polytope(rng, bounded=kind != "random")
+    if kind == "random":
+        b = pl.random_plane_polytope(rng)
+    elif kind == "corner":
+        u, w = rng.sample(_corners(a), 2)
+        b = _moved(a, u[0] - w[0], u[1] - w[1])
+    elif kind == "mirrored":
+        b = _mirrored(a, rng)
+    else:
+        b = _moved(a, F(rng.choice((-11, 11))), F(rng.randint(-11, 11)))
+    return a, b
+
+
+# SHA-256 of the concatenated `sc-check` stdout of ten seeded pairs per kind:
+# random unbounded pairs (overlap or apart), corner copies of a bounded
+# polytope (a shared facet, or one corner only), mirrored copies (a shared
+# facet) and far copies (apart)
+SC_CORPUS_SHA256 = {
+    "random": "7e4c172bf396103dd8a471387f71d8f34fe02f9fa11414b51e0ac2ba31a5ddef",
+    "corner": "ff4ddc32daa9e107e0b12876fc3cae0cfe921516c42f3ed856ecd39e60ab5dfa",
+    "mirrored": "3e100875e7df0e8cf472d10ebe7b41040ce9aabc6a773a851fc1c2b5fd137de2",
+    "far": "fac74acd9af5c727b7830e7eb00597ebcee48954727ba1709f30edf86981c71e",
+}
+
+
+def test_sc_check_stdout_pinned(files, capsys):
+    write, _ = files
+    rng = random.Random(20181)
+    verdicts = Counter()
+    for kind, want in SC_CORPUS_SHA256.items():
+        digest = hashlib.sha256()
+        for i in range(10):
+            a, b = _sc_pair(rng, kind)
+            argv = ["sc-check", write(f"{kind}{i}a.poly", pl.format_plane(a)),
+                    write(f"{kind}{i}b.poly", pl.format_plane(b))]
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            verdicts[out.splitlines()[0]] += 1
+            digest.update(out.encode())
+        assert digest.hexdigest() == want, kind
+    # the corpus covers overlap, a shared facet, a shared corner only, and apart
+    assert min(verdicts[v] for v in (
+        "SC=true C=true overlap=true", "SC=true C=true overlap=false",
+        "SC=false C=true overlap=false", "SC=false C=false overlap=false")) >= 3

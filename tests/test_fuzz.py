@@ -1,0 +1,88 @@
+"""Hypothesis fuzzing of ``poly`` text through ``cli.run``.
+
+Valid ``poly`` files are mutated: tokens deleted or duplicated, a numeral
+replaced by one of over 4,300 digits (CPython's limit for converting a
+string to an int), by ``p/0`` or by ``p/-q``, a constraint's normal zeroed
+(``0 0 <= c``), and the file truncated.  ``sc-check`` and ``bool-op union``
+on each must end with a documented exit code and print no traceback; a
+parse error is one ``error:`` line on stderr.
+"""
+
+import contextlib
+import io
+import re
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from polycontact.cli import run
+
+VALID = [
+    "poly { basic { -1 0 <= 0; 0 -1 <= 0 } }",
+    "poly { basic { 1 0 <= 1; -1 0 <= 0; 0 1 <= 1; 0 -1 <= 0 } }",
+    "poly { basic { 1 0 <= 0; 0 -1 <= 0; 0 1 <= 2 } basic { -1 1 <= 1/2; 1 2 <= 7/3 } }",
+    "poly { basic { 2 -1 <= 3/4; -1 -1 <= 5 } }",
+    "poly { basic { } }",
+    "poly { }",
+]
+TOKEN = re.compile(r"[{};]|[^\s{};]+")
+NUMERAL = re.compile(r"-?\d+(/\d+)?")
+HUGE = "7" * 4301
+
+
+def tokens(text: str) -> list[str]:
+    return TOKEN.findall(text)
+
+
+@st.composite
+def mutated_poly(draw) -> str:
+    toks = tokens(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["delete", "duplicate", "huge", "zero-den", "negative-den", "zero-normal",
+             "truncate"]))
+        numerals = [i for i, t in enumerate(toks) if NUMERAL.fullmatch(t)]
+        if kind in ("delete", "duplicate") and toks:
+            i = draw(st.integers(0, len(toks) - 1))
+            toks[i:i + 1] = [] if kind == "delete" else [toks[i], toks[i]]
+        elif kind in ("huge", "zero-den", "negative-den") and numerals:
+            i = draw(st.sampled_from(numerals))
+            p = toks[i].split("/")[0]
+            toks[i] = {"huge": HUGE + draw(st.sampled_from(["", "/3"])),
+                       "zero-den": f"{p}/0", "negative-den": f"{p}/-3"}[kind]
+        elif kind == "zero-normal":
+            ends = [i for i, t in enumerate(toks) if t == "<=" and i >= 2]
+            if ends:
+                i = draw(st.sampled_from(ends))
+                toks[i - 2:i] = ["0", "0"]
+        elif kind == "truncate":
+            toks = toks[:draw(st.integers(0, len(toks)))]
+    return " ".join(toks)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_poly(), st.sampled_from(VALID), st.booleans())
+@example("poly { basic { 0 0 <= 1 } }", VALID[0], False)
+@example("poly { basic { 1/-3 0 <= 1 } }", VALID[1], True)
+@example("poly { basic { 1 0 <= " + HUGE + " } }", VALID[2], False)
+@example("poly { basic { 1 0 <= 1/0 } }", VALID[3], True)
+@example("poly { basic { 1 0 <=", VALID[0], False)
+def test_mutated_poly_exits_cleanly(tmp_path, text, other, first):
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text(text)
+    b.write_text(other)
+    pair = [str(a), str(b)] if first else [str(b), str(a)]
+    for argv in (["sc-check", *pair], ["bool-op", "union", *pair]):
+        code, _, err = run_cli(argv)
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -229,6 +229,8 @@ class TestCountermodel:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             lg.find_countermodel("x == x", 0)
+        with pytest.raises(ValueError, match="<= 8"):
+            lg.find_countermodel("x == x", lg.MAX_BOUND + 1)
 
     def test_minimality_of_result(self):
         # the connectedness axiom fails in disconnected spaces only, which

@@ -85,6 +85,21 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             HalfSpace((F(0), F(0)), F(1))
 
+    def test_integer_form(self):
+        # canonical coefficients times the lcm of their denominators
+        assert HalfSpace((F(1, 2), F(-3, 4)), F(5, 6)).integer_form == (6, -9, 10)
+        assert HalfSpace((F(-2), F(4)), F(3)).integer_form == (-2, 4, 3)
+        assert Hyperplane((F(-2), F(4)), F(3)).integer_form == (2, -4, -3)
+        assert Hyperplane((F(0), F(-3, 7)), F(1, 5)).integer_form == (0, 15, -7)
+        h = hs(3, -6, 1)
+        assert all(type(v) is int for v in h.integer_form)
+        assert h.integer_form is h.integer_form
+
+    def test_boundary_is_built_once(self):
+        h = hs(-4, 2, 6)
+        assert h.boundary() is h.boundary()
+        assert h.boundary() == Hyperplane(h.normal, h.offset)
+
 
 class TestIntersectLines:
     def test_point(self):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from polycontact import intervals as iv
+from polycontact import logic as lg
 from polycontact import pipeline as pp
 from polycontact.algebra import merge
 from polycontact.cylinder import lift
@@ -68,6 +69,10 @@ class TestSynthesize:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             pp.synthesize(CONTACT_NOT_OVERLAP, 2, 0)
+
+    def test_bound_above_max(self):
+        with pytest.raises(ValueError, match="<= 8"):
+            pp.synthesize(CONTACT_NOT_OVERLAP, lg.MAX_BOUND + 1, 1)
 
 
 class TestVerify:

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
+from helpers import reference_feasible_point, reference_mk_basic
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -309,3 +312,74 @@ def test_feasible_point_satisfies_system():
                     ok = all((a * x + b * y < c) if strict else (a * x + b * y <= c)
                              for a, b, c, strict in cons)
                     assert not ok
+
+
+# ---------------------------------------------------------------------------
+# the integer Fourier-Motzkin kernel against the Fraction reference
+# ---------------------------------------------------------------------------
+
+BIG_DEN = 10**6
+# a coefficient is an int or a Fraction, drawn independently, so one
+# constraint mixes both; denominators go up to 10^6
+values = st.one_of(st.integers(-5, 5), st.fractions(-8, 8, max_denominator=4),
+                   st.fractions(-8, 8, max_denominator=BIG_DEN))
+scales = st.one_of(st.integers(1, 7), st.fractions(F(1, BIG_DEN), 9, max_denominator=BIG_DEN))
+small_normals = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def constraint(draw):
+    return (draw(values), draw(values), draw(values), draw(st.booleans()))
+
+
+@st.composite
+def systems(draw):
+    """1-8 constraints ``a*x + b*y (<|<=) c``: a parallel family (one normal,
+    either orientation, one or two offsets, so equal bounds of either
+    strictness are common), a pencil (lines through one point, some nudged
+    off it), or neither, plus free constraints, shuffled."""
+    cons = []
+    shape = draw(st.sampled_from(["free", "parallel", "pencil"]))
+    if shape == "parallel":
+        a, b = draw(small_normals.filter(lambda n: n != (0, 0)))
+        offsets = draw(st.lists(values, min_size=1, max_size=2))
+        for _ in range(draw(st.integers(2, 5))):
+            k = draw(scales) * draw(st.sampled_from([1, -1]))
+            cons.append((a * k, b * k, draw(st.sampled_from(offsets)) * k, draw(st.booleans())))
+    elif shape == "pencil":
+        x0, y0 = draw(values), draw(values)
+        for _ in range(draw(st.integers(2, 4))):
+            a, b = draw(small_normals)
+            k = draw(scales)
+            nudge = draw(st.sampled_from([0, 0, F(1, BIG_DEN), -F(1, BIG_DEN)]))
+            cons.append((a * k, b * k, (a * x0 + b * y0 + nudge) * k, draw(st.booleans())))
+    cons += draw(st.lists(constraint(), min_size=0 if cons else 1, max_size=8 - len(cons)))
+    return draw(st.permutations(cons))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example([(1, 0, 0, False), (-1, 0, 0, False)])  # a line: x = 0
+@example([(1, 0, 0, True), (-1, 0, 0, False)])   # strict tie: empty
+# a strict bound after an equal non-strict one, on either side: empty
+@example([(1, 0, 0, False), (2, 0, 0, True), (-1, 0, 0, False)])
+@example([(-1, 0, 0, False), (-2, 0, 0, True), (1, 0, 0, False)])
+@example([(0, 1, 1, False), (0, 3, 3, True), (0, -1, -1, False)])
+@example([(0, 1, F(1, 3), False), (0, -1, F(-1, 3), False), (1, 1, 1, True)])
+@example([(0, 0, 0, False), (0, 0, -1, False)])
+@example([(F(1, 999983), F(-2, 3), F(5, 1000000), True), (-2, F(1, 7), 1, False)])
+def test_feasible_point_equals_fraction_reference(cons):
+    point = pl.feasible_point(cons)
+    assert point == reference_feasible_point(cons)
+    assert point is None or all(type(v) is F for v in point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_mk_basic_equals_fraction_reference(cons):
+    halfplanes = [HalfSpace((a, b), c) for a, b, c, _ in cons if a or b]
+    got = pl.mk_basic(halfplanes)
+    assert got == reference_mk_basic(halfplanes)
+    if got is not None:
+        assert got.interior_point() == reference_feasible_point(
+            [(*h.normal, h.offset, True) for h in got.constraints])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from polycontact import algebra as alg
@@ -138,3 +139,81 @@ class TestMerge:
         images["b"] = lift(iv.parse_intervals("[5,6]"), 1)
         result = alg.merge(images)
         assert not result.report.passed
+
+
+# ---------------------------------------------------------------------------
+# pinned audit and merge reports
+# ---------------------------------------------------------------------------
+
+class _TableAlgebra(alg.FiniteContactAlgebra):
+    """Subsets of ``cells`` whose contact is an arbitrary table of mask
+    pairs, so that every audited axiom can fail; each contact query is
+    logged, which pins the order in which the checks evaluate."""
+
+    def __init__(self, cells, table, log):
+        super().__init__(cells, [0] * len(cells))
+        self.table, self.log = table, log
+
+    def contact(self, x, y):
+        self.log.append((x, y))
+        return (x, y) in self.table
+
+
+def _broken_relations(rng, log):
+    for k in range(40):
+        cells = "ab" if k % 2 else "abc"
+        size = 1 << len(cells)
+        density = (k % 9 + 1) / 10
+        yield _TableAlgebra(cells, {(x, y) for x in range(size) for y in range(size)
+                                    if rng.random() < density}, log), {}
+    # 128 elements: audited on seeded samples
+    for seed in (0, 1):
+        table = {(rng.randrange(128), rng.randrange(128)) for _ in range(4000)}
+        yield _TableAlgebra("abcdefg", table, log), {"samples": 30, "seed": seed}
+
+
+def _audit_corpus(log):
+    rng = random.Random(2018)
+    yield from _broken_relations(rng, log)
+    for space in (adj.mk_space("a", []), EDGE, TRIANGLE, adj.mk_space("abcd", []),
+                  adj.mk_space("abcd", [("a", "b"), ("b", "c"), ("c", "d")])):
+        yield alg.induced_algebra(space), {}
+    for seed in (0, 1):
+        yield alg.IntervalAlgebra(), {"samples": 40, "seed": seed}
+        yield alg.CylinderAlgebra(2), {"samples": 20, "seed": seed}
+        yield alg.PlaneAlgebra(), {"samples": 8, "seed": seed}
+
+
+def test_audit_reports_pinned():
+    # the witnesses are the first failing cases in the order checked
+    log = []
+    texts = [alg.audit_axioms(algebra, **kwargs).text()
+             for algebra, kwargs in _audit_corpus(log)]
+    failing = {line.split()[0] for text in texts for line in text.splitlines()
+               if " FAIL " in line}
+    assert failing == {"C1", "C2", "C3", "C4", "monotonicity", "overlap-extension"}
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "53a6a8c8a4dfbdbb9df807369825ed286b7ad3309e19f00069b479477d538914"
+    calls = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert calls == "deeaaf89c5f672af6f61bba4c3252006d828e5a1d25e35145d9a1fa8672d64c0"
+
+
+def _tampered_merges():
+    for edges in ([("a", "b"), ("b", "c"), ("c", "d")],
+                  [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("a", "f"), ("a", "g")]):
+        cells = sorted({x for e in edges for x in e})
+        space = adj.mk_space(cells, edges)
+        images = adj.project(space, adj.arrangement(space, adj.numeration(space, "a")), 1)
+        yield images, space
+        yield images, adj.mk_space(cells, [])
+        yield {**images, cells[-1]: images[cells[0]]}, None
+        yield {**images, "a": images["a"].union(images["b"])}, space
+
+
+def test_merge_reports_pinned():
+    # four cells are merged exhaustively, seven on seeded samples
+    texts = [alg.merge(images, space=space).report.text()
+             for images, space in _tampered_merges()]
+    assert sum(text.count(" FAIL ") for text in texts) >= 8
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "cc87336f6c8a26339d891478ca3434b2d5b00789c3177e9ea99e03c4b18a4b21"

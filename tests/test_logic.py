@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import product
@@ -207,6 +208,19 @@ class TestAxiomInstance:
         assert instances
         for _, formula in instances:
             assert lg.is_axiom_instance(formula) is not None
+
+    def test_generated_instances_pinned(self):
+        # scheme, text and recognised scheme of every instance over one and
+        # two variables (4,151 formulas)
+        start = time.process_time()
+        digest = hashlib.sha256()
+        for names in (("p",), ("p", "q")):
+            for name, formula in lg.generate_axiom_instances(names):
+                line = f"{name}|{lg.format_formula(formula)}|{lg.is_axiom_instance(formula)}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "30a520806cbdf82c2831b5d3210f7842336ebc61041cab67c19e10926e90e649")
+        assert time.process_time() - start < 3
 
 
 class TestCountermodel:

@@ -49,9 +49,6 @@ class AdjacencySpace:
         return tuple(sorted(b if a == x else a
                             for a, b in self.edges if x in (a, b)))
 
-    def cell_count(self) -> int:
-        return len(self.cells)
-
     def __repr__(self) -> str:
         return f"AdjacencySpace({len(self.cells)} cells, {len(self.edges)} edges)"
 
@@ -265,9 +262,6 @@ class Numeration:
     @property
     def root(self) -> str:
         return self.order[0]
-
-    def number(self, cell: str) -> int:
-        return self.order.index(cell)
 
     def numbering(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.order)}

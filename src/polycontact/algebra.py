@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import intervals as iv
@@ -254,6 +255,10 @@ class AuditReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
+    def check(self, name: str, witness: Optional[str]) -> None:
+        """Record PASS when ``witness`` is None, else FAIL with the witness."""
+        self.entries.append(AuditEntry(name, witness is None, witness or ""))
+
     def lines(self) -> list[str]:
         return [e.line() for e in self.entries]
 
@@ -261,10 +266,18 @@ class AuditReport:
         return "\n".join(self.lines())
 
 
+def first_witness(cases: Iterable[tuple], fails: Callable[..., bool],
+                  describe: Callable[..., str]) -> Optional[str]:
+    """``describe(*case)`` for the first case that ``fails``, or None."""
+    return next((describe(*case) for case in cases if fails(*case)), None)
+
+
 _EXHAUSTIVE_LIMIT = 64  # elements; triples grow cubically
 
 
 def _audit_pool(algebra: ContactAlgebra, samples: int, seed: int):
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     elements = algebra.elements()
     if elements is not None and len(elements) <= _EXHAUSTIVE_LIMIT:
         return list(elements), True
@@ -279,96 +292,47 @@ def audit_axioms(algebra: ContactAlgebra, samples: int = 50, seed: int = 0) -> A
     """Check C1-C4, monotonicity, and overlap-extension.
 
     Finite small carriers are checked exhaustively over all pairs/triples;
-    otherwise a seeded pool of sampled elements is used (pairs and triples
-    are drawn from the pool).
+    otherwise a seeded pool of sampled elements is used, and each check
+    draws its pairs from ``Random(seed + 1)`` and its triples from
+    ``Random(seed + 2)``.  ``samples`` below 1 raises ``ValueError``.
     """
     pool, exhaustive = _audit_pool(algebra, samples, seed)
     report = AuditReport()
-    el = algebra.describe
-
-    def pairs():
-        if exhaustive:
-            for x in pool:
-                for y in pool:
-                    yield x, y
-        else:
-            rng = random.Random(seed + 1)
-            for _ in range(len(pool)):
-                yield rng.choice(pool), rng.choice(pool)
-
-    def triples():
-        if exhaustive:
-            for x in pool:
-                for y in pool:
-                    for z in pool:
-                        yield x, y, z
-        else:
-            rng = random.Random(seed + 2)
-            for _ in range(len(pool)):
-                yield rng.choice(pool), rng.choice(pool), rng.choice(pool)
-
+    el, c, join = algebra.describe, algebra.contact, algebra.join
     zero = algebra.zero()
 
-    witness = next((x for x in pool if algebra.contact(zero, x)), None)
-    report.entries.append(AuditEntry(
-        "C1", witness is None,
-        "" if witness is None else f"C(0,{el(witness)})"))
+    def cases(arity: int):
+        if exhaustive or arity == 1:
+            return product(pool, repeat=arity)
+        rng = random.Random(seed + arity - 1)
+        return (tuple(rng.choice(pool) for _ in range(arity)) for _ in range(len(pool)))
 
-    c2_witness = None
-    for x, y, z in triples():
-        lhs = algebra.contact(x, algebra.join(y, z))
-        rhs = algebra.contact(x, y) or algebra.contact(x, z)
-        if lhs != rhs:
-            c2_witness = f"x={el(x)} y={el(y)} z={el(z)}"
-            break
-    report.entries.append(AuditEntry("C2", c2_witness is None, c2_witness or ""))
+    def named(*case) -> str:
+        return " ".join(f"{v}={el(x)}" for v, x in zip("xyz", case))
 
-    c3_witness = None
-    for x, y in pairs():
-        if algebra.contact(x, y) and not algebra.contact(y, x):
-            c3_witness = f"x={el(x)} y={el(y)}"
-            break
-    report.entries.append(AuditEntry("C3", c3_witness is None, c3_witness or ""))
-
-    c4_witness = next(
-        (x for x in pool
-         if not algebra.is_zero(x) and not algebra.contact(x, x)), None)
-    report.entries.append(AuditEntry(
-        "C4", c4_witness is None,
-        "" if c4_witness is None else f"x={el(c4_witness)}"))
-
-    # monotone in both arguments: C(x,y) with x <= x+z and y <= y+z
-    mono_witness = None
-    for x, y, z in triples():
-        if not algebra.contact(x, y):
-            continue
-        if not (algebra.contact(algebra.join(x, z), y)
-                and algebra.contact(x, algebra.join(y, z))):
-            mono_witness = f"x={el(x)} y={el(y)} z={el(z)}"
-            break
-    report.entries.append(AuditEntry(
-        "monotonicity", mono_witness is None, mono_witness or ""))
-
-    ov_witness = None
-    for x, y in pairs():
-        if not algebra.is_zero(algebra.meet(x, y)) and not algebra.contact(x, y):
-            ov_witness = f"x={el(x)} y={el(y)}"
-            break
-    report.entries.append(AuditEntry(
-        "overlap-extension", ov_witness is None, ov_witness or ""))
-
+    # (name, arity, fails, describe); monotone in both arguments means
+    # C(x,y) with x <= x+z and y <= y+z
+    checks = (
+        ("C1", 1, lambda x: c(zero, x), lambda x: f"C(0,{el(x)})"),
+        ("C2", 3, lambda x, y, z: c(x, join(y, z)) != (c(x, y) or c(x, z)), named),
+        ("C3", 2, lambda x, y: c(x, y) and not c(y, x), named),
+        ("C4", 1, lambda x: not algebra.is_zero(x) and not c(x, x), named),
+        ("monotonicity", 3,
+         lambda x, y, z: c(x, y) and not (c(join(x, z), y) and c(x, join(y, z))), named),
+        ("overlap-extension", 2,
+         lambda x, y: not algebra.is_zero(algebra.meet(x, y)) and not c(x, y), named),
+    )
+    for name, arity, fails, describe in checks:
+        report.check(name, first_witness(cases(arity), fails, describe))
     return report
 
 
 def is_connected_algebra(algebra: ContactAlgebra, samples: int = 50, seed: int = 0) -> bool:
     """Every element other than 0 and 1 is in contact with its complement."""
     pool, _ = _audit_pool(algebra, samples, seed)
-    for x in pool:
-        if algebra.is_zero(x) or algebra.equal(x, algebra.one()):
-            continue
-        if not algebra.contact(x, algebra.complement(x)):
-            return False
-    return True
+    one = algebra.one()
+    return all(algebra.is_zero(x) or algebra.equal(x, one)
+               or algebra.contact(x, algebra.complement(x)) for x in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +347,19 @@ class MergeResult:
     report: AuditReport
 
 
+# above _EXHAUSTIVE_LIMIT subsets, merge draws this many subsets and subset
+# pairs from this seed
+_MERGE_SAMPLES = 200
+_MERGE_SEED = 0
+
+
 def merge(images: Mapping[str, CylinderPolytope],
-          space: Optional[AdjacencySpace] = None,
-          exhaustive_limit: int = 6,
-          samples: int = 200, seed: int = 0) -> MergeResult:
+          space: Optional[AdjacencySpace] = None) -> MergeResult:
     """Embed subsets of projected cells into the polytope algebra by union.
 
-    Verifies, exhaustively when the cell count is at most
-    ``exhaustive_limit`` and on seeded samples otherwise:
+    Verifies, over all subsets when there are at most ``_EXHAUSTIVE_LIMIT``
+    (64, so up to 6 cells), and otherwise over up to 200 subsets drawn from
+    seed 0 (with the empty and the full one) and 200 pairs of them:
 
     * bijectivity  - distinct subsets have distinct unions;
     * complement   - union of the complement subset is the complement;
@@ -420,61 +389,46 @@ def merge(images: Mapping[str, CylinderPolytope],
     discrete = FiniteContactAlgebra(cells, [
         sum(1 << j for j, y in enumerate(cells) if images[x].contact_sc(images[y]))
         for x in cells])
-    contact_masks = discrete.contact
+    contact_masks, name = discrete.contact, discrete.describe
 
     report = AuditReport()
     if space is not None:
-        mismatch = next(
-            ((x, y) for i, x in enumerate(cells) for j, y in enumerate(cells)
-             if space.adjacent(x, y) != bool(discrete.succ[i] >> j & 1)), None)
-        report.entries.append(AuditEntry(
-            "adjacency-vs-image-contact", mismatch is None,
-            "" if mismatch is None else f"pair={mismatch}"))
+        report.check("adjacency-vs-image-contact", first_witness(
+            product(range(n), repeat=2),
+            lambda i, j: space.adjacent(cells[i], cells[j]) != bool(discrete.succ[i] >> j & 1),
+            lambda i, j: f"pair={(cells[i], cells[j])}"))
 
     full = (1 << n) - 1
-    if n <= exhaustive_limit:
-        masks = list(range(1 << n))
-        mask_pairs = [(a, b) for a in masks for b in masks]
+    if 1 << n <= _EXHAUSTIVE_LIMIT:
+        masks = range(1 << n)
+        mask_pairs = list(product(masks, repeat=2))
     else:
-        rng = random.Random(seed)
-        masks = sorted({rng.randrange(1 << n) for _ in range(samples)} | {0, full})
-        mask_pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(samples)]
+        rng = random.Random(_MERGE_SEED)
+        masks = sorted({rng.randrange(1 << n) for _ in range(_MERGE_SAMPLES)} | {0, full})
+        mask_pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(_MERGE_SAMPLES)]
+    singles = [(a,) for a in masks]
 
-    def describe(mask: int) -> str:
-        return "{" + ",".join(c for i, c in enumerate(cells) if mask >> i & 1) + "}"
+    first_with: dict[tuple, int] = {}  # union pieces -> first mask with them
 
-    inj_witness = None
-    seen: dict[tuple, int] = {}
-    for a in masks:
-        key = (union_of(a).base.pieces,)
-        if key in seen and seen[key] != a:
-            inj_witness = f"{describe(seen[key])} and {describe(a)} share an image"
-            break
-        seen[key] = a
-    report.entries.append(AuditEntry("bijectivity", inj_witness is None, inj_witness or ""))
+    def shares_image(a: int) -> bool:
+        return first_with.setdefault(union_of(a).base.pieces, a) != a
 
-    comp_witness = next(
-        (describe(a) for a in masks
-         if not union_of(full ^ a).equals(union_of(a).complement())), None)
-    report.entries.append(AuditEntry(
-        "complement", comp_witness is None,
-        "" if comp_witness is None else f"a={comp_witness}"))
+    def ab(a: int, b: int) -> str:
+        return f"a={name(a)} b={name(b)}"
 
-    join_witness = next(
-        (f"a={describe(a)} b={describe(b)}" for a, b in mask_pairs
-         if not union_of(a | b).equals(union_of(a).union(union_of(b)))), None)
-    report.entries.append(AuditEntry("join", join_witness is None, join_witness or ""))
-
-    contact_witness = next(
-        (f"a={describe(a)} b={describe(b)}" for a, b in mask_pairs
-         if contact_masks(a, b) != union_of(a).contact_sc(union_of(b))), None)
-    report.entries.append(AuditEntry(
-        "contact", contact_witness is None, contact_witness or ""))
-
-    c_variant_witness = next(
-        (f"a={describe(a)} b={describe(b)}" for a, b in mask_pairs
-         if contact_masks(a, b) != union_of(a).contact_c(union_of(b))), None)
-    report.entries.append(AuditEntry(
-        "contact-C-variant", c_variant_witness is None, c_variant_witness or ""))
-
+    report.check("bijectivity", first_witness(
+        singles, shares_image,
+        lambda a: f"{name(first_with[union_of(a).base.pieces])} and {name(a)} share an image"))
+    report.check("complement", first_witness(
+        singles, lambda a: not union_of(full ^ a).equals(union_of(a).complement()),
+        lambda a: f"a={name(a)}"))
+    report.check("join", first_witness(
+        mask_pairs, lambda a, b: not union_of(a | b).equals(union_of(a).union(union_of(b))),
+        ab))
+    report.check("contact", first_witness(
+        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_sc(union_of(b)),
+        ab))
+    report.check("contact-C-variant", first_witness(
+        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_c(union_of(b)),
+        ab))
     return MergeResult(cells, dict(images), union_of, report)

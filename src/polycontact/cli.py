@@ -401,7 +401,7 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CliParseError, lg.FormulaSyntaxError, ValueError) as exc:
+    except (CliParseError, lg.FormulaSyntaxError, ValueError, lg.UnboundVariable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (pp.PipelineError, adj.ProjectionError) as exc:

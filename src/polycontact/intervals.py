@@ -9,7 +9,7 @@ values denote the same regular closed set iff they are equal tuples.  Every
 The operations (``union``, ``reg_meet``, ``contact_c`` and what is built on
 them) are linear sweeps over two canonical piece tuples, with no sort and no
 re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
-text, projected pieces, ``from_pieces`` and the random generator.
+text, projected pieces and the random generator.
 
 Only finite unions are representable.  Regular closed sets built from
 infinitely many segments (for instance the closure of an infinite union of
@@ -55,12 +55,6 @@ class IntervalPolytope:
         for a, b in zip(ends, ends[1:]):
             if a is None or b is None or a >= b:
                 raise ValueError(f"pieces not canonical: {self.pieces}")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_pieces(raw: Iterable[Piece]) -> "IntervalPolytope":
-        return canonicalize(raw)
 
     # -- predicates ----------------------------------------------------
 

@@ -183,17 +183,6 @@ def _children(node) -> tuple:
     raise TypeError(f"not a term or formula: {node!r}")
 
 
-def term_variables(t: Term) -> set[str]:
-    match t:
-        case Variable(name):
-            return {name}
-        case Complement(inner):
-            return term_variables(inner)
-        case Join(left, right):
-            return term_variables(left) | term_variables(right)
-    raise TypeError(f"not a term: {t!r}")
-
-
 def free_variables(f: Formula) -> set[str]:
     """The variable names of a formula.
 
@@ -502,7 +491,8 @@ def parse_term(text: str) -> Term:
 # ---------------------------------------------------------------------------
 
 class UnboundVariable(LookupError):
-    pass
+    def __str__(self) -> str:
+        return f"unbound variable {self.args[0]}"
 
 
 def term_value(t: Term, algebra: ContactAlgebra, valuation: Mapping[str, object]):
@@ -612,27 +602,9 @@ def _match(pattern, node, bindings: dict) -> bool:
             return isinstance(node, Complement) and _is_zero_expansion(node.term)
         case Variable(name):
             return isinstance(node, Variable) and node.name == name
-        case Complement(p):
-            return isinstance(node, Complement) and _match(p, node.term, bindings)
-        case Join(pl_, pr):
-            return (isinstance(node, Join)
-                    and _match(pl_, node.left, bindings)
-                    and _match(pr, node.right, bindings))
-        case Eq(pl_, pr):
-            return (isinstance(node, Eq)
-                    and _match(pl_, node.left, bindings)
-                    and _match(pr, node.right, bindings))
-        case Contact(pl_, pr):
-            return (isinstance(node, Contact)
-                    and _match(pl_, node.left, bindings)
-                    and _match(pr, node.right, bindings))
-        case Not(p):
-            return isinstance(node, Not) and _match(p, node.body, bindings)
-        case Or(pl_, pr):
-            return (isinstance(node, Or)
-                    and _match(pl_, node.left, bindings)
-                    and _match(pr, node.right, bindings))
-    raise TypeError(f"bad pattern {pattern!r}")
+    parts = _children(pattern)
+    return type(node) is type(pattern) and all(
+        _match(p, n, bindings) for p, n in zip(parts, _children(node)))
 
 
 def _is_zero_expansion(node) -> bool:
@@ -736,9 +708,7 @@ def generate_axiom_instances(names: Sequence[str] = ("p", "q"),
 
     def fill(pattern, bindings):
         match pattern:
-            case MetaTerm(name):
-                return bindings[name]
-            case MetaFormula(name):
+            case MetaTerm(name) | MetaFormula(name):
                 return bindings[name]
             case ZeroPattern():
                 return zero_term(Variable(names[0]))
@@ -746,19 +716,7 @@ def generate_axiom_instances(names: Sequence[str] = ("p", "q"),
                 return one_term(Variable(names[0]))
             case Variable(_):
                 return pattern
-            case Complement(p):
-                return Complement(fill(p, bindings))
-            case Join(x, y):
-                return Join(fill(x, bindings), fill(y, bindings))
-            case Eq(x, y):
-                return Eq(fill(x, bindings), fill(y, bindings))
-            case Contact(x, y):
-                return Contact(fill(x, bindings), fill(y, bindings))
-            case Not(p):
-                return Not(fill(p, bindings))
-            case Or(x, y):
-                return Or(fill(x, bindings), fill(y, bindings))
-        raise TypeError(f"bad pattern {pattern!r}")
+        return type(pattern)(*(fill(p, bindings) for p in _children(pattern)))
 
     for name, pattern in SCHEMES:
         meta_terms = sorted(_collect_meta(pattern, MetaTerm))
@@ -778,15 +736,9 @@ def _collect_meta(pattern, kind) -> set[str]:
     def walk(node):
         if isinstance(node, kind):
             found.add(node.name)
-            return
-        match node:
-            case Complement(t) | Not(t):
-                walk(t)
-            case Join(x, y) | Eq(x, y) | Contact(x, y) | Or(x, y):
-                walk(x)
-                walk(y)
-            case _:
-                pass
+        elif isinstance(node, _Node):
+            for child in _children(node):
+                walk(child)
 
     walk(pattern)
     return found

@@ -17,6 +17,7 @@ round-trips through ``parse_certificate`` and re-verifies from scratch with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import logic as lg
@@ -31,7 +32,7 @@ from .adjacency import (
     project,
     untie,
 )
-from .algebra import (AuditEntry, AuditReport, CylinderAlgebra, UnknownCell,
+from .algebra import (AuditReport, CylinderAlgebra, UnknownCell, first_witness,
                       induced_algebra, merge)
 from .cylinder import CylinderPolytope, format_cylinder, lift, parse_cylinder
 from .intervals import EMPTY as EMPTY_LINE
@@ -134,65 +135,59 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     """
     report = AuditReport()
 
-    def add(name: str, passed: bool, witness: str = ""):
-        report.entries.append(AuditEntry(name, passed, witness if not passed else ""))
+    def holds(ok: bool) -> Optional[str]:
+        # a check with nothing to show fails with an empty witness
+        return None if ok else ""
 
-    def add_false(name: str, evaluate_stage):
+    def falsified(evaluate_stage) -> Optional[str]:
         try:
-            add(name, not evaluate_stage())
-        except lg.UnboundVariable as exc:
-            add(name, False, f"unbound variable {exc.args[0]}")
-        except UnknownCell as exc:
-            add(name, False, str(exc))
+            return holds(not evaluate_stage())
+        except (lg.UnboundVariable, UnknownCell) as exc:
+            return str(exc)
 
     formula = lg.parse(cert.formula_text)
-    add("formula-matches", formula == cert.formula)
+    report.check("formula-matches", holds(formula == cert.formula))
 
-    add_false("discrete-eval-false", lambda: _eval_discrete(
-        formula, cert.discrete_space, cert.discrete_valuation))
+    report.check("discrete-eval-false", falsified(lambda: _eval_discrete(
+        formula, cert.discrete_space, cert.discrete_valuation)))
 
-    add("pmorphism",
-        check_pmorphism(cert.collapse, cert.untied_space, cert.discrete_space))
+    report.check("pmorphism", holds(
+        check_pmorphism(cert.collapse, cert.untied_space, cert.discrete_space)))
 
-    collapse = cert.collapse.mapping
-    lift_witness = next(
-        ((name, x) for name, cells in cert.untied_valuation.items()
-         for x in cert.untied_space.cells
-         if name not in cert.discrete_valuation or x not in collapse
-         or (x in cells) != (collapse[x] in cert.discrete_valuation[name])),
-        None)
-    add("valuation-lift", lift_witness is None, f"at {lift_witness}")
+    collapse, discrete = cert.collapse.mapping, cert.discrete_valuation
+    report.check("valuation-lift", first_witness(
+        ((name, cells, x) for name, cells in cert.untied_valuation.items()
+         for x in cert.untied_space.cells),
+        lambda name, cells, x: (name not in discrete or x not in collapse
+                                or (x in cells) != (collapse[x] in discrete[name])),
+        lambda name, _, x: f"at {(name, x)}"))
 
-    add_false("untied-eval-false", lambda: _eval_discrete(
-        formula, cert.untied_space, cert.untied_valuation))
+    report.check("untied-eval-false", falsified(lambda: _eval_discrete(
+        formula, cert.untied_space, cert.untied_valuation)))
 
     cells = cert.untied_space.cells
     image_ok = set(cert.images) == set(cells)
-    add("images-cover-cells", image_ok)
+    report.check("images-cover-cells", holds(image_ok))
     if image_ok:
         total = _union_image(frozenset(cells), cert.images, cert.dim)
-        add("images-cover-line", total.is_all())
-        overlap_witness = next(
-            ((x, y) for i, x in enumerate(cells) for y in cells[i + 1:]
-             if cert.images[x].overlap(cert.images[y])), None)
-        add("images-non-overlapping", overlap_witness is None, f"{overlap_witness}")
+        report.check("images-cover-line", holds(total.is_all()))
+        report.check("images-non-overlapping", first_witness(
+            combinations(cells, 2), lambda x, y: cert.images[x].overlap(cert.images[y]),
+            lambda x, y: str((x, y))))
 
-        merged = merge(cert.images, space=cert.untied_space)
-        for entry in merged.report.entries:
-            report.entries.append(AuditEntry(
-                "merging-" + entry.name, entry.passed, entry.witness))
+        for entry in merge(cert.images, space=cert.untied_space).report.entries:
+            report.check("merging-" + entry.name, None if entry.passed else entry.witness)
 
-        geo_witness = next(
-            (name for name, cells_ in cert.untied_valuation.items()
-             if name not in cert.geometric_valuation
-             or not cells_ <= cert.images.keys()
-             or not cert.geometric_valuation[name].equals(
-                 _union_image(cells_, cert.images, cert.dim))), None)
-        add("geometric-valuation-is-merged-union", geo_witness is None,
-            f"variable {geo_witness}")
+        report.check("geometric-valuation-is-merged-union", first_witness(
+            cert.untied_valuation.items(),
+            lambda name, cells_: (name not in cert.geometric_valuation
+                                  or not cells_ <= cert.images.keys()
+                                  or not cert.geometric_valuation[name].equals(
+                                      _union_image(cells_, cert.images, cert.dim))),
+            lambda name, _: f"variable {name}"))
 
-    add_false("geometric-eval-false", lambda: lg.evaluate(
-        formula, CylinderAlgebra(cert.dim), cert.geometric_valuation))
+    report.check("geometric-eval-false", falsified(lambda: lg.evaluate(
+        formula, CylinderAlgebra(cert.dim), cert.geometric_valuation)))
 
     return report
 

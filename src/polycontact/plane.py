@@ -173,9 +173,6 @@ class BasicPolytope:
     def contains(self, p: Point) -> bool:
         return all(h.value_at(p) <= 0 for h in self.constraints)
 
-    def strictly_contains(self, p: Point) -> bool:
-        return all(h.value_at(p) < 0 for h in self.constraints)
-
     def interior_point(self) -> Point:
         pt = core_point(self.constraints)
         if pt is None:  # excluded by the mk_basic invariant
@@ -290,25 +287,26 @@ R2 = PlanePolytope((R2_BASIC,))
 # contact predicates
 # ---------------------------------------------------------------------------
 
-def contact_c(p: PlanePolytope, q: PlanePolytope) -> bool:
-    """Topological contact: the closed sets share a point."""
+def _common_point(p: PlanePolytope, q: PlanePolytope, strict: bool
+                  ) -> Optional[tuple[Point, BasicPolytope, BasicPolytope]]:
+    """The first pair of parts of ``p`` and ``q`` that share a point (an
+    interior point, when ``strict``) as (point, part, part), or None."""
     for a in p.parts:
         for b in q.parts:
-            combined = [_as_con(h, False) for h in a.constraints + b.constraints]
-            if feasible_point(combined) is not None:
-                return True
-    return False
+            z = feasible_point([_as_con(h, strict) for h in a.constraints + b.constraints])
+            if z is not None:
+                return z, a, b
+    return None
+
+
+def contact_c(p: PlanePolytope, q: PlanePolytope) -> bool:
+    """Topological contact: the closed sets share a point."""
+    return _common_point(p, q, False) is not None
 
 
 def _overlap_witness(p: PlanePolytope, q: PlanePolytope
                      ) -> Optional[tuple[Point, BasicPolytope, BasicPolytope]]:
-    for a in p.parts:
-        for b in q.parts:
-            combined = [_as_con(h, True) for h in a.constraints + b.constraints]
-            z = feasible_point(combined)
-            if z is not None:
-                return z, a, b
-    return None
+    return _common_point(p, q, True)
 
 
 def overlap(p: PlanePolytope, q: PlanePolytope) -> bool:
@@ -494,14 +492,12 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
         return None
     if analysis[0] == "overlap":
         _, z, a, b = analysis
-        dists = [sqrt_lower(point_line_dist_sq(z, h.boundary()))
-                 for h in a.constraints + b.constraints]
-        r = min(dists) / 2 if dists else Fraction(1)
-        return z, r
-    _, mu, x, lines = analysis
-    dists = [sqrt_lower(point_line_dist_sq(x, nu)) for nu in lines if nu != mu]
-    r = min(dists) / 2 if dists else Fraction(1)
-    return x, r
+        walls = [h.boundary() for h in a.constraints + b.constraints]
+    else:
+        _, mu, z, lines = analysis
+        walls = [nu for nu in lines if nu != mu]
+    dists = [sqrt_lower(point_line_dist_sq(z, nu)) for nu in walls]
+    return z, min(dists) / 2 if dists else Fraction(1)
 
 
 # ---------------------------------------------------------------------------

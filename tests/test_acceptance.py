@@ -304,7 +304,7 @@ def test_criterion_8_merging_suite():
         root = min(tree.cells)
         walk = adj.arrangement(tree, adj.numeration(tree, root))
         images = adj.project(tree, walk, 1)
-        result = alg.merge(images, space=tree, exhaustive_limit=6)
+        result = alg.merge(images, space=tree)
         assert result.report.passed, result.report.text()
 
     _report(8, "merging-suite", started, 120)

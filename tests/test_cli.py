@@ -136,6 +136,36 @@ def test_eval_unknown_cell_exit_2(files, capsys):
     assert "unknown cell 'z'" in capsys.readouterr().err
 
 
+def test_eval_unbound_variable_exit_2(files, capsys):
+    write, _ = files
+    g = write("t.graph", TRIANGLE)
+    assert run(["eval", "C(p,q)", g, "--val", "p=a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unbound variable q\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "plane", "--samples", "0"],
+    ["audit", "interval", "--samples", "-5"],
+    ["audit", "cylinder", "--samples", "0"],
+    ["audit", "GRAPH", "--samples", "0"],
+    ["audit", "cylinder", "--dim", "0"],
+    ["audit", "cylinder", "--dim", "-1"],
+    ["project", "GRAPH", "--dim", "0"],
+    ["synthesize", "C(p,q) => p.q != 0", "--dim", "-2"],
+    ["synthesize", "C(p,q) => p.q != 0", "--bound", "0"],
+    ["countermodel", "C(p,q) => p.q != 0", "--bound", "-1"],
+])
+def test_out_of_range_flag_exit_2(argv, files, capsys):
+    write, _ = files
+    path = write("e.graph", "space { cells a b; edges a-b; }")
+    assert run([path if a == "GRAPH" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_countermodel_exit_codes(capsys):
     assert run(["countermodel", "C(p,q) => p.q != 0", "--bound", "3"]) == 1
     out = capsys.readouterr().out

@@ -22,7 +22,6 @@ The three stages used by countermodel synthesis live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -322,9 +321,9 @@ def project(space: AdjacencySpace, walk: Sequence[str], n: int = 1
         raise ValueError("arrangement must start and end at the root")
     pieces: dict[str, list] = {x: [] for x in space.cells}
     for k, cell in enumerate(walk):
-        pieces[cell].append((Fraction(k), Fraction(k + 1)))
-    pieces[root].append((None, Fraction(0)))
-    pieces[root].append((Fraction(length), None))
+        pieces[cell].append((k, k + 1))
+    pieces[root].append((None, 0))
+    pieces[root].append((length, None))
     images = {x: CylinderPolytope(canonicalize(ps), n) for x, ps in pieces.items()}
     _check_projection(space, images)
     return images

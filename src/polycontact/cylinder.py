@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .intervals import IntervalPolytope, contact_witness, format_intervals, parse_intervals
+from .intervals import End, IntervalPolytope, contact_witness, format_intervals, parse_intervals
 from .numeric import DimensionMismatch
 
 
@@ -64,7 +63,7 @@ class CylinderPolytope:
         return self.base.overlap(other.base)
 
     def sc_witness(self, other: "CylinderPolytope"
-                   ) -> tuple[Fraction, Fraction] | None:
+                   ) -> tuple[End, End] | None:
         """Witness as a base interval; the cylinder over it meets both."""
         self._check(other)
         return contact_witness(self.base, other.base)

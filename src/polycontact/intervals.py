@@ -6,6 +6,12 @@ separated by gaps of positive length and no piece is a single point, so two
 values denote the same regular closed set iff they are equal tuples.  Every
 ``IntervalPolytope`` is canonical: construction rejects any other tuple.
 
+``canonicalize`` stores a finite endpoint as an ``int`` when it is integral
+and as a ``Fraction`` (denominator above 1) otherwise.  The operations reuse
+endpoint objects, or add and subtract them, and never divide them, so the
+sweeps over projected images and certificates compare plain integers.  No
+decision depends on the type: ``3 == Fraction(3)``, and the two hash alike.
+
 The operations (``union``, ``reg_meet``, ``contact_c`` and what is built on
 them) are linear sweeps over two canonical piece tuples, with no sort and no
 re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
@@ -32,12 +38,14 @@ from typing import Iterable, Iterator
 
 from .numeric import rational
 
+# an endpoint is an int when integral, else a Fraction with denominator > 1
+End = int | Fraction
 # a piece is (lo, hi); None means -inf / +inf respectively
-Piece = tuple[Fraction | None, Fraction | None]
+Piece = tuple[End | None, End | None]
 
 
-def _lo_key(lo: Fraction | None) -> tuple[int, Fraction]:
-    return (0, Fraction(0)) if lo is None else (1, lo)
+def _lo_key(lo: End | None) -> tuple[int, End]:
+    return (0, 0) if lo is None else (1, lo)
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class IntervalPolytope:
     def is_all(self) -> bool:
         return self.pieces == ((None, None),)
 
-    def contains(self, x: Fraction) -> bool:
+    def contains(self, x: End) -> bool:
         return any((lo is None or lo <= x) and (hi is None or x <= hi)
                    for lo, hi in self.pieces)
 
@@ -136,7 +144,7 @@ class IntervalPolytope:
         """Strong contact; on the line it coincides with contact_c."""
         return self.contact_c(other)
 
-    def sc_witness(self, other: "IntervalPolytope") -> tuple[Fraction, Fraction] | None:
+    def sc_witness(self, other: "IntervalPolytope") -> tuple[End, End] | None:
         """An open interval inside the union meeting both (``contact_witness``)."""
         return contact_witness(self, other)
 
@@ -148,7 +156,7 @@ EMPTY = IntervalPolytope(())
 ALL = IntervalPolytope(((None, None),))
 
 
-def _max_lo(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+def _max_lo(a: End | None, b: End | None) -> End | None:
     if a is None:
         return b
     if b is None:
@@ -156,7 +164,7 @@ def _max_lo(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     return max(a, b)
 
 
-def _min_hi(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+def _min_hi(a: End | None, b: End | None) -> End | None:
     if a is None:
         return b
     if b is None:
@@ -164,7 +172,7 @@ def _min_hi(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     return min(a, b)
 
 
-def _positive_length(lo: Fraction | None, hi: Fraction | None) -> bool:
+def _positive_length(lo: End | None, hi: End | None) -> bool:
     return lo is None or hi is None or lo < hi
 
 
@@ -176,14 +184,20 @@ def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
     """
     pieces = []
     for lo, hi in raw:
-        lo = None if lo is None else rational(lo)
-        hi = None if hi is None else rational(hi)
+        lo = None if lo is None else _end(lo)
+        hi = None if hi is None else _end(hi)
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"piece with lo > hi: [{lo}, {hi}]")
         pieces.append((lo, hi))
     pieces.sort(key=lambda p: _lo_key(p[0]))
     kept = tuple(p for p in _coalesce(pieces) if _positive_length(*p))
     return IntervalPolytope(kept)
+
+
+def _end(value) -> End:
+    """An exact endpoint: the ``int`` itself when integral, else a ``Fraction``."""
+    x = rational(value)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _coalesce(pieces: Iterable[Piece]) -> list[Piece]:
@@ -215,13 +229,13 @@ def _by_left_end(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> Iterator[Piece]:
     yield from b[j:]
 
 
-def _max_hi_merge(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+def _max_hi_merge(a: End | None, b: End | None) -> End | None:
     if a is None or b is None:
         return None
     return max(a, b)
 
 
-def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[Fraction, Fraction] | None:
+def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[End, End] | None:
     """An open interval inside ``p | q`` meeting both, when they touch.
 
     Mirrors the construction behind the line coincidence of C and SC: at a
@@ -234,7 +248,7 @@ def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[Fraction,
             hi = _min_hi(a[1], b[1])
             if lo is None or hi is None or lo < hi:
                 if lo is None and hi is None:
-                    return (Fraction(0), Fraction(1))
+                    return (0, 1)
                 if lo is None:
                     lo = hi - 1
                 elif hi is None:
@@ -243,23 +257,23 @@ def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[Fraction,
             if lo == hi:
                 x = lo
                 delta = min(_reach_below(a, b, x), _reach_above(a, b, x))
-                return (x - delta, x + delta)
+                return (_end(x - delta), _end(x + delta))
     return None
 
 
-def _reach_below(a: Piece, b: Piece, x: Fraction) -> Fraction:
-    best = Fraction(0)
+def _reach_below(a: Piece, b: Piece, x: End) -> End:
+    best = 0
     for lo, hi in (a, b):
         if (hi is None or hi >= x) and (lo is None or lo < x):
-            best = max(best, Fraction(1) if lo is None else x - lo)
+            best = max(best, 1 if lo is None else x - lo)
     return best if best else Fraction(1, 2)
 
 
-def _reach_above(a: Piece, b: Piece, x: Fraction) -> Fraction:
-    best = Fraction(0)
+def _reach_above(a: Piece, b: Piece, x: End) -> End:
+    best = 0
     for lo, hi in (a, b):
         if (lo is None or lo <= x) and (hi is None or hi > x):
-            best = max(best, Fraction(1) if hi is None else hi - x)
+            best = max(best, 1 if hi is None else hi - x)
     return best if best else Fraction(1, 2)
 
 

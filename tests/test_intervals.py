@@ -162,6 +162,40 @@ def test_sweeps_match_references(x, y):
         assert a.overlap(b) == (not reference_reg_meet(a, b).is_empty())
 
 
+def _exact_ends(ends):
+    """Each finite end is an int, or a Fraction that is not integral."""
+    for x in ends:
+        if x is not None:
+            assert type(x) is int or (type(x) is F and x.denominator > 1), repr(x)
+
+
+def _assert_exact(p):
+    _exact_ends(x for piece in p.pieces for x in piece)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_polytopes(), grid_polytopes())
+def test_endpoints_int_when_integral(x, y):
+    # the halves grid mixes integral and non-integral ends; floats and
+    # bools never appear
+    for p in (x, y, P(iv.format_intervals(x)), x.union(y), x.reg_meet(y),
+              x.complement(), y.complement()):
+        _assert_exact(p)
+    w = iv.contact_witness(x, y)
+    if w is not None:
+        _exact_ends(w)
+
+
+def test_canonicalize_stores_integral_ends_as_int():
+    got = iv.canonicalize([(F(4, 2), F(3)), (1, F(1, 2) + F(1, 2)), (None, F(-1, 3))])
+    assert got.pieces == ((None, F(-1, 3)), (2, 3))
+    _assert_exact(got)
+    _assert_exact(P("(-inf,-4/2]; [1/2,6/3]; [10/5,inf)"))
+    _assert_exact(iv.canonicalize([(False, True)]))
+    with pytest.raises(TypeError):
+        iv.canonicalize([(0.5, 1)])
+
+
 def test_sc_is_c_and_matches_definition_oracle():
     rng = random.Random(99)
     for _ in range(400):
@@ -185,7 +219,7 @@ def test_contact_witness_is_inside_union():
             assert union.contains(lo) and union.contains(hi)
             assert any((plo is None or plo <= lo) and (phi is None or hi <= phi)
                        for plo, phi in union.pieces)
-            mid = (lo + hi) / 2
+            mid = F(lo + hi, 2)
             assert a.contains(lo) or a.contains(hi) or a.contains(mid)
             assert b.contains(lo) or b.contains(hi) or b.contains(mid)
 

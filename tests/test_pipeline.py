@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -171,6 +172,39 @@ class TestSerialization:
         assert old in text
         with pytest.raises(pp.CertificateFormatError):
             pp.parse_certificate(text.replace(old, new))
+
+
+def _finite_ends(cert):
+    for c in (*cert.images.values(), *cert.geometric_valuation.values()):
+        for piece in c.base.pieces:
+            yield from (x for x in piece if x is not None)
+
+
+def test_round_trip_endpoints_are_int():
+    # projection and parsing both store integral endpoints as int, so the
+    # sweeps of verify compare integers
+    for formula, bound in ((CONTACT_NOT_OVERLAP, 2), (DIAMOND_FORCER, 4)):
+        cert = pp.synthesize(formula, bound, 1)
+        cert2 = pp.parse_certificate(pp.serialize_certificate(cert))
+        for c in (cert, cert2):
+            ends = list(_finite_ends(c))
+            assert ends and all(type(x) is int for x in ends)
+
+
+def test_scaled_certificate_verifies_with_fraction_endpoints():
+    # every finite endpoint divided by 3: most become Fractions, and the
+    # report is the same as the unscaled certificate's
+    text = pp.serialize_certificate(pp.synthesize(DIAMOND_FORCER, 4, 1))
+    scaled = re.sub(r"\{ [^}\n]*\}",
+                    lambda m: re.sub(r"-?\d+", lambda k: f"{k.group()}/3", m.group()),
+                    text)
+    assert scaled != text and "/3" in scaled
+    cert = pp.parse_certificate(scaled)
+    ends = list(_finite_ends(cert))
+    assert sum(type(x) is not int for x in ends) > len(ends) // 2
+    report = pp.verify(cert)
+    assert report.passed
+    assert report.text() == pp.verify(pp.parse_certificate(text)).text()
 
 
 def _sha(text: str) -> str:

@@ -17,12 +17,16 @@ polytopes' own methods.
 ``audit_axioms`` checks the four conditions plus monotonicity and the
 overlap-extension property, exhaustively for finite carriers and on seeded
 random samples otherwise, and reports one PASS/FAIL line per axiom with a
-witness on failure.
+witness on failure.  ``audit_pool`` draws the elements it checks, so one
+pool can also serve ``is_connected_algebra``.
 
 ``merge`` turns the image map of a projection into the embedding of a
 finite power-set algebra into the polytope algebra (subset goes to union of
 images) and verifies the embedding laws: injectivity, complement and join
-homomorphism, and contact preservation in both directions.
+homomorphism, and contact preservation in both directions.  It decides them
+on bitmasks of the elementary segments that the images' pooled endpoints
+cut the line into, each subset's mask the OR of its images' masks, so no
+union is built to check a law.
 """
 
 from __future__ import annotations
@@ -275,28 +279,40 @@ def first_witness(cases: Iterable[tuple], fails: Callable[..., bool],
 _EXHAUSTIVE_LIMIT = 64  # elements; triples grow cubically
 
 
-def _audit_pool(algebra: ContactAlgebra, samples: int, seed: int):
+def _exhaustive(algebra: ContactAlgebra) -> bool:
+    elements = algebra.elements()
+    return elements is not None and len(elements) <= _EXHAUSTIVE_LIMIT
+
+
+def audit_pool(algebra: ContactAlgebra, samples: int, seed: int) -> list:
+    """The elements the audits check: all of a finite carrier with at most
+    ``_EXHAUSTIVE_LIMIT`` elements, else ``samples`` drawn from
+    ``Random(seed)``.  ``samples`` below 1 raises ``ValueError``."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     elements = algebra.elements()
-    if elements is not None and len(elements) <= _EXHAUSTIVE_LIMIT:
-        return list(elements), True
-    if elements is not None:
-        rng = random.Random(seed)
-        return [rng.choice(elements) for _ in range(samples)], False
+    if _exhaustive(algebra):
+        return list(elements)
     rng = random.Random(seed)
-    return [algebra.sample(rng) for _ in range(samples)], False
+    if elements is not None:
+        return [rng.choice(elements) for _ in range(samples)]
+    return [algebra.sample(rng) for _ in range(samples)]
 
 
-def audit_axioms(algebra: ContactAlgebra, samples: int = 50, seed: int = 0) -> AuditReport:
+def audit_axioms(algebra: ContactAlgebra, samples: int = 50, seed: int = 0, *,
+                 pool: Optional[list] = None) -> AuditReport:
     """Check C1-C4, monotonicity, and overlap-extension.
 
     Finite small carriers are checked exhaustively over all pairs/triples;
     otherwise a seeded pool of sampled elements is used, and each check
     draws its pairs from ``Random(seed + 1)`` and its triples from
     ``Random(seed + 2)``.  ``samples`` below 1 raises ``ValueError``.
+    ``pool``, when given, is ``audit_pool(algebra, samples, seed)`` built
+    once by the caller.
     """
-    pool, exhaustive = _audit_pool(algebra, samples, seed)
+    if pool is None:
+        pool = audit_pool(algebra, samples, seed)
+    exhaustive = _exhaustive(algebra)
     report = AuditReport()
     el, c, join = algebra.describe, algebra.contact, algebra.join
     zero = algebra.zero()
@@ -327,9 +343,12 @@ def audit_axioms(algebra: ContactAlgebra, samples: int = 50, seed: int = 0) -> A
     return report
 
 
-def is_connected_algebra(algebra: ContactAlgebra, samples: int = 50, seed: int = 0) -> bool:
-    """Every element other than 0 and 1 is in contact with its complement."""
-    pool, _ = _audit_pool(algebra, samples, seed)
+def is_connected_algebra(algebra: ContactAlgebra, samples: int = 50, seed: int = 0, *,
+                         pool: Optional[list] = None) -> bool:
+    """Every element other than 0 and 1 is in contact with its complement,
+    checked on ``pool``, by default ``audit_pool(algebra, samples, seed)``."""
+    if pool is None:
+        pool = audit_pool(algebra, samples, seed)
     one = algebra.one()
     return all(algebra.is_zero(x) or algebra.equal(x, one)
                or algebra.contact(x, algebra.complement(x)) for x in pool)
@@ -370,6 +389,13 @@ def merge(images: Mapping[str, CylinderPolytope],
 
     When ``space`` is given its adjacency must agree with strong contact of
     the images; otherwise the relation is derived from the images.
+
+    The subset checks run on the elementary segments of the images' pooled
+    endpoints (``intervals.segment_masks``): a union is the OR of its
+    images' segment masks, its complement the mask's complement among all
+    segments, and two unions touch when a segment of one is, or neighbours,
+    a segment of the other.  ``union_of`` builds the ``CylinderPolytope``
+    of a subset on demand.
     """
     cells = tuple(sorted(images))
     n = len(cells)
@@ -389,7 +415,7 @@ def merge(images: Mapping[str, CylinderPolytope],
     discrete = FiniteContactAlgebra(cells, [
         sum(1 << j for j, y in enumerate(cells) if images[x].contact_sc(images[y]))
         for x in cells])
-    contact_masks, name = discrete.contact, discrete.describe
+    name = discrete.describe
 
     report = AuditReport()
     if space is not None:
@@ -408,27 +434,46 @@ def merge(images: Mapping[str, CylinderPolytope],
         mask_pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(_MERGE_SAMPLES)]
     singles = [(a,) for a in masks]
 
-    first_with: dict[tuple, int] = {}  # union pieces -> first mask with them
+    ends, image_segs = iv.segment_masks([images[x].base for x in cells])
+    all_segs = (2 << len(ends)) - 1
+    # subset -> segments its union fills; -> segments at or next to those,
+    # whose closures share a point with it; -> cells it is in contact with
+    segs = _OrOverBits(image_segs)
+    near = _OrOverBits([m | m << 1 | m >> 1 for m in image_segs])
+    reach = _OrOverBits(discrete.succ)
+
+    first_with: dict[int, int] = {}  # segment mask -> first subset with it
 
     def shares_image(a: int) -> bool:
-        return first_with.setdefault(union_of(a).base.pieces, a) != a
+        return first_with.setdefault(segs[a], a) != a
+
+    def contact_differs(a: int, b: int) -> bool:
+        return bool(reach[a] & b) != bool(segs[a] & near[b])
 
     def ab(a: int, b: int) -> str:
         return f"a={name(a)} b={name(b)}"
 
     report.check("bijectivity", first_witness(
         singles, shares_image,
-        lambda a: f"{name(first_with[union_of(a).base.pieces])} and {name(a)} share an image"))
+        lambda a: f"{name(first_with[segs[a]])} and {name(a)} share an image"))
     report.check("complement", first_witness(
-        singles, lambda a: not union_of(full ^ a).equals(union_of(a).complement()),
-        lambda a: f"a={name(a)}"))
+        singles, lambda a: segs[full ^ a] != all_segs ^ segs[a], lambda a: f"a={name(a)}"))
     report.check("join", first_witness(
-        mask_pairs, lambda a, b: not union_of(a | b).equals(union_of(a).union(union_of(b))),
-        ab))
-    report.check("contact", first_witness(
-        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_sc(union_of(b)),
-        ab))
-    report.check("contact-C-variant", first_witness(
-        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_c(union_of(b)),
-        ab))
+        mask_pairs, lambda a, b: segs[a | b] != segs[a] | segs[b], ab))
+    # on the line C and SC coincide, so both checks make the same test
+    report.check("contact", first_witness(mask_pairs, contact_differs, ab))
+    report.check("contact-C-variant", first_witness(mask_pairs, contact_differs, ab))
     return MergeResult(cells, dict(images), union_of, report)
+
+
+class _OrOverBits(dict):
+    """Memoised map from a mask to the OR of ``parts[i]`` over its bits i."""
+
+    def __init__(self, parts: Sequence[int]):
+        super().__init__({0: 0})
+        self.parts = parts
+
+    def __missing__(self, mask: int) -> int:
+        low = mask & -mask
+        out = self[mask] = self[mask ^ low] | self.parts[low.bit_length() - 1]
+        return out

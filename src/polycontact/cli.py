@@ -176,8 +176,9 @@ def _cmd_audit(args) -> int:
     else:
         space = adj.parse_space(_read(args.target))
         algebra = alg.induced_algebra(space)
-    report = alg.audit_axioms(algebra, samples=args.samples, seed=args.seed)
-    connected = alg.is_connected_algebra(algebra, samples=args.samples, seed=args.seed)
+    pool = alg.audit_pool(algebra, args.samples, args.seed)
+    report = alg.audit_axioms(algebra, seed=args.seed, pool=pool)
+    connected = alg.is_connected_algebra(algebra, pool=pool)
     print(report.text())
     print(f"connected={_bool(connected)}")
     return EXIT_OK if report.passed else EXIT_FOUND

@@ -15,7 +15,9 @@ decision depends on the type: ``3 == Fraction(3)``, and the two hash alike.
 The operations (``union``, ``reg_meet``, ``contact_c`` and what is built on
 them) are linear sweeps over two canonical piece tuples, with no sort and no
 re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
-text, projected pieces and the random generator.
+text, projected pieces and the random generator.  ``segment_masks`` turns
+polytopes over shared breakpoints into bitmasks of elementary segments, on
+which the Boolean operations and contact are single integer operations.
 
 Only finite unions are representable.  Regular closed sets built from
 infinitely many segments (for instance the closure of an infinite union of
@@ -34,7 +36,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .numeric import rational
 
@@ -233,6 +235,33 @@ def _max_hi_merge(a: End | None, b: End | None) -> End | None:
     if a is None or b is None:
         return None
     return max(a, b)
+
+
+def segment_masks(polytopes: Sequence[IntervalPolytope]) -> tuple[tuple[End, ...], list[int]]:
+    """The pooled breakpoints of the polytopes, and per polytope the bitmask
+    of the elementary segments it fills.
+
+    The sorted distinct finite endpoints ``b[0] < ... < b[m-1]`` split the
+    line into the open segments ``(b[k-1], b[k])`` for k = 0..m, with
+    ``b[-1] = -inf`` and ``b[m] = +inf``; bit k stands for segment k.  A
+    canonical polytope is the closure of the segments it fills, and distinct
+    segment sets have distinct closures, so for polytopes over these
+    breakpoints ``union`` is ``|``, ``complement`` is ``^`` with all m + 1
+    bits, ``equals`` is ``==``, and two polytopes are in contact exactly
+    when a segment of one is, or neighbours, a segment of the other.
+    """
+    ends = tuple(sorted({x for p in polytopes for piece in p.pieces
+                         for x in piece if x is not None}))
+    index = {x: k for k, x in enumerate(ends)}
+    masks = []
+    for p in polytopes:
+        mask = 0
+        for lo, hi in p.pieces:
+            first = 0 if lo is None else index[lo] + 1
+            last = len(ends) if hi is None else index[hi]
+            mask |= (2 << last) - (1 << first)  # bits first..last
+        masks.append(mask)
+    return ends, masks
 
 
 def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[End, End] | None:

@@ -4,23 +4,27 @@ the labelled-graph scan kept as the reference for the augmentation
 enumeration, the point-probing plane references kept for the sign-vector
 walk, the Fourier-Motzkin ``equals`` and brick-based boundary
 representation kept for the face kernel, the ``canonicalize``-based and
-all-pairs line operations kept for the linear sweeps, and the ``Fraction``
+all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
-plane kernel."""
+plane kernel, and the ``merge`` on geometric unions kept for the segment
+masks."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from polycontact import algebra as alg
 from polycontact import cuts as cu
 from polycontact import intervals as iv
 from polycontact import plane as pl
 from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
+from polycontact.cylinder import lift
 from polycontact.logic import (
     Complement, Contact, Eq, Join, Not, Or, Variable, evaluate, free_variables)
 
@@ -405,3 +409,67 @@ def reference_arrangement_edges(lines):
             if lo is not None:
                 above ^= flips[lo]
             yield mu, lo, hi, pl.point_on(base, direction, t), above
+
+
+def reference_merge(images, space=None):
+    """``algebra.merge`` on geometric unions: every checked subset's
+    ``CylinderPolytope`` is built by ``union`` sweeps and compared by
+    ``equals``, ``complement``, ``contact_sc`` and ``contact_c``, and the
+    discrete contact of two subsets is ``FiniteContactAlgebra.contact``."""
+    cells = tuple(sorted(images))
+    n = len(cells)
+    unions = {0: lift(iv.EMPTY, images[cells[0]].ambient_dim)}
+
+    def union_of(mask):
+        if mask not in unions:
+            low = mask & -mask
+            unions[mask] = union_of(mask ^ low).union(images[cells[low.bit_length() - 1]])
+        return unions[mask]
+
+    discrete = FiniteContactAlgebra(cells, [
+        sum(1 << j for j, y in enumerate(cells) if images[x].contact_sc(images[y]))
+        for x in cells])
+    contact_masks, name = discrete.contact, discrete.describe
+
+    report = alg.AuditReport()
+    if space is not None:
+        report.check("adjacency-vs-image-contact", alg.first_witness(
+            product(range(n), repeat=2),
+            lambda i, j: space.adjacent(cells[i], cells[j]) != bool(discrete.succ[i] >> j & 1),
+            lambda i, j: f"pair={(cells[i], cells[j])}"))
+
+    full = (1 << n) - 1
+    if 1 << n <= alg._EXHAUSTIVE_LIMIT:
+        masks = range(1 << n)
+        mask_pairs = list(product(masks, repeat=2))
+    else:
+        rng = random.Random(alg._MERGE_SEED)
+        masks = sorted({rng.randrange(1 << n) for _ in range(alg._MERGE_SAMPLES)} | {0, full})
+        mask_pairs = [(rng.choice(masks), rng.choice(masks))
+                      for _ in range(alg._MERGE_SAMPLES)]
+    singles = [(a,) for a in masks]
+
+    first_with = {}  # union pieces -> first mask with them
+
+    def shares_image(a):
+        return first_with.setdefault(union_of(a).base.pieces, a) != a
+
+    def ab(a, b):
+        return f"a={name(a)} b={name(b)}"
+
+    report.check("bijectivity", alg.first_witness(
+        singles, shares_image,
+        lambda a: f"{name(first_with[union_of(a).base.pieces])} and {name(a)} share an image"))
+    report.check("complement", alg.first_witness(
+        singles, lambda a: not union_of(full ^ a).equals(union_of(a).complement()),
+        lambda a: f"a={name(a)}"))
+    report.check("join", alg.first_witness(
+        mask_pairs, lambda a, b: not union_of(a | b).equals(union_of(a).union(union_of(b))),
+        ab))
+    report.check("contact", alg.first_witness(
+        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_sc(union_of(b)),
+        ab))
+    report.check("contact-C-variant", alg.first_witness(
+        mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_c(union_of(b)),
+        ab))
+    return report

@@ -1,10 +1,15 @@
 import hashlib
 import random
+from fractions import Fraction as F
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_merge
 from polycontact import algebra as alg
 from polycontact import adjacency as adj
 from polycontact import intervals as iv
-from polycontact.cylinder import lift
+from polycontact.cylinder import CylinderPolytope, lift
 
 TRIANGLE = adj.mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 EDGE = adj.mk_space("ab", [("a", "b")])
@@ -139,6 +144,101 @@ class TestMerge:
         images["b"] = lift(iv.parse_intervals("[5,6]"), 1)
         result = alg.merge(images)
         assert not result.report.passed
+
+
+# ---------------------------------------------------------------------------
+# merge on segment masks against the merge on geometric unions
+# ---------------------------------------------------------------------------
+
+# endpoints on a grid of halves, so images often share or touch at endpoints
+halves = st.builds(F, st.integers(-6, 6), st.just(2))
+
+
+@st.composite
+def _grid_image(draw):
+    ends = sorted(draw(st.lists(halves, max_size=6)))
+    pieces = list(zip(ends[::2], ends[1::2]))
+    if draw(st.booleans()):
+        pieces.append((None, draw(halves)))
+    if draw(st.booleans()):
+        pieces.append((draw(halves), None))
+    return iv.canonicalize(pieces)
+
+
+@st.composite
+def _partition(draw, n):
+    """Images that tile the line, as projections do: each elementary segment
+    of some drawn breakpoints goes to one cell, and some cells get none."""
+    ends = sorted(set(draw(st.lists(halves, max_size=9))))
+    bounds = (None, *ends, None)
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return [iv.canonicalize((bounds[k], bounds[k + 1])
+                            for k, owner in enumerate(owners) if owner == i)
+            for i in range(n)]
+
+
+class _Touchy(CylinderPolytope):
+    """An image whose own ``contact_sc`` claims contact with everything, as
+    a faulty pairwise kernel would; its pieces are honest."""
+
+    def contact_sc(self, other):
+        return True
+
+
+@st.composite
+def merge_inputs(draw):
+    """An image map of 1-7 cells; up to 6 cells are merged exhaustively, 7
+    on seeded samples.  Empty, duplicate and overlapping images and gaps
+    fail bijectivity and complement, and a ``_Touchy`` image fails the
+    contact checks; no map of canonical images can fail join."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        bases = draw(_partition(n))
+    else:
+        bases = []
+        for _ in range(n):
+            # empty, everything, a drawn union (rays, gaps, overlaps), or a
+            # duplicate of an earlier image
+            kind = draw(st.integers(0, 4 if bases else 3))
+            bases.append(iv.EMPTY if kind == 0 else iv.ALL if kind == 1
+                         else draw(st.sampled_from(bases)) if kind == 4
+                         else draw(_grid_image()))
+    dim = draw(st.integers(1, 3))
+    images = {cell: lift(base, dim) for cell, base in zip("abcdefg", bases)}
+    if draw(st.integers(0, 3)) == 0:
+        cell = "abcdefg"[draw(st.integers(0, n - 1))]
+        images[cell] = _Touchy(images[cell].base, dim)
+    return images
+
+
+def _spaces(images):
+    """No space, the space of the images' contacts, and one wrong in a pair."""
+    cells = sorted(images)
+    edges = {(x, y) for i, x in enumerate(cells) for y in cells[i + 1:]
+             if images[x].contact_sc(images[y])}
+    yield None
+    yield adj.mk_space(cells, edges)
+    if len(cells) > 1:
+        yield adj.mk_space(cells, edges ^ {(cells[0], cells[-1])})
+
+
+def _projected(edges, root="a"):
+    cells = sorted({x for e in edges for x in e})
+    space = adj.mk_space(cells, edges)
+    return adj.project(space, adj.arrangement(space, adj.numeration(space, root)), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(merge_inputs())
+@example(_projected([("a", "b"), ("b", "c"), ("c", "d")]))
+@example(_projected([("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("a", "f")]))
+@example(_projected([("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("a", "f"), ("a", "g")]))
+@example({"a": lift(iv.parse_intervals("[0,1]"), 2), "b": lift(iv.parse_intervals("[0,1]"), 2)})
+def test_merge_matches_reference(images):
+    for space in _spaces(images):
+        assert (alg.merge(images, space=space).report.text()
+                == reference_merge(images, space=space).text())
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,20 @@ def test_audit_every_carrier(target, capsys):
         "overlap-extension PASS\nconnected=true\n")
 
 
+def test_audit_draws_one_pool(monkeypatch, capsys):
+    # the axiom audit and the connectedness check share one sampled pool
+    draw, drawn = pl.random_plane_polytope, []
+
+    def counted(rng, **kwargs):
+        drawn.append(rng)
+        return draw(rng, **kwargs)
+
+    monkeypatch.setattr(pl, "random_plane_polytope", counted)
+    assert run(["audit", "plane", "--samples", "12"]) == 0
+    assert capsys.readouterr().out.endswith("connected=true\n")
+    assert len(drawn) == 12
+
+
 # ---------------------------------------------------------------------------
 # sc-check stdout over a seeded corpus, witness lines included
 # ---------------------------------------------------------------------------

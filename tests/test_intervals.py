@@ -162,6 +162,38 @@ def test_sweeps_match_references(x, y):
         assert a.overlap(b) == (not reference_reg_meet(a, b).is_empty())
 
 
+def _from_segments(mask, ends):
+    """The closure of the elementary segments in ``mask``, by ``canonicalize``."""
+    bounds = (None, *ends, None)
+    return iv.canonicalize((bounds[k], bounds[k + 1])
+                           for k in range(len(ends) + 1) if mask >> k & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_polytopes, line_polytopes)
+@example(P("[0,1]"), P("[1,2]"))
+@example(P("(-inf,0]"), P("[0,inf)"))
+@example(P("[0,1]; [2,3]"), P("[1,2]"))
+@example(P("[0,1]"), P("[3/2,2]"))
+@example(iv.EMPTY, iv.ALL)
+@example(iv.EMPTY, iv.EMPTY)
+def test_segment_masks_match_sweeps(x, y):
+    # union, meet and complement add no breakpoint, so one pool serves all
+    ends, masks = iv.segment_masks([x, y, x.union(y), x.reg_meet(y), x.complement()])
+    mx, my, m_union, m_meet, m_complement = masks
+    assert iv.segment_masks([x, y]) == (ends, [mx, my])
+    assert list(ends) == sorted(set(ends))
+    all_segs = (2 << len(ends)) - 1
+    assert m_union == mx | my
+    assert m_meet == mx & my
+    assert m_complement == all_segs ^ mx
+    assert (mx == my) == x.equals(y)
+    assert bool(mx & (my | my << 1 | my >> 1)) == x.contact_c(y) == y.contact_c(x)
+    assert bool(mx & my) == x.overlap(y)
+    for p, m in ((x, mx), (y, my)):
+        assert _from_segments(m, ends) == p
+
+
 def _exact_ends(ends):
     """Each finite end is an int, or a Fraction that is not integral."""
     for x in ends:

@@ -353,22 +353,25 @@ def format_intervals(p: IntervalPolytope) -> str:
     return "; ".join(parts)
 
 
-def random_interval_polytope(rng: random.Random, *, max_pieces: int = 3,
-                             span: int = 8, max_den: int = 8,
-                             allow_rays: bool = True) -> IntervalPolytope:
+_RANDOM_MAX_PIECES = 3
+_RANDOM_SPAN = 8
+_RANDOM_MAX_DEN = 8
+
+
+def random_interval_polytope(rng: random.Random) -> IntervalPolytope:
     """Seeded generator for audits and property tests."""
     def coord() -> Fraction:
-        return Fraction(rng.randint(-span * max_den, span * max_den),
-                        rng.randint(1, max_den))
+        top = _RANDOM_SPAN * _RANDOM_MAX_DEN
+        return Fraction(rng.randint(-top, top), rng.randint(1, _RANDOM_MAX_DEN))
 
     raw: list[Piece] = []
-    for _ in range(rng.randint(0, max_pieces)):
+    for _ in range(rng.randint(0, _RANDOM_MAX_PIECES)):
         a, b = coord(), coord()
         if a > b:
             a, b = b, a
         raw.append((a, b))
-    if allow_rays and rng.random() < 0.2:
+    if rng.random() < 0.2:
         raw.append((None, coord()))
-    if allow_rays and rng.random() < 0.2:
+    if rng.random() < 0.2:
         raw.append((coord(), None))
     return canonicalize(raw)

@@ -15,8 +15,11 @@ is an abbreviation expanded at parse time:
 
 Concrete syntax: variables ``[a-z][a-z0-9]*``; operators
 ``- + . == != <= C( , ) ~ | & => <=>``; constants ``0 1``; parentheses.
-Precedence: unary ``-`` over ``.`` over ``+``; ``~`` over ``&`` over ``|``
-over ``=>`` over ``<=>``; ``=>`` associates to the right.
+Precedence, tightest first: unary ``-``, ``.``, ``+``, the non-associative
+relations ``== != <=``, ``~``, ``&``, ``|``, ``=>`` (right-associative),
+``<=>`` (left-associative); ``.``, ``+``, ``&`` and ``|`` associate to the
+left.  One operator table drives the parser, and each operator checks
+whether its operands are terms or formulas.
 
 Axiom-scheme recognition uses a fixed propositional basis (the standard
 three implication/negation schemes), the equational Boolean-algebra basis
@@ -41,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import bitslice as bs
 from .adjacency import AdjacencySpace, mk_space
@@ -258,10 +261,6 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class _NestedTooDeeply(FormulaSyntaxError):
-    """Raised past ``MAX_NESTING``; never backtracked over."""
-
-
 # Deepest nesting accepted, counted both while parsing (prefix operators,
 # parentheses and right-nested ``=>`` open at once) and as the depth of the
 # parse tree.  Every recursive walk over a formula (evaluation, printing,
@@ -270,7 +269,7 @@ MAX_NESTING = 100
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<cname>C)(?=\()|(?P<var>[a-z][a-z0-9]*))")
+    r"(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<C>C)(?=\()|(?P<var>[a-z][a-z0-9]*)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -283,22 +282,50 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("op"):
-            tokens.append(("op", m.group("op"), m.start("op")))
-        elif m.group("cname"):
-            tokens.append(("C", "C", m.start("cname")))
-        else:
-            tokens.append(("var", m.group("var"), m.start("var")))
+        tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens
 
 
+class _Op(NamedTuple):
+    prec: int
+    right: bool  # the operand after it is parsed at prec, not prec + 1: prefix or right-assoc
+    terms: bool  # its operands are terms, not formulas
+    build: Callable
+
+
+# Every term operator binds tighter than every formula operator, so what is
+# parsed at _TERM or above is a term.  A relation takes terms to a formula,
+# so ``a == b == c`` is a sort error: the relations do not associate.
+_TERM = 7  # "+"
+_INFIX = {
+    "<=>": _Op(1, False, False, iff),
+    "=>": _Op(2, True, False, implies),
+    "|": _Op(3, False, False, Or),
+    "&": _Op(4, False, False, conj),
+    "==": _Op(6, False, True, Eq),
+    "!=": _Op(6, False, True, lambda a, b: Not(Eq(a, b))),
+    "<=": _Op(6, False, True, lambda a, b: Eq(Join(a, b), b)),
+    "+": _Op(7, False, True, Join),
+    ".": _Op(8, False, True, meet),
+}
+_PREFIX = {"~": _Op(5, True, False, Not), "-": _Op(9, True, True, Complement)}
+
+
+def _sorted(node, terms: bool, where: int):
+    """``node``, if it is a term exactly when ``terms``."""
+    if isinstance(node, Term) != terms:
+        raise FormulaSyntaxError("expected a term" if terms else "expected a formula", where)
+    return node
+
+
 class _Parser:
-    """Recursive descent with backtracking between term and formula parens."""
+    """Precedence climbing over ``_INFIX`` and ``_PREFIX`` (Pratt, "Top down
+    operator precedence", 1973), one expression grammar for terms and
+    formulas."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [("end", "end of input", len(text))]
         self.pos = 0
         self.depth = 0
         # 0 and 1 expand over the first variable of the text: the
@@ -307,138 +334,72 @@ class _Parser:
         first = next((t[1] for t in self.tokens if t[0] == "var"), "a")
         self.carrier = Variable(first)
 
-    def _peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _at_op(self, *ops: str) -> bool:
-        t = self._peek()
-        return t is not None and t[0] == "op" and t[1] in ops
-
-    def _take_op(self, *ops: str) -> bool:
-        if self._at_op(*ops):
-            self.pos += 1
-            return True
-        return False
-
-    def _expect_op(self, op: str) -> None:
-        if not self._take_op(op):
-            t = self._peek()
-            where = t[2] if t else len(self.text)
-            got = t[1] if t else "end of input"
-            raise FormulaSyntaxError(f"expected {op!r}, got {got!r}", where)
-
     def _here(self) -> int:
-        t = self._peek()
-        return t[2] if t else len(self.text)
+        return self.tokens[self.pos][2]
 
-    def _nested(self, parse):
-        """``parse()`` one level down, after a prefix operator or '('."""
+    def _expect(self, op: str) -> None:
+        _, value, where = self.tokens[self.pos]
+        if value != op:
+            raise FormulaSyntaxError(f"expected {op!r}, got {value!r}", where)
+        self.pos += 1
+
+    def _nested(self, prec: int):
+        """``expr(prec)`` one level down, after a prefix operator, '(' or '=>'."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _NestedTooDeeply("nested too deeply", self._here())
-        out = parse()
+            raise FormulaSyntaxError("nested too deeply", self._here())
+        out = self.expr(prec)
         self.depth -= 1
         return out
 
-    # formulas ---------------------------------------------------------
-
-    def formula(self):
-        left = self.imp()
-        while self._take_op("<=>"):
-            left = iff(left, self.imp())
-        return left
-
-    def imp(self):
-        left = self.disj()
-        if self._take_op("=>"):
-            return implies(left, self._nested(self.imp))
-        return left
-
-    def disj(self):
-        left = self.conj_()
-        while self._take_op("|"):
-            left = Or(left, self.conj_())
-        return left
-
-    def conj_(self):
-        left = self.unary()
-        while self._take_op("&"):
-            left = conj(left, self.unary())
-        return left
-
-    def unary(self):
-        if self._take_op("~"):
-            return Not(self._nested(self.unary))
-        return self.atom()
-
-    def atom(self):
-        t = self._peek()
-        if t is None:
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        if t[0] == "C":
+    def expr(self, min_prec: int):
+        """The longest expression whose operators bind at ``min_prec`` or tighter."""
+        start = self._here()
+        left = self.operand(min_prec)
+        while True:
+            op = _INFIX.get(self.tokens[self.pos][1])
+            if op is None or op.prec < min_prec:
+                break
+            _sorted(left, op.terms, start)
             self.pos += 1
-            self._expect_op("(")
-            left = self.term()
-            self._expect_op(",")
-            right = self.term()
-            self._expect_op(")")
-            return Contact(left, right)
-        # either a relational atom over terms or a parenthesised formula
-        saved = self.pos, self.depth
-        try:
-            left = self.term()
-            if self._take_op("=="):
-                return Eq(left, self.term())
-            if self._take_op("!="):
-                return Not(Eq(left, self.term()))
-            if self._take_op("<="):
-                right = self.term()
-                return Eq(Join(left, right), right)
-            raise FormulaSyntaxError("expected relation after term", self._here())
-        except _NestedTooDeeply:
-            raise
-        except FormulaSyntaxError:
-            self.pos, self.depth = saved
-        if self._take_op("("):
-            inner = self._nested(self.formula)
-            self._expect_op(")")
-            return inner
-        raise FormulaSyntaxError(f"cannot parse formula at {t[1]!r}", t[2])
-
-    # terms --------------------------------------------------------------
-
-    def term(self):
-        left = self.term_prod()
-        while self._take_op("+"):
-            left = Join(left, self.term_prod())
+            at = self._here()
+            right = self._nested(op.prec) if op.right else self.expr(op.prec + 1)
+            left = op.build(left, _sorted(right, op.terms, at))
         return left
 
-    def term_prod(self):
-        left = self.term_unary()
-        while self._take_op("."):
-            left = meet(left, self.term_unary())
-        return left
-
-    def term_unary(self):
-        if self._take_op("-"):
-            return Complement(self._nested(self.term_unary))
-        t = self._peek()
-        if t is None:
-            raise FormulaSyntaxError("unexpected end of term", len(self.text))
-        if t[0] == "var":
-            self.pos += 1
-            return Variable(t[1])
-        if t[0] == "op" and t[1] == "0":
-            self.pos += 1
+    def operand(self, min_prec: int):
+        """A variable, constant, contact atom, parenthesis or prefix operator
+        application.  Where a term is due, '~' and 'C' fail where they stand
+        and a parenthesis holds a term, so a sort error never waits for a
+        deeply nested operand to close."""
+        kind, value, where = self.tokens[self.pos]
+        term_only = min_prec >= _TERM
+        if term_only and value in ("~", "C"):
+            raise FormulaSyntaxError("expected a term", where)
+        if kind == "end":
+            raise FormulaSyntaxError("unexpected end of input", where)
+        self.pos += 1
+        if kind == "var":
+            return Variable(value)
+        if value == "0":
             return zero_term(self.carrier)
-        if t[0] == "op" and t[1] == "1":
-            self.pos += 1
+        if value == "1":
             return one_term(self.carrier)
-        if self._take_op("("):
-            inner = self._nested(self.term)
-            self._expect_op(")")
+        if value in _PREFIX:
+            op, at = _PREFIX[value], self._here()
+            return op.build(_sorted(self._nested(op.prec), op.terms, at))
+        if value == "(":
+            inner = self._nested(_TERM if term_only else 0)
+            self._expect(")")
             return inner
-        raise FormulaSyntaxError(f"cannot parse term at {t[1]!r}", t[2])
+        if kind == "C":
+            self._expect("(")
+            left = self.expr(_TERM)
+            self._expect(",")
+            right = self.expr(_TERM)
+            self._expect(")")
+            return Contact(left, right)
+        raise FormulaSyntaxError(f"unexpected {value!r}", where)
 
 
 def _check_height(root) -> None:
@@ -465,11 +426,13 @@ def _check_height(root) -> None:
         raise FormulaSyntaxError("nested too deeply", 0)
 
 
-def _finish(parser: _Parser, tree):
-    if parser.pos != len(parser.tokens):
-        tok = parser.tokens[parser.pos]
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    _check_height(tree)
+def _parse(text: str, min_prec: int):
+    parser = _Parser(text)
+    tree = parser.expr(min_prec)
+    kind, value, where = parser.tokens[parser.pos]
+    if kind != "end":
+        raise FormulaSyntaxError(f"trailing input {value!r}", where)
+    _check_height(_sorted(tree, min_prec >= _TERM, 0))
     return tree
 
 
@@ -477,13 +440,11 @@ def parse(text: str) -> Formula:
     """Parse a formula; 0 and 1 expand over the first variable occurring
     in the formula (or the variable ``a`` when there is none).  Input nested
     deeper than ``MAX_NESTING`` levels is a ``FormulaSyntaxError``."""
-    parser = _Parser(text)
-    return _finish(parser, parser.formula())
+    return _parse(text, 0)
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(text)
-    return _finish(parser, parser.term())
+    return _parse(text, _TERM)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,20 @@ walk, the Fourier-Motzkin ``equals`` and brick-based boundary
 representation kept for the face kernel, the ``canonicalize``-based and
 all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
-plane kernel, and the ``merge`` on geometric unions kept for the segment
-masks."""
+plane kernel, the ``merge`` on geometric unions kept for the segment
+masks, the recursive-descent formula parser kept for the precedence-climbing
+one, and random formula text in the concrete syntax."""
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polycontact import algebra as alg
 from polycontact import cuts as cu
@@ -26,7 +30,8 @@ from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
 from polycontact.logic import (
-    Complement, Contact, Eq, Join, Not, Or, Variable, evaluate, free_variables)
+    MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, Variable, conj,
+    evaluate, free_variables, iff, implies, meet, one_term, zero_term)
 
 CELLS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -166,6 +171,55 @@ def batch_true_in_algebra(formula, algebra: FiniteContactAlgebra) -> bool:
     if not names:
         return evaluate(formula, algebra, {})
     return bool(form(formula).all())
+
+
+def random_formula_text(rng: random.Random, names, depth: int = 3) -> str:
+    """A formula in the concrete syntax, abbreviations included."""
+    def term(d):
+        if d == 0 or rng.random() < 0.3:
+            return rng.choice(names) if rng.random() < 0.8 else rng.choice("01")
+        op = rng.choice(["-", "+", "."])
+        if op == "-":
+            return f"-({term(d - 1)})"
+        return f"({term(d - 1)} {op} {term(d - 1)})"
+
+    def formula(d):
+        if d == 0 or rng.random() < 0.3:
+            rel = rng.choice(["==", "!=", "<=", "C"])
+            a, b = term(2), term(2)
+            return f"C({a}, {b})" if rel == "C" else f"{a} {rel} {b}"
+        op = rng.choice(["~", "|", "&", "=>", "<=>"])
+        if op == "~":
+            return f"~({formula(d - 1)})"
+        return f"({formula(d - 1)} {op} {formula(d - 1)})"
+
+    return formula(depth)
+
+
+_FORMULA_TOKENS = ["p", "q", "r", "0", "1", "-", "+", ".", "==", "!=", "<=", "C(", "(", ")",
+                   ",", "~", "|", "&", "=>", "<=>"]
+_FORMULA_TOKEN_RE = re.compile(r"<=>|=>|==|!=|<=|C\(|[a-z][a-z0-9]*|\S")
+
+
+def mutate_formula_text(draw, text: str) -> str:
+    """``text`` with up to three tokens deleted, inserted or replaced."""
+    toks = _FORMULA_TOKEN_RE.findall(text)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+        i = draw(st.integers(0, len(toks)))
+        if kind == "insert":
+            toks.insert(i, draw(st.sampled_from(_FORMULA_TOKENS)))
+        elif toks:
+            i = min(i, len(toks) - 1)
+            toks[i:i + 1] = [] if kind == "delete" else [draw(st.sampled_from(_FORMULA_TOKENS))]
+    return " ".join(toks)
+
+
+@st.composite
+def formula_texts(draw) -> str:
+    """``random_formula_text`` outputs over p, q, r, some of them mutated."""
+    text = random_formula_text(draw(st.randoms()), ["p", "q", "r"], draw(st.integers(0, 3)))
+    return mutate_formula_text(draw, text)
 
 
 def scalar_find_countermodel(formula, spaces):
@@ -473,3 +527,206 @@ def reference_merge(images, space=None):
         mask_pairs, lambda a, b: contact_masks(a, b) != union_of(a).contact_c(union_of(b)),
         ab))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent formula parser, kept as the reference for the
+# precedence-climbing one in ``logic``: nine methods, one per precedence
+# level, and a backtrack from the term grammar to the formula grammar
+# ---------------------------------------------------------------------------
+
+class _ReferenceNestedTooDeeply(FormulaSyntaxError):
+    """Raised past ``MAX_NESTING``; never backtracked over."""
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<cname>C)(?=\()|(?P<var>[a-z][a-z0-9]*))")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.group("op"):
+            tokens.append(("op", m.group("op"), m.start("op")))
+        elif m.group("cname"):
+            tokens.append(("C", "C", m.start("cname")))
+        else:
+            tokens.append(("var", m.group("var"), m.start("var")))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent with backtracking between term and formula parens."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        # 0 and 1 expand over the first variable of the text: the
+        # abbreviations keep operands in textual order, so it is also the
+        # first variable of the parse tree
+        first = next((t[1] for t in self.tokens if t[0] == "var"), "a")
+        self.carrier = Variable(first)
+
+    def _peek(self) -> Optional[tuple[str, str, int]]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _at_op(self, *ops: str) -> bool:
+        t = self._peek()
+        return t is not None and t[0] == "op" and t[1] in ops
+
+    def _take_op(self, *ops: str) -> bool:
+        if self._at_op(*ops):
+            self.pos += 1
+            return True
+        return False
+
+    def _expect_op(self, op: str) -> None:
+        if not self._take_op(op):
+            t = self._peek()
+            where = t[2] if t else len(self.text)
+            got = t[1] if t else "end of input"
+            raise FormulaSyntaxError(f"expected {op!r}, got {got!r}", where)
+
+    def _here(self) -> int:
+        t = self._peek()
+        return t[2] if t else len(self.text)
+
+    def _nested(self, parse):
+        """``parse()`` one level down, after a prefix operator or '('."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _ReferenceNestedTooDeeply("nested too deeply", self._here())
+        out = parse()
+        self.depth -= 1
+        return out
+
+    # formulas ---------------------------------------------------------
+
+    def formula(self):
+        left = self.imp()
+        while self._take_op("<=>"):
+            left = iff(left, self.imp())
+        return left
+
+    def imp(self):
+        left = self.disj()
+        if self._take_op("=>"):
+            return implies(left, self._nested(self.imp))
+        return left
+
+    def disj(self):
+        left = self.conj_()
+        while self._take_op("|"):
+            left = Or(left, self.conj_())
+        return left
+
+    def conj_(self):
+        left = self.unary()
+        while self._take_op("&"):
+            left = conj(left, self.unary())
+        return left
+
+    def unary(self):
+        if self._take_op("~"):
+            return Not(self._nested(self.unary))
+        return self.atom()
+
+    def atom(self):
+        t = self._peek()
+        if t is None:
+            raise FormulaSyntaxError("unexpected end of input", len(self.text))
+        if t[0] == "C":
+            self.pos += 1
+            self._expect_op("(")
+            left = self.term()
+            self._expect_op(",")
+            right = self.term()
+            self._expect_op(")")
+            return Contact(left, right)
+        # either a relational atom over terms or a parenthesised formula
+        saved = self.pos, self.depth
+        try:
+            left = self.term()
+            if self._take_op("=="):
+                return Eq(left, self.term())
+            if self._take_op("!="):
+                return Not(Eq(left, self.term()))
+            if self._take_op("<="):
+                right = self.term()
+                return Eq(Join(left, right), right)
+            raise FormulaSyntaxError("expected relation after term", self._here())
+        except _ReferenceNestedTooDeeply:
+            raise
+        except FormulaSyntaxError:
+            self.pos, self.depth = saved
+        if self._take_op("("):
+            inner = self._nested(self.formula)
+            self._expect_op(")")
+            return inner
+        raise FormulaSyntaxError(f"cannot parse formula at {t[1]!r}", t[2])
+
+    # terms --------------------------------------------------------------
+
+    def term(self):
+        left = self.term_prod()
+        while self._take_op("+"):
+            left = Join(left, self.term_prod())
+        return left
+
+    def term_prod(self):
+        left = self.term_unary()
+        while self._take_op("."):
+            left = meet(left, self.term_unary())
+        return left
+
+    def term_unary(self):
+        if self._take_op("-"):
+            return Complement(self._nested(self.term_unary))
+        t = self._peek()
+        if t is None:
+            raise FormulaSyntaxError("unexpected end of term", len(self.text))
+        if t[0] == "var":
+            self.pos += 1
+            return Variable(t[1])
+        if t[0] == "op" and t[1] == "0":
+            self.pos += 1
+            return zero_term(self.carrier)
+        if t[0] == "op" and t[1] == "1":
+            self.pos += 1
+            return one_term(self.carrier)
+        if self._take_op("("):
+            inner = self._nested(self.term)
+            self._expect_op(")")
+            return inner
+        raise FormulaSyntaxError(f"cannot parse term at {t[1]!r}", t[2])
+
+
+def _reference_finish(parser: _ReferenceParser, tree):
+    if parser.pos != len(parser.tokens):
+        tok = parser.tokens[parser.pos]
+        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    lg._check_height(tree)
+    return tree
+
+
+def reference_parse(text: str) :
+    """Parse a formula; 0 and 1 expand over the first variable occurring
+    in the formula (or the variable ``a`` when there is none).  Input nested
+    deeper than ``MAX_NESTING`` levels is a ``FormulaSyntaxError``."""
+    parser = _ReferenceParser(text)
+    return _reference_finish(parser, parser.formula())
+
+
+def reference_parse_term(text: str) :
+    parser = _ReferenceParser(text)
+    return _reference_finish(parser, parser.term())

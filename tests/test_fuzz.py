@@ -1,11 +1,13 @@
-"""Hypothesis fuzzing of ``poly`` text through ``cli.run``.
+"""Hypothesis fuzzing of ``poly`` and formula text through ``cli.run``.
 
 Valid ``poly`` files are mutated: tokens deleted or duplicated, a numeral
 replaced by one of over 4,300 digits (CPython's limit for converting a
 string to an int), by ``p/0`` or by ``p/-q``, a constraint's normal zeroed
 (``0 0 <= c``), and the file truncated.  ``sc-check`` and ``bool-op union``
 on each must end with a documented exit code and print no traceback; a
-parse error is one ``error:`` line on stderr.
+parse error is one ``error:`` line on stderr.  Random formulas, some with
+tokens deleted, inserted or replaced, go through ``countermodel`` and
+``eval`` under the same rules.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polycontact.cli import run
+from helpers import formula_texts
 
 VALID = [
     "poly { basic { -1 0 <= 0; 0 -1 <= 0 } }",
@@ -67,6 +70,13 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_clean_exit(code, err, codes):
+    assert code in codes
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_poly(), st.sampled_from(VALID), st.booleans())
@@ -82,7 +92,20 @@ def test_mutated_poly_exits_cleanly(tmp_path, text, other, first):
     pair = [str(a), str(b)] if first else [str(b), str(a)]
     for argv in (["sc-check", *pair], ["bool-op", "union", *pair]):
         code, _, err = run_cli(argv)
-        assert code in (0, 1, 2, 3, 4)
-        assert "Traceback" not in err
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1
+        assert_clean_exit(code, err, (0, 1, 2, 3, 4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(formula_texts())
+@example("C(p")
+@example("p == q == r")
+@example("-p == ~q")
+@example("(" * 101 + "p == q" + ")" * 101)
+def test_formula_text_exits_cleanly(tmp_path, text):
+    space = tmp_path / "triangle.graph"
+    space.write_text("space { cells a b c; edges a-b b-c c-a; }")
+    # "--" so that a formula starting with "-" is not read as a flag
+    for argv in (["countermodel", "--bound", "2", "--", text], ["eval", "--", text, str(space)]):
+        code, _, err = run_cli(argv)
+        assert_clean_exit(code, err, (0, 1, 2))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycontact import bitslice as bs
@@ -14,9 +14,43 @@ from polycontact import logic as lg
 from polycontact.adjacency import mk_space
 from polycontact.algebra import FiniteContactAlgebra, IntervalAlgebra, induced_algebra
 from polycontact.intervals import random_interval_polytope
-from helpers import batch_true_in_algebra, scalar_find_countermodel, scan_connected_spaces
+from helpers import (
+    batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
+    reference_parse, reference_parse_term, scalar_find_countermodel, scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+# each wrap nests the text one level: in the parser, in the tree, or both
+FORMULA_WRAPS = {"(": "({})", "~": "~{}", "|": "{} | p == q", "&": "p != q & ({})",
+                 "=>": "p <= q => {}", "<=>": "{} <=> C(p, q)"}
+TERM_WRAPS = {"-": "-{}", "t(": "({})", "+": "{} + q", ".": "q . ({})"}
+
+
+@st.composite
+def deep_texts(draw) -> str:
+    """A term nesting ``-``, ``(``, ``+`` and ``.``, a relation over it
+    nesting ``(``, ``~``, ``|``, ``&``, ``=>`` and ``<=>``, or both kinds of
+    wraps around ``p == q`` in the order drawn, mostly ill-sorted (a formula
+    inside ``-(...)``): 40-150 levels, around ``MAX_NESTING``, some of the
+    texts mutated."""
+    shape = draw(st.sampled_from(["term", "formula", "drawn order"]))
+    kinds = [*TERM_WRAPS] if shape == "term" else [*FORMULA_WRAPS, *TERM_WRAPS]
+    levels = draw(st.lists(st.sampled_from(kinds), min_size=40, max_size=150))
+    if shape == "drawn order":
+        text = "p == q"
+        for kind in levels:
+            text = {**FORMULA_WRAPS, **TERM_WRAPS}[kind].format(text)
+        return mutate_formula_text(draw, text)
+    term = "p"
+    for kind in levels:
+        if kind in TERM_WRAPS:
+            term = TERM_WRAPS[kind].format(term)
+    text = f"{term} == q"
+    for kind in levels:
+        if kind in FORMULA_WRAPS:
+            text = FORMULA_WRAPS[kind].format(text)
+    return mutate_formula_text(draw, term if shape == "term" else text)
 
 
 class TestParser:
@@ -131,6 +165,21 @@ class TestParser:
         assert lg.parse("(" * depth + "p == q" + ")" * depth) == lg.parse("p == q")
         assert lg.parse(" | ".join(["p == q"] * (depth - 1))) is not None
         assert lg.parse_term("-" * (depth - 1) + "p") is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formula_texts(), deep_texts()))
+    @example("p == q | r")
+    @example("p + (" + "~" * 120 + "q == p) == q")
+    def test_matches_reference_parser(self, text):
+        # equal trees, both rejecting, or the same "nested too deeply" error
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except lg.FormulaSyntaxError as err:
+                return str(err) if "nested too deeply" in str(err) else "rejected"
+
+        assert outcome(lg.parse, text) == outcome(reference_parse, text)
+        assert outcome(lg.parse_term, text) == outcome(reference_parse_term, text)
 
 
 class TestEvaluate:
@@ -279,29 +328,6 @@ def finite_algebras(draw, max_cells=4):
     n = draw(st.integers(1, max_cells))
     succ = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     return FiniteContactAlgebra("abcd"[:n], succ)
-
-
-def random_formula_text(rng: random.Random, names, depth: int = 3) -> str:
-    """A formula in the concrete syntax, abbreviations included."""
-    def term(d):
-        if d == 0 or rng.random() < 0.3:
-            return rng.choice(names) if rng.random() < 0.8 else rng.choice("01")
-        op = rng.choice(["-", "+", "."])
-        if op == "-":
-            return f"-({term(d - 1)})"
-        return f"({term(d - 1)} {op} {term(d - 1)})"
-
-    def formula(d):
-        if d == 0 or rng.random() < 0.3:
-            rel = rng.choice(["==", "!=", "<=", "C"])
-            a, b = term(2), term(2)
-            return f"C({a}, {b})" if rel == "C" else f"{a} {rel} {b}"
-        op = rng.choice(["~", "|", "&", "=>", "<=>"])
-        if op == "~":
-            return f"~({formula(d - 1)})"
-        return f"({formula(d - 1)} {op} {formula(d - 1)})"
-
-    return formula(depth)
 
 
 def seeded_non_theorems(count: int, names, bound: int) -> list[lg.Formula]:

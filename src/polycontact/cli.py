@@ -312,8 +312,17 @@ def _cmd_render(args) -> int:
 BOUND_HELP = f"most cells a countermodel may have, 1 to {lg.MAX_BOUND} (default 4)"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a rejected command line as a ``CliParseError``, which ``run``
+    prints as one ``error:`` line, instead of printing the usage text and
+    exiting; its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise CliParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="polycontact",
         description="strong contact between polytopes, contact-algebra audits, "
                     "and countermodel synthesis")
@@ -395,7 +404,10 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except CliParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except SystemExit as exc:  # --help
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)

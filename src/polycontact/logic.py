@@ -19,7 +19,16 @@ Precedence, tightest first: unary ``-``, ``.``, ``+``, the non-associative
 relations ``== != <=``, ``~``, ``&``, ``|``, ``=>`` (right-associative),
 ``<=>`` (left-associative); ``.``, ``+``, ``&`` and ``|`` associate to the
 left.  One operator table drives the parser, and each operator checks
-whether its operands are terms or formulas.
+whether its operands are terms or formulas.  Each operator also gives the
+tree height of the node it builds from its operands' heights, so the parser
+knows the height of every tree it returns and the ``MAX_NESTING`` limit on
+it costs no second walk.
+
+Every walker over terms and formulas (evaluation, printing, compilation and
+the child lists behind ``free_variables`` and scheme matching) dispatches on
+``type(node)``, through a table or an ``is`` chain: a ``match`` over class
+patterns pays an ``isinstance`` test and attribute lookups for every case it
+tries.
 
 Axiom-scheme recognition uses a fixed propositional basis (the standard
 three implication/negation schemes), the equational Boolean-algebra basis
@@ -149,6 +158,8 @@ class Or(_Node):
 
 
 Formula = Eq | Contact | Not | Or
+_TERM_TYPES = frozenset((Variable, Complement, Join))
+_FORMULA_TYPES = frozenset((Eq, Contact, Not, Or))
 
 
 def meet(a: Term, b: Term) -> Term:
@@ -175,15 +186,23 @@ def iff(a: Formula, b: Formula) -> Formula:
     return conj(implies(a, b), implies(b, a))
 
 
+# the child nodes of each node type, in field order
+_CHILDREN = {
+    Variable: lambda node: (),
+    Complement: lambda node: (node.term,),
+    Join: lambda node: (node.left, node.right),
+    Eq: lambda node: (node.left, node.right),
+    Contact: lambda node: (node.left, node.right),
+    Not: lambda node: (node.body,),
+    Or: lambda node: (node.left, node.right),
+}
+
+
 def _children(node) -> tuple:
-    match node:
-        case Variable(_):
-            return ()
-        case Complement(t) | Not(t):
-            return (t,)
-        case Join(a, b) | Eq(a, b) | Contact(a, b) | Or(a, b):
-            return (a, b)
-    raise TypeError(f"not a term or formula: {node!r}")
+    children = _CHILDREN.get(type(node))
+    if children is None:
+        raise TypeError(f"not a term or formula: {node!r}")
+    return children(node)
 
 
 def free_variables(f: Formula) -> set[str]:
@@ -193,7 +212,7 @@ def free_variables(f: Formula) -> set[str]:
     abbreviations (``<=>`` above all) share subtrees: a chain of n ``<=>``
     links is a DAG of O(n) nodes but a tree of 2^n.
     """
-    if not isinstance(f, (Eq, Contact, Not, Or)):
+    if type(f) not in _FORMULA_TYPES:
         raise TypeError(f"not a formula: {f!r}")
     names: set[str] = set()
     seen: set[int] = set()
@@ -203,7 +222,7 @@ def free_variables(f: Formula) -> set[str]:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if isinstance(node, Variable):
+        if type(node) is Variable:
             names.add(node.name)
         else:
             stack.extend(_children(node))
@@ -211,25 +230,26 @@ def free_variables(f: Formula) -> set[str]:
 
 
 def term_depth(t: Term) -> int:
-    match t:
-        case Variable(_):
-            return 0
-        case Complement(inner):
-            return 1 + term_depth(inner)
-        case Join(left, right):
-            return 1 + max(term_depth(left), term_depth(right))
+    kind = type(t)
+    if kind is Variable:
+        return 0
+    if kind is Complement:
+        return 1 + term_depth(t.term)
+    if kind is Join:
+        return 1 + max(term_depth(t.left), term_depth(t.right))
     raise TypeError(f"not a term: {t!r}")
 
 
 def format_term(t: Term) -> str:
-    match t:
-        case Variable(name):
-            return name
-        case Complement(inner):
-            return f"-{format_term(inner)}" if isinstance(inner, Variable) \
-                else f"-({format_term(inner)})"
-        case Join(left, right):
-            return f"({format_term(left)} + {format_term(right)})"
+    kind = type(t)
+    if kind is Variable:
+        return t.name
+    if kind is Complement:
+        inner = t.term
+        return f"-{inner.name}" if type(inner) is Variable else f"-({format_term(inner)})"
+    if kind is Join:
+        return f"({format_term(t.left)} + {format_term(t.right)})"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def format_formula(f: Formula) -> str:
@@ -240,15 +260,16 @@ def format_formula(f: Formula) -> str:
     link (342, 6,102 and 98,262 characters at 4, 8 and 12 operands), and no
     memoisation makes this function polynomial on such input.
     """
-    match f:
-        case Eq(left, right):
-            return f"{format_term(left)} == {format_term(right)}"
-        case Contact(left, right):
-            return f"C({format_term(left)}, {format_term(right)})"
-        case Not(body):
-            return f"~({format_formula(body)})"
-        case Or(left, right):
-            return f"({format_formula(left)} | {format_formula(right)})"
+    kind = type(f)
+    if kind is Or:
+        return f"({format_formula(f.left)} | {format_formula(f.right)})"
+    if kind is Not:
+        return f"~({format_formula(f.body)})"
+    if kind is Eq:
+        return f"{format_term(f.left)} == {format_term(f.right)}"
+    if kind is Contact:
+        return f"C({format_term(f.left)}, {format_term(f.right)})"
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +283,30 @@ class FormulaSyntaxError(ValueError):
 
 
 # Deepest nesting accepted, counted both while parsing (prefix operators,
-# parentheses and right-nested ``=>`` open at once) and as the depth of the
-# parse tree.  Every recursive walk over a formula (evaluation, printing,
-# hashing) then stays far inside Python's default recursion limit.
+# parentheses and right-nested ``=>`` open at once) and as the height of the
+# parse tree, which the parser carries along with every node it builds.
+# Every recursive walk over a formula (evaluation, printing, hashing) then
+# stays far inside Python's default recursion limit.
 MAX_NESTING = 100
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<C>C)(?=\()|(?P<var>[a-z][a-z0-9]*)")
+    r"(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<C>C)(?=\()|(?P<var>[a-z][a-z0-9]*)"
+    r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of every token, in one scan, then an
+    end-of-input sentinel."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
 
 
@@ -292,29 +315,40 @@ class _Op(NamedTuple):
     right: bool  # the operand after it is parsed at prec, not prec + 1: prefix or right-assoc
     terms: bool  # its operands are terms, not formulas
     build: Callable
+    height: Callable  # the built node's tree height from its operands' heights
+
+
+def _one_up(*heights: int) -> int:
+    return 1 + max(heights)
 
 
 # Every term operator binds tighter than every formula operator, so what is
 # parsed at _TERM or above is a term.  A relation takes terms to a formula,
-# so ``a == b == c`` is a sort error: the relations do not associate.
+# so ``a == b == c`` is a sort error: the relations do not associate.  Each
+# height counts the nodes an abbreviation expands to: ``a <=> b`` is
+# ~(~(~a | b) | ~(~b | a)), five levels above its operands.
 _TERM = 7  # "+"
 _INFIX = {
-    "<=>": _Op(1, False, False, iff),
-    "=>": _Op(2, True, False, implies),
-    "|": _Op(3, False, False, Or),
-    "&": _Op(4, False, False, conj),
-    "==": _Op(6, False, True, Eq),
-    "!=": _Op(6, False, True, lambda a, b: Not(Eq(a, b))),
-    "<=": _Op(6, False, True, lambda a, b: Eq(Join(a, b), b)),
-    "+": _Op(7, False, True, Join),
-    ".": _Op(8, False, True, meet),
+    "<=>": _Op(1, False, False, iff, lambda a, b: 5 + max(a, b)),
+    "=>": _Op(2, True, False, implies, lambda a, b: 1 + max(a + 1, b)),
+    "|": _Op(3, False, False, Or, _one_up),
+    "&": _Op(4, False, False, conj, lambda a, b: 3 + max(a, b)),
+    "==": _Op(6, False, True, Eq, _one_up),
+    "!=": _Op(6, False, True, lambda a, b: Not(Eq(a, b)), lambda a, b: 2 + max(a, b)),
+    "<=": _Op(6, False, True, lambda a, b: Eq(Join(a, b), b), lambda a, b: 2 + max(a, b)),
+    "+": _Op(7, False, True, Join, _one_up),
+    ".": _Op(8, False, True, meet, lambda a, b: 3 + max(a, b)),
 }
-_PREFIX = {"~": _Op(5, True, False, Not), "-": _Op(9, True, True, Complement)}
+_PREFIX = {"~": _Op(5, True, False, Not, _one_up),
+           "-": _Op(9, True, True, Complement, _one_up)}
+# tree heights of a variable and of the expanded constants: 0 is
+# -((-a) + (--a)) over its carrier a, and 1 is -0
+_VARIABLE_HEIGHT, _ZERO_HEIGHT, _ONE_HEIGHT = 1, 5, 6
 
 
 def _sorted(node, terms: bool, where: int):
     """``node``, if it is a term exactly when ``terms``."""
-    if isinstance(node, Term) != terms:
+    if (type(node) in _TERM_TYPES) != terms:
         raise FormulaSyntaxError("expected a term" if terms else "expected a formula", where)
     return node
 
@@ -322,10 +356,11 @@ def _sorted(node, terms: bool, where: int):
 class _Parser:
     """Precedence climbing over ``_INFIX`` and ``_PREFIX`` (Pratt, "Top down
     operator precedence", 1973), one expression grammar for terms and
-    formulas."""
+    formulas.  ``expr`` and ``operand`` return each node with its tree
+    height."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text) + [("end", "end of input", len(text))]
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         # 0 and 1 expand over the first variable of the text: the
@@ -343,7 +378,7 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {op!r}, got {value!r}", where)
         self.pos += 1
 
-    def _nested(self, prec: int):
+    def _nested(self, prec: int) -> tuple:
         """``expr(prec)`` one level down, after a prefix operator, '(' or '=>'."""
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -352,10 +387,11 @@ class _Parser:
         self.depth -= 1
         return out
 
-    def expr(self, min_prec: int):
-        """The longest expression whose operators bind at ``min_prec`` or tighter."""
+    def expr(self, min_prec: int) -> tuple:
+        """The longest expression whose operators bind at ``min_prec`` or
+        tighter, and its height."""
         start = self._here()
-        left = self.operand(min_prec)
+        left, height = self.operand(min_prec)
         while True:
             op = _INFIX.get(self.tokens[self.pos][1])
             if op is None or op.prec < min_prec:
@@ -363,15 +399,16 @@ class _Parser:
             _sorted(left, op.terms, start)
             self.pos += 1
             at = self._here()
-            right = self._nested(op.prec) if op.right else self.expr(op.prec + 1)
+            right, right_height = self._nested(op.prec) if op.right else self.expr(op.prec + 1)
             left = op.build(left, _sorted(right, op.terms, at))
-        return left
+            height = op.height(height, right_height)
+        return left, height
 
-    def operand(self, min_prec: int):
+    def operand(self, min_prec: int) -> tuple:
         """A variable, constant, contact atom, parenthesis or prefix operator
-        application.  Where a term is due, '~' and 'C' fail where they stand
-        and a parenthesis holds a term, so a sort error never waits for a
-        deeply nested operand to close."""
+        application, and its height.  Where a term is due, '~' and 'C' fail
+        where they stand and a parenthesis holds a term, so a sort error
+        never waits for a deeply nested operand to close."""
         kind, value, where = self.tokens[self.pos]
         term_only = min_prec >= _TERM
         if term_only and value in ("~", "C"):
@@ -380,59 +417,40 @@ class _Parser:
             raise FormulaSyntaxError("unexpected end of input", where)
         self.pos += 1
         if kind == "var":
-            return Variable(value)
+            return Variable(value), _VARIABLE_HEIGHT
         if value == "0":
-            return zero_term(self.carrier)
+            return zero_term(self.carrier), _ZERO_HEIGHT
         if value == "1":
-            return one_term(self.carrier)
+            return one_term(self.carrier), _ONE_HEIGHT
         if value in _PREFIX:
             op, at = _PREFIX[value], self._here()
-            return op.build(_sorted(self._nested(op.prec), op.terms, at))
+            inner, height = self._nested(op.prec)
+            return op.build(_sorted(inner, op.terms, at)), op.height(height)
         if value == "(":
             inner = self._nested(_TERM if term_only else 0)
             self._expect(")")
             return inner
         if kind == "C":
             self._expect("(")
-            left = self.expr(_TERM)
+            left, left_height = self.expr(_TERM)
             self._expect(",")
-            right = self.expr(_TERM)
+            right, right_height = self.expr(_TERM)
             self._expect(")")
-            return Contact(left, right)
+            return Contact(left, right), 1 + max(left_height, right_height)
         raise FormulaSyntaxError(f"unexpected {value!r}", where)
-
-
-def _check_height(root) -> None:
-    """Reject a parse tree more than ``MAX_NESTING`` nodes high: operator
-    chains such as ``a | b | ...`` nest the tree without nesting the
-    parser, and every recursive walk over a formula must stay far inside
-    Python's recursion limit.  Heights are memoised by node identity,
-    because the abbreviations (``<=>`` above all) share subtrees; the walk
-    stops as soon as it is too deep."""
-    heights: dict[int, int] = {}
-
-    def height(node, depth: int) -> int:
-        h = heights.get(id(node))
-        if h is None:
-            if depth > MAX_NESTING:
-                raise FormulaSyntaxError("nested too deeply", 0)
-            h = 0
-            for kid in _children(node):
-                h = max(h, height(kid, depth + 1))
-            h = heights[id(node)] = h + 1
-        return h
-
-    if height(root, 1) > MAX_NESTING:
-        raise FormulaSyntaxError("nested too deeply", 0)
 
 
 def _parse(text: str, min_prec: int):
     parser = _Parser(text)
-    tree = parser.expr(min_prec)
+    tree, height = parser.expr(min_prec)
     kind, value, where = parser.tokens[parser.pos]
     if kind != "end":
         raise FormulaSyntaxError(f"trailing input {value!r}", where)
-    _check_height(_sorted(tree, min_prec >= _TERM, 0))
+    _sorted(tree, min_prec >= _TERM, 0)
+    # operator chains such as ``a | b | ...`` nest the tree without nesting
+    # the parser
+    if height > MAX_NESTING:
+        raise FormulaSyntaxError("nested too deeply", 0)
     return tree
 
 
@@ -457,32 +475,32 @@ class UnboundVariable(LookupError):
 
 
 def term_value(t: Term, algebra: ContactAlgebra, valuation: Mapping[str, object]):
-    match t:
-        case Variable(name):
-            try:
-                return valuation[name]
-            except KeyError:
-                raise UnboundVariable(name) from None
-        case Complement(inner):
-            return algebra.complement(term_value(inner, algebra, valuation))
-        case Join(left, right):
-            return algebra.join(term_value(left, algebra, valuation),
-                                term_value(right, algebra, valuation))
+    kind = type(t)
+    if kind is Variable:
+        try:
+            return valuation[t.name]
+        except KeyError:
+            raise UnboundVariable(t.name) from None
+    if kind is Complement:
+        return algebra.complement(term_value(t.term, algebra, valuation))
+    if kind is Join:
+        return algebra.join(term_value(t.left, algebra, valuation),
+                            term_value(t.right, algebra, valuation))
     raise TypeError(f"not a term: {t!r}")
 
 
 def evaluate(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object]) -> bool:
-    match f:
-        case Eq(left, right):
-            return algebra.equal(term_value(left, algebra, valuation),
-                                 term_value(right, algebra, valuation))
-        case Contact(left, right):
-            return algebra.contact(term_value(left, algebra, valuation),
-                                   term_value(right, algebra, valuation))
-        case Not(body):
-            return not evaluate(body, algebra, valuation)
-        case Or(left, right):
-            return evaluate(left, algebra, valuation) or evaluate(right, algebra, valuation)
+    kind = type(f)
+    if kind is Or:
+        return evaluate(f.left, algebra, valuation) or evaluate(f.right, algebra, valuation)
+    if kind is Not:
+        return not evaluate(f.body, algebra, valuation)
+    if kind is Eq:
+        return algebra.equal(term_value(f.left, algebra, valuation),
+                             term_value(f.right, algebra, valuation))
+    if kind is Contact:
+        return algebra.contact(term_value(f.left, algebra, valuation),
+                               term_value(f.right, algebra, valuation))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -514,7 +532,7 @@ def compile_formula(f: Formula) -> bs.Program:
             stack.append((node, True))
             stack.extend((kid, False) for kid in kids)
             continue
-        if isinstance(node, Variable):
+        if type(node) is Variable:
             key = (bs.VAR, node.name)
         else:
             key = (_OPCODES[type(node)], *(done[id(kid)] for kid in kids))
@@ -551,29 +569,29 @@ class OnePattern:
 
 
 def _match(pattern, node, bindings: dict) -> bool:
-    match pattern:
-        case MetaTerm(name) | MetaFormula(name):
-            if name in bindings:
-                return bindings[name] == node
-            bindings[name] = node
-            return True
-        case ZeroPattern():
-            return _is_zero_expansion(node)
-        case OnePattern():
-            return isinstance(node, Complement) and _is_zero_expansion(node.term)
-        case Variable(name):
-            return isinstance(node, Variable) and node.name == name
-    parts = _children(pattern)
-    return type(node) is type(pattern) and all(
-        _match(p, n, bindings) for p, n in zip(parts, _children(node)))
+    kind = type(pattern)
+    if kind is MetaTerm or kind is MetaFormula:
+        if pattern.name in bindings:
+            return bindings[pattern.name] == node
+        bindings[pattern.name] = node
+        return True
+    if kind is ZeroPattern:
+        return _is_zero_expansion(node)
+    if kind is OnePattern:
+        return type(node) is Complement and _is_zero_expansion(node.term)
+    if kind is Variable:
+        return type(node) is Variable and node.name == pattern.name
+    return type(node) is kind and all(
+        _match(p, n, bindings) for p, n in zip(_children(pattern), _children(node)))
 
 
 def _is_zero_expansion(node) -> bool:
     # t.(-t) = -((-t) + (--t))
-    match node:
-        case Complement(Join(Complement(t1), Complement(Complement(t2)))):
-            return t1 == t2
-    return False
+    if type(node) is not Complement or type(node.term) is not Join:
+        return False
+    left, right = node.term.left, node.term.right
+    return (type(left) is Complement and type(right) is Complement
+            and type(right.term) is Complement and left.term == right.term.term)
 
 
 def _schemes() -> list[tuple[str, object]]:
@@ -668,16 +686,16 @@ def generate_axiom_instances(names: Sequence[str] = ("p", "q"),
     out: list[tuple[str, Formula]] = []
 
     def fill(pattern, bindings):
-        match pattern:
-            case MetaTerm(name) | MetaFormula(name):
-                return bindings[name]
-            case ZeroPattern():
-                return zero_term(Variable(names[0]))
-            case OnePattern():
-                return one_term(Variable(names[0]))
-            case Variable(_):
-                return pattern
-        return type(pattern)(*(fill(p, bindings) for p in _children(pattern)))
+        kind = type(pattern)
+        if kind is MetaTerm or kind is MetaFormula:
+            return bindings[pattern.name]
+        if kind is ZeroPattern:
+            return zero_term(Variable(names[0]))
+        if kind is OnePattern:
+            return one_term(Variable(names[0]))
+        if kind is Variable:
+            return pattern
+        return kind(*(fill(p, bindings) for p in _children(pattern)))
 
     for name, pattern in SCHEMES:
         meta_terms = sorted(_collect_meta(pattern, MetaTerm))
@@ -695,9 +713,9 @@ def _collect_meta(pattern, kind) -> set[str]:
     found: set[str] = set()
 
     def walk(node):
-        if isinstance(node, kind):
+        if type(node) is kind:
             found.add(node.name)
-        elif isinstance(node, _Node):
+        elif type(node) in _CHILDREN:
             for child in _children(node):
                 walk(child)
 

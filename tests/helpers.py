@@ -8,7 +8,9 @@ all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
 plane kernel, the ``merge`` on geometric unions kept for the segment
 masks, the recursive-descent formula parser kept for the precedence-climbing
-one, and random formula text in the concrete syntax."""
+one, the ``match``-based evaluator and tree-height walk kept for the
+type-dispatched evaluator and the height the parser carries, and random
+formula text in the concrete syntax."""
 
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
 from polycontact.logic import (
-    MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, Variable, conj,
-    evaluate, free_variables, iff, implies, meet, one_term, zero_term)
+    MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, UnboundVariable,
+    Variable, conj, evaluate, free_variables, iff, implies, meet, one_term, zero_term)
 
 CELLS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -543,7 +545,7 @@ _REFERENCE_TOKEN_RE = re.compile(
     r"\s*(?:(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<cname>C)(?=\()|(?P<var>[a-z][a-z0-9]*))")
 
 
-def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -568,7 +570,7 @@ class _ReferenceParser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _reference_tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.pos = 0
         self.depth = 0
         # 0 and 1 expand over the first variable of the text: the
@@ -715,7 +717,7 @@ def _reference_finish(parser: _ReferenceParser, tree):
     if parser.pos != len(parser.tokens):
         tok = parser.tokens[parser.pos]
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    lg._check_height(tree)
+    reference_check_height(tree)
     return tree
 
 
@@ -730,3 +732,75 @@ def reference_parse(text: str) :
 def reference_parse_term(text: str) :
     parser = _ReferenceParser(text)
     return _reference_finish(parser, parser.term())
+
+
+# ---------------------------------------------------------------------------
+# the ``match``-based walkers, kept as the references for the type-dispatched
+# ones in ``logic``, and the separate tree-height walk, kept as the reference
+# for the height the parser carries
+# ---------------------------------------------------------------------------
+
+def _reference_children(node) -> tuple:
+    match node:
+        case Variable(_):
+            return ()
+        case Complement(t) | Not(t):
+            return (t,)
+        case Join(a, b) | Eq(a, b) | Contact(a, b) | Or(a, b):
+            return (a, b)
+    raise TypeError(f"not a term or formula: {node!r}")
+
+
+def reference_check_height(root) -> None:
+    """Reject a parse tree more than ``MAX_NESTING`` nodes high: operator
+    chains such as ``a | b | ...`` nest the tree without nesting the
+    parser, and every recursive walk over a formula must stay far inside
+    Python's recursion limit.  Heights are memoised by node identity,
+    because the abbreviations (``<=>`` above all) share subtrees; the walk
+    stops as soon as it is too deep."""
+    heights: dict[int, int] = {}
+
+    def height(node, depth: int) -> int:
+        h = heights.get(id(node))
+        if h is None:
+            if depth > MAX_NESTING:
+                raise FormulaSyntaxError("nested too deeply", 0)
+            h = 0
+            for kid in _reference_children(node):
+                h = max(h, height(kid, depth + 1))
+            h = heights[id(node)] = h + 1
+        return h
+
+    if height(root, 1) > MAX_NESTING:
+        raise FormulaSyntaxError("nested too deeply", 0)
+
+
+def reference_term_value(t, algebra, valuation):
+    match t:
+        case Variable(name):
+            try:
+                return valuation[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        case Complement(inner):
+            return algebra.complement(reference_term_value(inner, algebra, valuation))
+        case Join(left, right):
+            return algebra.join(reference_term_value(left, algebra, valuation),
+                                reference_term_value(right, algebra, valuation))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_evaluate(f, algebra, valuation) -> bool:
+    match f:
+        case Eq(left, right):
+            return algebra.equal(reference_term_value(left, algebra, valuation),
+                                 reference_term_value(right, algebra, valuation))
+        case Contact(left, right):
+            return algebra.contact(reference_term_value(left, algebra, valuation),
+                                   reference_term_value(right, algebra, valuation))
+        case Not(body):
+            return not reference_evaluate(body, algebra, valuation)
+        case Or(left, right):
+            return (reference_evaluate(left, algebra, valuation)
+                    or reference_evaluate(right, algebra, valuation))
+    raise TypeError(f"not a formula: {f!r}")

@@ -166,6 +166,43 @@ def test_out_of_range_flag_exit_2(argv, files, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sc-check", "FILE", "FILE", "--frobnicate"],
+    ["sc-check", "FILE"],
+    ["untie", "FILE", "FILE"],
+    ["countermodel", "p == q", "--bound", "x"],
+    ["countermodel", "-p==q", "--bound", "2"],
+    ["eval", "-p==q", "FILE"],
+    ["frobnicate"],
+    [],
+], ids=["unknown-flag", "missing-argument", "extra-argument", "bound-not-int",
+        "countermodel-dash-formula", "eval-dash-formula", "unknown-command", "no-command"])
+def test_rejected_command_line_is_one_error_line(argv, files, capsys):
+    write, _ = files
+    path = write("e.graph", "space { cells a b; edges a-b; }")
+    assert run([path if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_dash_formula_after_double_dash(files, capsys):
+    write, _ = files
+    path = write("e.graph", "space { cells a b; edges a-b; }")
+    assert run(["countermodel", "--bound", "2", "--", "-p==q"]) == 1
+    assert "val p:" in capsys.readouterr().out
+    assert run(["eval", "--", "-p==q", path]) == 0
+    assert "true-in-space=false" in capsys.readouterr().out
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: polycontact") and "synthesize" in out
+    assert run(["eval", "--help"]) == 0
+    assert "--val" in capsys.readouterr().out
+
+
 def test_countermodel_exit_codes(capsys):
     assert run(["countermodel", "C(p,q) => p.q != 0", "--bound", "3"]) == 1
     out = capsys.readouterr().out

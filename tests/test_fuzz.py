@@ -7,7 +7,9 @@ string to an int), by ``p/0`` or by ``p/-q``, a constraint's normal zeroed
 on each must end with a documented exit code and print no traceback; a
 parse error is one ``error:`` line on stderr.  Random formulas, some with
 tokens deleted, inserted or replaced, go through ``countermodel`` and
-``eval`` under the same rules.
+``eval`` under the same rules.  Certificates, the flagship one with lines
+deleted, duplicated or edited, must get a ``verify`` report whenever they
+parse, and ``render`` must end with exit code 0, 2 or 3.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ import re
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from polycontact import pipeline as pp
+from polycontact.algebra import AuditReport
 from polycontact.cli import run
 from helpers import formula_texts
 
@@ -109,3 +113,50 @@ def test_formula_text_exits_cleanly(tmp_path, text):
     for argv in (["countermodel", "--bound", "2", "--", text], ["eval", "--", text, str(space)]):
         code, _, err = run_cli(argv)
         assert_clean_exit(code, err, (0, 1, 2))
+
+
+FLAGSHIP = pp.serialize_certificate(pp.synthesize("C(p,q) => p.q != 0", 2, 1))
+# words an edit may put in place of a word of a line: the certificate's own,
+# and words that are wrong wherever they land
+EDIT_WORDS = sorted(set(FLAGSHIP.split())) + [
+    "", "z", "c", "r", "0", "-1", "1/0", "n=0", "n=2", "n=x", "[3,1]", "(-inf,1]", "empty",
+    "all", "a-a", "b-c", "C(p", "p.q", "true", "x:", "{", "}"]
+
+
+@st.composite
+def mutated_certificates(draw) -> str:
+    lines = FLAGSHIP.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        kind = draw(st.sampled_from(["delete", "duplicate", "edit"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(EDIT_WORDS))
+            lines[i] = " ".join(words)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_certificates())
+@example(FLAGSHIP)
+@example(FLAGSHIP.replace("val p: a\n", "val p: z\n", 1))
+@example(FLAGSHIP.replace("map a: a\nmap b: b\n", ""))
+@example(FLAGSHIP.replace("cyl n=1 { [1,2] }", "cyl n=2 { [1,2] }", 1))
+def test_mutated_certificate_verifies_or_is_rejected(tmp_path, text):
+    try:
+        cert = pp.parse_certificate(text)
+    except ValueError:
+        pass
+    else:
+        assert isinstance(pp.verify(cert), AuditReport)
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    code, _, err = run_cli(["render", str(path), "--svg", str(tmp_path / "cert.svg")])
+    assert_clean_exit(code, err, (0, 2, 3))

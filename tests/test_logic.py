@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from polycontact import bitslice as bs
 from polycontact import logic as lg
 from polycontact.adjacency import mk_space
-from polycontact.algebra import FiniteContactAlgebra, IntervalAlgebra, induced_algebra
+from polycontact.algebra import (CylinderAlgebra, FiniteContactAlgebra, IntervalAlgebra,
+                                 induced_algebra)
 from polycontact.intervals import random_interval_polytope
 from helpers import (
     batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
-    reference_parse, reference_parse_term, scalar_find_countermodel, scan_connected_spaces)
+    reference_evaluate, reference_parse, reference_parse_term, reference_tokenize,
+    scalar_find_countermodel, scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -51,6 +53,54 @@ def deep_texts(draw) -> str:
         if kind in FORMULA_WRAPS:
             text = FORMULA_WRAPS[kind].format(text)
     return mutate_formula_text(draw, term if shape == "term" else text)
+
+
+def _formula_chain(op: str, side: str, links: int) -> str:
+    text = "p == q"
+    for _ in range(links):
+        text = f"({text}) {op} p == q" if side == "left" else f"p == q {op} ({text})"
+    return text
+
+
+def _term_chain(op: str, side: str, links: int) -> str:
+    text = "p"
+    for _ in range(links):
+        text = f"({text}) {op} q" if side == "left" else f"q {op} ({text})"
+    return text
+
+
+# name -> (entry point, text(k)): a text one tree level higher per unit of k
+# (a "| p == q" or "+ q" link, or one more prefix operator) around the
+# operator, constant or contact atom named, which the rest of the text
+# nests on the side named; chains are long enough that each operator makes
+# most of the height
+FORMULA_LINKS = {"<=>": 12, "=>": 24, "|": 40, "&": 16}
+TERM_LINKS = {"+": 40, ".": 16}
+HEIGHT_CASES = {
+    **{f"{op} {side}": ("formula", lambda k, op=op, side=side: (
+        f"({_formula_chain(op, side, links)})" + " | p == q" * k))
+       for op, links in FORMULA_LINKS.items() for side in ("left", "right")},
+    **{f"{op} {side}": ("formula", lambda k, op=op, side=side: (
+        f"({_term_chain(op, side, links)})" + " + q" * k + " == p"))
+       for op, links in TERM_LINKS.items() for side in ("left", "right")},
+    **{f"{op} term {side}": ("term", lambda k, op=op, side=side: (
+        f"({_term_chain(op, side, links)})" + " + q" * k))
+       for op, links in TERM_LINKS.items() for side in ("left", "right")},
+    **{f"{op} left": ("formula", lambda k, op=op: "p" + " + q" * k + f" {op} p")
+       for op in ("==", "!=", "<=")},
+    **{f"{op} right": ("formula", lambda k, op=op: f"p {op} p" + " + q" * k)
+       for op in ("==", "!=", "<=")},
+    "~": ("formula", lambda k: "~" * k + "p == q"),
+    "-": ("formula", lambda k: "-" * k + "p == q"),
+    "- term": ("term", lambda k: "-" * k + "p"),
+    "0": ("formula", lambda k: "0" + " + q" * k + " == p"),
+    "1": ("formula", lambda k: "1" + " + q" * k + " == p"),
+    "0 term": ("term", lambda k: "q + 0" + " + q" * k),
+    "1 term": ("term", lambda k: "q . 1" + " + q" * k),
+    "C left": ("formula", lambda k: "C(p" + " + q" * k + ", p)"),
+    "C right": ("formula", lambda k: "C(p, p" + " + q" * k + ")"),
+}
+TOO_DEEP = "nested too deeply at offset 0"
 
 
 class TestParser:
@@ -180,6 +230,49 @@ class TestParser:
 
         assert outcome(lg.parse, text) == outcome(reference_parse, text)
         assert outcome(lg.parse_term, text) == outcome(reference_parse_term, text)
+
+    @pytest.mark.parametrize("case", sorted(HEIGHT_CASES))
+    def test_height_limit_matches_reference_walk(self, case):
+        # the reference parser checks the tree height with a separate walk;
+        # the last k it accepts gives a tree exactly MAX_NESTING high, the
+        # next one a tree one level higher
+        entry, text = HEIGHT_CASES[case]
+        parse, reference = ((lg.parse, reference_parse) if entry == "formula"
+                            else (lg.parse_term, reference_parse_term))
+
+        def outcome(parse, k):
+            try:
+                return parse(text(k))
+            except lg.FormulaSyntaxError as err:
+                assert "nested too deeply" in str(err)
+                return str(err)
+
+        def rejected(k):
+            return isinstance(outcome(reference, k), str)
+
+        lo, hi = 0, 2 * lg.MAX_NESTING
+        assert not rejected(lo) and rejected(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if rejected(mid) else (mid, hi)
+        assert outcome(parse, lo) == outcome(reference, lo)
+        assert outcome(parse, hi) == outcome(reference, hi) == TOO_DEEP
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formula_texts(),
+                     st.text(alphabet="pq01C(),-+.~|&=!<> \t\nA2_$", max_size=40)))
+    @example("p == q\u00a0| C(p, q)")
+    @example("C (p, q)")
+    @example("p == Q")
+    def test_tokenize_matches_reference(self, text):
+        # the same tokens, or the same "unexpected character" error
+        def outcome(tokenize):
+            try:
+                return [token for token in tokenize(text) if token[0] != "end"]
+            except lg.FormulaSyntaxError as err:
+                return str(err)
+
+        assert outcome(lg._tokenize) == outcome(reference_tokenize)
 
 
 class TestEvaluate:
@@ -339,6 +432,65 @@ def seeded_non_theorems(count: int, names, bound: int) -> list[lg.Formula]:
                 f, lg.enumerate_connected_spaces(bound)) is not None:
             out.append(f)
     return out
+
+
+def _evaluation(evaluate, f, algebra, valuation):
+    """The value and its type, or the variable found unbound."""
+    try:
+        value = evaluate(f, algebra, valuation)
+    except lg.UnboundVariable as exc:
+        return "unbound", exc.args[0]
+    return value, type(value)
+
+
+def _parsed(text: str):
+    try:
+        return lg.parse(text)
+    except lg.FormulaSyntaxError:
+        return None
+
+
+# the variables of the random formulas, and "a", over which 0 and 1 expand
+# in a formula with no variable
+VALUATION_NAMES = ("p", "q", "r", "a")
+
+
+def _assert_evaluations_match(f, algebra, values):
+    # under every subset of the variables left unbound, so that the
+    # evaluation order shows in which one is found unbound first
+    for bound in product((True, False), repeat=len(VALUATION_NAMES)):
+        valuation = {name: value for name, value, keep in zip(VALUATION_NAMES, values, bound)
+                     if keep}
+        assert (_evaluation(lg.evaluate, f, algebra, valuation)
+                == _evaluation(reference_evaluate, f, algebra, valuation))
+
+
+class TestEvaluateMatchesReference:
+    """The type-dispatched evaluator against the ``match``-based one it
+    replaced, also where variables are unbound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formula_texts(), st.integers(0, 2 ** 32 - 1))
+    def test_finite_algebras(self, text, seed):
+        # power-set algebras of 1-4 cells with arbitrary successor masks
+        f = _parsed(text)
+        if f is None:
+            return
+        rng = random.Random(seed)
+        for _ in range(8):
+            n = rng.randint(1, 4)
+            algebra = FiniteContactAlgebra("abcd"[:n], [rng.getrandbits(n) for _ in range(n)])
+            _assert_evaluations_match(f, algebra, [rng.getrandbits(n) for _ in VALUATION_NAMES])
+
+    @settings(max_examples=100, deadline=None)
+    @given(formula_texts(), st.integers(0, 2 ** 32 - 1))
+    def test_cylinder_algebra(self, text, seed):
+        f = _parsed(text)
+        if f is None:
+            return
+        rng = random.Random(seed)
+        algebra = CylinderAlgebra(1)
+        _assert_evaluations_match(f, algebra, [algebra.sample(rng) for _ in VALUATION_NAMES])
 
 
 class TestBitSlicedKernel:

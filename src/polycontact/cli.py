@@ -321,7 +321,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliParseError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name."""
     parser = _ArgumentParser(
         prog="polycontact",
         description="strong contact between polytopes, contact-algebra audits, "
@@ -397,15 +398,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--viewport", default="-6,-6,6,6")
     p.set_defaults(fn=_cmd_render)
 
-    return parser
+    return parser, sub.choices
+
+
+def _dash_hint(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> str:
+    """A note for a rejected command line that holds a token led by '-'
+    which is no option of its subcommand: argparse takes such a token (a
+    formula like ``-p==q``) for an unknown flag, and its own message then
+    names some other argument."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return ""
+    options = command._option_string_actions
+    for token in argv[1:]:
+        if token == "--":
+            break
+        if token.startswith("-") and token.split("=", 1)[0] not in options:
+            return (f"; {token!r} is no option of {argv[0]}: a formula"
+                    " starting with '-' goes after '--'")
+    return ""
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_dash_hint(commands, argv)}", file=sys.stderr)
         return EXIT_PARSE
     except SystemExit as exc:  # --help
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK

@@ -186,6 +186,35 @@ def test_rejected_command_line_is_one_error_line(argv, files, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "-p==q", "FILE"],
+    ["countermodel", "-p==q", "--bound", "2"],
+    ["synthesize", "-p==q"],
+    ["untie", "FILE", "--frobnicate"],
+], ids=["eval", "countermodel", "synthesize", "unknown-flag"])
+def test_dash_token_error_points_to_double_dash(argv, files, capsys):
+    # argparse takes "-p==q" for an unknown flag, so its own message names
+    # another argument
+    write, _ = files
+    path = write("e.graph", "space { cells a b; edges a-b; }")
+    assert run([path if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"is no option of {argv[0]}: a formula starting with '-' goes after '--'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sc-check", "FILE"],
+    ["countermodel", "--bound", "x", "--", "-p==q"],
+    ["countermodel", "--bound=x", "p == q"],
+], ids=["no-dash-token", "after-double-dash", "option-with-value"])
+def test_error_without_stray_dash_token_has_no_hint(argv, files, capsys):
+    write, _ = files
+    path = write("e.graph", "space { cells a b; edges a-b; }")
+    assert run([path if a == "FILE" else a for a in argv]) == 2
+    assert "no option" not in capsys.readouterr().err
+
+
 def test_dash_formula_after_double_dash(files, capsys):
     write, _ = files
     path = write("e.graph", "space { cells a b; edges a-b; }")

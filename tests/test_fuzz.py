@@ -9,7 +9,9 @@ parse error is one ``error:`` line on stderr.  Random formulas, some with
 tokens deleted, inserted or replaced, go through ``countermodel`` and
 ``eval`` under the same rules.  Certificates, the flagship one with lines
 deleted, duplicated or edited, must get a ``verify`` report whenever they
-parse, and ``render`` must end with exit code 0, 2 or 3.
+parse, and ``render`` must end with exit code 0, 2 or 3.  ``space`` texts
+from a small grammar, some with tokens deleted, duplicated or replaced, go
+through ``eval``, ``untie``, ``project`` and ``audit`` under the same rules.
 """
 
 import contextlib
@@ -160,3 +162,56 @@ def test_mutated_certificate_verifies_or_is_rejected(tmp_path, text):
     path.write_text(text)
     code, _, err = run_cli(["render", str(path), "--svg", str(tmp_path / "cert.svg")])
     assert_clean_exit(code, err, (0, 2, 3))
+
+
+CELLS = "abcde"
+# words a mutation may put in place of a token of a space text; "z" is the
+# only new cell name, so a mutated text keeps at most 6 cells
+SPACE_WORDS = [*CELLS, "z", "", "-", "a-", "-a", "a-a", "a-z", "a-b-c", "{", "}", ";",
+               "space", "cells", "edges", "nodes"]
+
+
+@st.composite
+def space_texts(draw) -> str:
+    """``space { cells ...; edges ...; }`` over up to 5 cells: a tree
+    over the cells (so most spaces are connected) plus drawn edges, the
+    sections in either order, some dropped, and some texts mutated."""
+    cells = draw(st.permutations(CELLS))[:draw(st.integers(1, 5))]
+    edges = [(cells[draw(st.integers(0, i - 1))], cells[i])
+             for i in range(1, len(cells)) if draw(st.integers(0, 5))]
+    edges += draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(cells)),
+                           max_size=4))
+    sections = [f"cells {' '.join(cells)};", f"edges {' '.join(f'{a}-{b}' for a, b in edges)};"]
+    sections = draw(st.permutations(sections))[draw(st.sampled_from([0, 0, 0, 1])):]
+    toks = tokens(f"space {{ {' '.join(sections)} }}")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        if not toks:
+            break
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        i = draw(st.integers(0, len(toks) - 1))
+        if kind == "delete":
+            del toks[i]
+        elif kind == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            toks[i] = draw(st.sampled_from(SPACE_WORDS))
+    return " ".join(toks)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(space_texts())
+@example("space { }")
+@example("space { cells a b; edges a-; }")
+@example("space { cells a b; edges a-b-c; }")
+@example("space { cells a b c; edges a-b b-c c-a; }")
+@example("space { cells a; edges a-a; }")
+@example("space cells a; }")
+def test_space_text_exits_cleanly(tmp_path, text):
+    path = tmp_path / "s.graph"
+    path.write_text(text)
+    graph = str(path)
+    for argv in (["eval", "C(p,q) => C(q,p)", graph], ["untie", graph], ["project", graph],
+                 ["audit", graph, "--samples", "3"]):
+        code, _, err = run_cli(argv)
+        assert_clean_exit(code, err, (0, 1, 2, 3, 4))

@@ -295,6 +295,22 @@ class TestEvaluate:
         with pytest.raises(lg.UnboundVariable):
             lg.evaluate(lg.parse("C(p,q)"), algebra, {"p": 1})
 
+    @pytest.mark.parametrize("q", [1, 2], ids=["operands-true", "operands-false"])
+    def test_iff_chain_evaluates_each_operand_at_most_twice(self, q):
+        # as a tree the chain has 2^19 copies of its first operand
+        calls = []
+
+        class Counting(FiniteContactAlgebra):
+            def equal(self, x, y):
+                calls.append(None)
+                return x == y
+
+        f = lg.parse(" <=> ".join(["p == q"] * 20))
+        algebra = Counting("ab", [3, 3])
+        # an even number of equal operands folds to true
+        assert lg.evaluate(f, algebra, {"p": 1, "q": q})
+        assert len(calls) <= 2 * 20
+
     def test_leq_respects_expansion(self):
         algebra = IntervalAlgebra()
         rng = random.Random(3)
@@ -623,6 +639,40 @@ class TestEnumeration:
         from polycontact.adjacency import is_connected
         for space in lg.enumerate_connected_spaces(4):
             assert is_connected(space)
+
+
+class TestSpaceCache:
+    """Each enumerated space is cached with its contact algebra, which the
+    search reuses on every query."""
+
+    def test_cached_algebras_are_induced(self):
+        for n in range(1, 8):
+            for space, algebra in lg._spaces_with_cells(n):
+                induced = induced_algebra(space)
+                assert (algebra.cells, algebra.succ) == (induced.cells, induced.succ)
+
+    def test_search_builds_no_algebra(self, monkeypatch):
+        spaces = list(lg.enumerate_connected_spaces(4))
+        built = []
+        init = FiniteContactAlgebra.__init__
+
+        def counting_init(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(FiniteContactAlgebra, "__init__", counting_init)
+        assert lg.find_countermodel("C(p,q) => C(q,p)", 4) is None
+        found = lg.find_countermodel("C(p,q) => p.q != 0", 4)
+        assert found is not None and built == []
+        # the reference builds its own algebra for every space it searches
+        assert scalar_find_countermodel(lg.parse("C(p,q) => C(q,p)"), spaces) is None
+        assert len(built) == len(spaces)
+
+    def test_returned_space_is_the_enumerated_object(self):
+        space, _ = lg.find_countermodel("C(p,q) => p.q != 0", 4)
+        assert any(s is space for s in lg.enumerate_connected_spaces(4))
+        assert [id(s) for s in lg.enumerate_connected_spaces(4)] == \
+            [id(s) for s in lg.enumerate_connected_spaces(4)]
 
 
 class TestTermPool:

@@ -88,6 +88,20 @@ class UnknownCell(ValueError):
     """A cell name that is not a cell of the finite carrier."""
 
 
+# successor mask -> its set bits as cell indices, ascending: one tuple per
+# mask, shared by every algebra with a cell of that successor mask
+_SUCCESSOR_TUPLES: dict[int, tuple[int, ...]] = {}
+
+
+def _successor_tuple(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = _SUCCESSOR_TUPLES.get(mask)
+    if out is None:
+        out = _SUCCESSOR_TUPLES[mask] = tuple(
+            i for i in range(mask.bit_length()) if mask >> i & 1)
+    return out
+
+
 class FiniteContactAlgebra(ContactAlgebra):
     """Power set of a finite cell set; elements are int bitmasks.
 
@@ -100,6 +114,16 @@ class FiniteContactAlgebra(ContactAlgebra):
         self.cells = tuple(cells)
         self.succ = tuple(succ_masks)
         self.full = (1 << len(self.cells)) - 1
+        self._near: Optional[tuple[tuple[int, ...], ...]] = None
+
+    @property
+    def near(self) -> tuple[tuple[int, ...], ...]:
+        """``near[i]`` lists the successors of cell i as cell indices,
+        ascending.  Built on first use and kept; the tuples are shared
+        between algebras (``_successor_tuple``)."""
+        if self._near is None:
+            self._near = tuple(_successor_tuple(succ & self.full) for succ in self.succ)
+        return self._near
 
     @staticmethod
     def from_relation(cells: Sequence[str], pairs: Iterable[tuple[str, str]]

@@ -13,12 +13,17 @@ v is set when the cell lies in the term's value under valuation v; a
 formula's value is one int whose bit v is its truth under valuation v.  So
 the lowest zero bit of a run is the first falsifying valuation in product
 order.
+
+A search runs one program over many algebras, so a run sets up nothing but
+its input slices: the program decodes its code once, the bit patterns of
+each width are built once per process and shared by every program, and
+each algebra builds its successor lists once (``FiniteContactAlgebra.near``).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional, Sequence
 
 from .algebra import FiniteContactAlgebra
 
@@ -47,12 +52,28 @@ def bit_patterns(width: int) -> list[int]:
     return out
 
 
+# ``bit_patterns`` by width, shared by every program: widths never exceed
+# SLICE_BITS, so at most SLICE_BITS + 1 entries of at most SLICE_BITS ints
+# below 2^(2^SLICE_BITS) each (about 0.25 MB in all at 16)
+_PATTERNS: dict[int, list[int]] = {}
+
+
+def _patterns(width: int) -> list[int]:
+    bits = _PATTERNS.get(width)
+    if bits is None:
+        bits = _PATTERNS[width] = bit_patterns(width)
+    return bits
+
+
 class Program:
     """Straight-line code: instruction i, ``(op, *operands)``, computes slot i
-    from earlier slots, and the last slot is the formula.  ``frees[i]``
-    lists the slots whose last use is instruction i, dropped right after
-    it, so a run holds only the values still needed.  A program lives for
-    one search, and so does its cache of ``bit_patterns`` by width."""
+    from earlier slots, and the last slot is the formula.  ``steps`` holds
+    the code decoded once into ``(op, a, b, dead)``: a variable's index in
+    ``names`` or the operand slots (``b`` is None for one operand), and the
+    slots whose last use is this instruction, dropped right after it, so a
+    run holds only the values still needed.  A program keeps no state
+    between runs: the bit patterns are shared by width across programs, and
+    each algebra carries its successor lists (``near``)."""
 
     def __init__(self, code: list[tuple]):
         last = {}
@@ -60,46 +81,55 @@ class Program:
             if op != VAR:
                 for a in args:
                     last[a] = i
-        self.frees: list[list[int]] = [[] for _ in code]
+        dead: list[list[int]] = [[] for _ in code]
         for slot, i in last.items():
-            self.frees[i].append(slot)
+            dead[i].append(slot)
         self.code = code
         self.names = sorted(args[0] for op, *args in code if op == VAR)
-        self.patterns: dict[int, list[int]] = {}
+        position = {name: j for j, name in enumerate(self.names)}
+        # a list, not a tuple: a freed tuple of under 20 items stays on
+        # CPython's free list for its length, so a tuple per program, of
+        # every length programs have, would hold about 1 MB after a few
+        # thousand searches
+        self.steps = [
+            (op, position[args[0]], None, ()) if op == VAR
+            else (op, args[0], args[1] if len(args) > 1 else None, tuple(dead[i]))
+            for i, (op, *args) in enumerate(code)]
 
-    def run(self, inputs: Mapping[str, list[int]], near: list[list[int]],
+    def run(self, inputs: Sequence[list[int]], near: Sequence[Sequence[int]],
             full: int) -> int:
-        """Truth bits of the formula; ``inputs`` maps each variable to its
-        per-cell bits and ``near[i]`` lists the successors of cell i, as in
-        ``FiniteContactAlgebra.contact``."""
-        vals: list = [None] * len(self.code)
-        for i, (op, *args) in enumerate(self.code):
-            if op == VAR:
-                out = inputs[args[0]]
-            elif op == COMPLEMENT:
-                out = [full ^ x for x in vals[args[0]]]
+        """Truth bits of the formula; ``inputs[j]`` holds the per-cell bits
+        of ``names[j]`` and ``near[i]`` lists the successors of cell i, as
+        in ``FiniteContactAlgebra.near``."""
+        vals: list = []
+        append = vals.append
+        for op, a, b, dead in self.steps:
+            if op == COMPLEMENT:
+                out = [full ^ x for x in vals[a]]
             elif op == JOIN:
-                out = [x | y for x, y in zip(vals[args[0]], vals[args[1]])]
+                out = [x | y for x, y in zip(vals[a], vals[b])]
+            elif op == OR:
+                out = vals[a] | vals[b]
+            elif op == NOT:
+                out = full ^ vals[a]
             elif op == EQ:
                 diff = 0
-                for x, y in zip(vals[args[0]], vals[args[1]]):
+                for x, y in zip(vals[a], vals[b]):
                     diff |= x ^ y
                 out = full ^ diff
             elif op == CONTACT:
-                ys = vals[args[1]]
+                ys = vals[b]
                 out = 0
-                for x, succ in zip(vals[args[0]], near):
+                for x, succ in zip(vals[a], near):
                     if x:
                         reach = 0
                         for j in succ:
                             reach |= ys[j]
                         out |= x & reach
-            elif op == NOT:
-                out = full ^ vals[args[0]]
             else:
-                out = vals[args[0]] | vals[args[1]]
-            vals[i] = out
-            for slot in self.frees[i]:
+                out = inputs[a]
+            append(out)
+            for slot in dead:
                 vals[slot] = None
         return vals[-1]
 
@@ -114,16 +144,14 @@ class Program:
         sliced = min(k, SLICE_BITS // n) if n else k
         fixed = k - sliced
         width = n * sliced
-        if width not in self.patterns:
-            self.patterns[width] = bit_patterns(width)
-        bits = self.patterns[width]
+        bits = _patterns(width)
         full = (1 << (1 << width)) - 1
-        near = [[j for j in range(n) if succ >> j & 1] for succ in algebra.succ]
-        inputs = {name: bits[n * (sliced - 1 - j):n * (sliced - j)]
-                  for j, name in enumerate(self.names[fixed:])}
+        near = algebra.near
+        inputs = [None] * fixed + [bits[n * (sliced - 1 - j):n * (sliced - j)]
+                                   for j in range(sliced)]
         for prefix in product(range(1 << n), repeat=fixed):
-            for name, m in zip(self.names, prefix):
-                inputs[name] = [full if m >> i & 1 else 0 for i in range(n)]
+            for j, m in enumerate(prefix):
+                inputs[j] = [full if m >> i & 1 else 0 for i in range(n)]
             yield prefix, self.run(inputs, near, full), full
 
     def first_falsifier(self, algebra: FiniteContactAlgebra

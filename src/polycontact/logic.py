@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import bitslice as bs
@@ -753,16 +753,6 @@ def _pair_bits(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _degree_profiles(mask: int, n: int, pairs: list[tuple[int, int]]) -> list:
-    adj = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
-        if mask >> k & 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    degs = [len(a) for a in adj]
-    return [(degs[v], tuple(sorted(degs[u] for u in adj[v]))) for v in range(n)]
-
-
 def _canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> int:
     """The canonical representative of the mask's isomorphism class.
 
@@ -771,33 +761,77 @@ def _canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> int:
     The candidate set is the same for isomorphic graphs, so the minimum is
     one mask per isomorphism class.  The identity need not respect the
     blocks, so ``mask`` itself need not be a candidate.
+
+    The minimum is found by branch and bound, not by trying every
+    relabelling.  Pair (i, j), i < j, is bit ``i * (2n - i - 1) / 2 + j -
+    i - 1``, so the pairs of each row i are more significant than those of
+    every lower row.  Positions are assigned from n - 1 down to 0, and
+    placing a cell at position p fixes row p: its adjacency to the cells
+    at positions above p.  Only the partial assignments with the least
+    rows so far are kept, and two of them are merged when they leave the
+    same cells free with the same adjacency to the placed positions, since
+    their completions are then the same.
     """
-    index = {pair: k for k, pair in enumerate(pairs)}
-    profiles = _degree_profiles(mask, n, pairs)
-    classes: dict[object, list[int]] = {}
-    for v, prof in enumerate(profiles):
-        classes.setdefault(prof, []).append(v)
-    groups = [classes[key] for key in sorted(classes)]
-    # position blocks in sorted-profile order
-    blocks = []
-    start = 0
-    for g in groups:
-        blocks.append(range(start, start + len(g)))
-        start += len(g)
-    bits = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-    perm = [0] * n
-    best = None
-    for assignment in product(*(permutations(block) for block in blocks)):
-        for group, targets in zip(groups, assignment):
-            for src, dst in zip(group, targets):
-                perm[src] = dst
-        out = 0
-        for i, j in bits:
-            pi, pj = perm[i], perm[j]
-            out |= 1 << index[(pi, pj) if pi < pj else (pj, pi)]
-        if best is None or out < best:
-            best = out
-    return best
+    adj = [0] * n
+    edges = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i, j = edge = pairs[low.bit_length() - 1]
+        edges.append(edge)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    degrees = [a.bit_count() for a in adj]
+    # A cell's degree profile (its degree, then its neighbours' degrees
+    # sorted) as one int that sorts the same way: the degree above n digits
+    # of ``digit`` bits, minus in digit n - d the number of neighbours of
+    # degree d.  Of two sorted degree lists of one length, the lesser has
+    # more entries of the least degree whose counts differ, so the larger
+    # amount is taken off it.
+    digit = n.bit_length()
+    profile = [d << digit * n for d in degrees]
+    for i, j in edges:
+        profile[i] -= 1 << digit * (n - degrees[j])
+        profile[j] -= 1 << digit * (n - degrees[i])
+    blocks: dict[int, int] = {}
+    for v in range(n):
+        blocks[profile[v]] = blocks.get(profile[v], 0) | 1 << v
+    # allowed[p]: the cells whose profile block holds position p
+    allowed = []
+    for key in sorted(blocks):
+        allowed += [blocks[key]] * blocks[key].bit_count()
+    # a partial assignment: the free cells, and per cell the positions of
+    # its placed neighbours (0 once it is placed itself)
+    states = {((1 << n) - 1, (0,) * n)}
+    out = 0
+    for p in range(n - 1, -1, -1):
+        least = None
+        best: list = []
+        for state in states:
+            free, placed = state
+            cells = free & allowed[p]
+            while cells:
+                low = cells & -cells
+                cells ^= low
+                c = low.bit_length() - 1
+                row = placed[c] >> (p + 1)
+                if least is None or row < least:
+                    least, best = row, [(state, c)]
+                elif row == least:
+                    best.append((state, c))
+        states = set()
+        for (free, placed), c in best:
+            after = list(placed)
+            after[c] = 0
+            rest = free & adj[c]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                after[low.bit_length() - 1] |= 1 << p
+            states.add((free ^ 1 << c, tuple(after)))
+        out |= least << (p * (2 * n - p - 1) // 2)
+    return out
 
 
 _MASK_CACHE: dict[int, list[int]] = {1: [0]}
@@ -817,15 +851,17 @@ def _connected_masks(n: int) -> list[int]:
     if n not in _MASK_CACHE:
         pairs = _pair_bits(n)
         index = {pair: k for k, pair in enumerate(pairs)}
-        # bit positions of the smaller graph's pairs, and of the new cell's
+        # bit positions of the smaller graph's pairs, and the new cell's
+        # pair bits for each nonempty set of neighbours
         old_bits = [1 << index[pair] for pair in _pair_bits(n - 1)]
         new_bits = [1 << index[(v, n - 1)] for v in range(n - 1)]
+        augments = [sum(bit for v, bit in enumerate(new_bits) if nbrs >> v & 1)
+                    for nbrs in range(1, 1 << (n - 1))]
         found = set()
         for small in _connected_masks(n - 1):
             base = sum(bit for k, bit in enumerate(old_bits) if small >> k & 1)
-            for nbrs in range(1, 1 << (n - 1)):
-                mask = base | sum(bit for v, bit in enumerate(new_bits) if nbrs >> v & 1)
-                found.add(_canonical_mask(mask, n, pairs))
+            for extra in augments:
+                found.add(_canonical_mask(base | extra, n, pairs))
         _MASK_CACHE[n] = sorted(found)
     return _MASK_CACHE[n]
 
@@ -866,10 +902,14 @@ def enumerate_connected_spaces(max_cells: int) -> Iterator[AdjacencySpace]:
 # Largest cell bound the search accepts.  Bound 8 enumerates 11,117
 # connected spaces of 8 cells; bound 9 would canonicalise about 2.8 million
 # one-cell augmentations (11,117 x 255) on the way to 261,080 classes, all
-# of them cached.  The cache keeps each space with its contact algebra;
-# measured with tracemalloc (Python 3.11), the spaces up to bounds 6, 7 and
-# 8 take 94 KB, 1.2 MB and 21.3 MB, and their algebras 14 KB, 147 KB and
-# 2.3 MB.
+# of them cached.  Canonicalising the augmentations of 6, 7 and 8 cells
+# (651, 7,056 and 108,331) takes about 0.02 s, 0.2-0.3 s and 4-5 s of CPU
+# (Python 3.11, 2-core VM; every relabelling tried took 0.06 s, 0.7 s and
+# 17-19 s).  The cache keeps each space with its contact algebra; measured
+# with tracemalloc (Python 3.11), the spaces up to bounds 6, 7 and 8 take
+# 94 KB, 1.2 MB and 21.3 MB, their algebras 14 KB, 147 KB and 2.3 MB
+# (plus 8 bytes each for the slot of their successor lists), and the
+# successor lists a search adds to them 18 KB, 107 KB and 1.3 MB.
 MAX_BOUND = 8
 
 
@@ -893,7 +933,10 @@ def find_countermodel(f: Formula | str, max_cells: int
     The enumeration cache holds each space with its contact algebra, built
     once with the space (see ``MAX_BOUND`` for their memory), so a query
     builds no algebra, and a returned space is the very object
-    ``enumerate_connected_spaces`` yields.
+    ``enumerate_connected_spaces`` yields.  Each algebra keeps the successor
+    lists the first search over it builds, and the bit patterns are shared
+    by width, so a later search sets up nothing per space but the input
+    slices of its runs.
     """
     check_bound(max_cells)
     if isinstance(f, str):

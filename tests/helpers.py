@@ -1,7 +1,8 @@
 """Shared test machinery: tree enumeration, batched Kripke evaluation, the
 scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
-enumeration, the point-probing plane references kept for the sign-vector
+enumeration, the canonical form over every block relabelling kept for the
+branch and bound, the point-probing plane references kept for the sign-vector
 walk, the Fourier-Motzkin ``equals`` and brick-based boundary
 representation kept for the face kernel, the ``canonicalize``-based and
 all-pairs line operations kept for the linear sweeps, the ``Fraction``
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Optional
 
 import numpy as np
@@ -109,17 +110,65 @@ def all_trees(max_cells: int) -> list[AdjacencySpace]:
     return out
 
 
+def _degree_profiles(mask: int, n: int, pairs: list[tuple[int, int]]) -> list:
+    adj = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        if mask >> k & 1:
+            adj[i].append(j)
+            adj[j].append(i)
+    degs = [len(a) for a in adj]
+    return [(degs[v], tuple(sorted(degs[u] for u in adj[v]))) for v in range(n)]
+
+
+def reference_canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> int:
+    """The canonical representative of the mask's isomorphism class.
+
+    Canonical form: the minimum relabelling among those that place each
+    cell into the position block of its degree profile (profiles sorted).
+    The candidate set is the same for isomorphic graphs, so the minimum is
+    one mask per isomorphism class.  The identity need not respect the
+    blocks, so ``mask`` itself need not be a candidate.
+    """
+    index = {pair: k for k, pair in enumerate(pairs)}
+    profiles = _degree_profiles(mask, n, pairs)
+    classes: dict[object, list[int]] = {}
+    for v, prof in enumerate(profiles):
+        classes.setdefault(prof, []).append(v)
+    groups = [classes[key] for key in sorted(classes)]
+    # position blocks in sorted-profile order
+    blocks = []
+    start = 0
+    for g in groups:
+        blocks.append(range(start, start + len(g)))
+        start += len(g)
+    bits = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+    perm = [0] * n
+    best = None
+    for assignment in product(*(permutations(block) for block in blocks)):
+        for group, targets in zip(groups, assignment):
+            for src, dst in zip(group, targets):
+                perm[src] = dst
+        out = 0
+        for i, j in bits:
+            pi, pj = perm[i], perm[j]
+            out |= 1 << index[(pi, pj) if pi < pj else (pj, pi)]
+        if best is None or out < best:
+            best = out
+    return best
+
+
 def scan_connected_spaces(n: int) -> list[AdjacencySpace]:
     """``logic.enumerate_connected_spaces`` at exactly n cells by scanning
     all 2^(n choose 2) labelled graphs: connected ones whose adjacency
-    bitmask is its own canonical form, in bitmask order."""
+    bitmask is its own canonical form (``reference_canonical_mask``), in
+    bitmask order."""
     cells = list(CELLS[:n])
     pairs = list(combinations(range(n), 2))
     out = []
     for mask in range(1 << len(pairs)):
         space = mk_space(cells, [(cells[i], cells[j])
                                  for k, (i, j) in enumerate(pairs) if mask >> k & 1])
-        if is_connected(space) and lg._canonical_mask(mask, n, pairs) == mask:
+        if is_connected(space) and reference_canonical_mask(mask, n, pairs) == mask:
             out.append(space)
     return out
 

@@ -12,6 +12,9 @@ deleted, duplicated or edited, must get a ``verify`` report whenever they
 parse, and ``render`` must end with exit code 0, 2 or 3.  ``space`` texts
 from a small grammar, some with tokens deleted, duplicated or replaced, go
 through ``eval``, ``untie``, ``project`` and ``audit`` under the same rules.
+Interval and ``cyl`` texts from a small grammar, some with tokens deleted,
+duplicated or replaced, go through ``sc-check``, ``c-check``, ``bool-op``
+and ``render`` under the same rules.
 """
 
 import contextlib
@@ -213,5 +216,75 @@ def test_space_text_exits_cleanly(tmp_path, text):
     graph = str(path)
     for argv in (["eval", "C(p,q) => C(q,p)", graph], ["untie", graph], ["project", graph],
                  ["audit", graph, "--samples", "3"]):
+        code, _, err = run_cli(argv)
+        assert_clean_exit(code, err, (0, 1, 2, 3, 4))
+
+
+# words a mutation may put in place of a token of an interval or cyl text
+REGION_WORDS = ["", "(", ")", "[", "]", ",", ";", "{", "}", "=", "-inf", "inf", "0", "-3/4",
+                "7/2", "1/0", "1/-3", "1e5", HUGE, "n", "n=0", "x", "cyl", "empty", "all"]
+REGION_TOKEN = re.compile(r"[\[\](),;{}=]|[^\s\[\](),;{}=]+")
+# second operands by kind: mostly of the first operand's kind
+OPERANDS = {"interval": ["[0,1]", "(-inf,1]; [2,inf)"],
+            "cyl": ["cyl n=2 { [1,2]; [4,7] }", "cyl n=1 { all }"]}
+
+
+@st.composite
+def interval_pieces(draw) -> str:
+    """One piece, finite ends as ``p`` or ``p/q``, low end first."""
+    den = draw(st.integers(1, 4))
+    lo, hi = sorted(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2)))
+    left = draw(st.sampled_from(["(-inf", f"[{lo}" if den == 1 else f"[{lo}/{den}"]))
+    right = draw(st.sampled_from(["inf)", f"{hi}]" if den == 1 else f"{hi}/{den}]"]))
+    return f"{left},{right}"
+
+
+@st.composite
+def region_texts(draw) -> str:
+    """An interval list (``empty``, ``all`` or up to three pieces, in any
+    order and possibly overlapping or touching) or a ``cyl n=... { ... }``
+    around one, some texts mutated."""
+    intervals = draw(st.one_of(st.sampled_from(["empty", "all"]),
+                               st.lists(interval_pieces(), min_size=1, max_size=3)
+                               .map("; ".join)))
+    text = intervals
+    if draw(st.booleans()):
+        text = f"cyl n={draw(st.sampled_from([1, 1, 2, 3, 0]))} {{ {intervals} }}"
+    toks = REGION_TOKEN.findall(text)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        if not toks:
+            break
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        i = draw(st.integers(0, len(toks) - 1))
+        if kind == "delete":
+            del toks[i]
+        elif kind == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            toks[i] = draw(st.sampled_from(REGION_WORDS))
+    return " ".join(toks)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(region_texts(), st.sampled_from([True, True, True, False]), st.integers(0, 1),
+       st.booleans())
+@example("[0,1]; [1,2]", True, 0, True)
+@example("cyl n=0 { [0,1] }", True, 0, False)
+@example("cyl n=2 { [0," + HUGE + "] }", True, 1, True)
+@example("[1/0,2]", True, 1, False)
+@example("cyl n=2 { [1,2]", False, 0, True)
+@example("", True, 0, False)
+def test_region_text_exits_cleanly(tmp_path, text, same_kind, k, first):
+    kind = "cyl" if text.split()[:1] == ["cyl"] else "interval"
+    if not same_kind:
+        kind = "interval" if kind == "cyl" else "cyl"
+    a, b = tmp_path / "a.region", tmp_path / "b.region"
+    a.write_text(text)
+    b.write_text(OPERANDS[kind][k])
+    pair = [str(a), str(b)] if first else [str(b), str(a)]
+    for argv in (["sc-check", *pair], ["c-check", *pair], ["bool-op", "union", *pair],
+                 ["bool-op", "meet", *pair], ["bool-op", "complement", str(a)],
+                 ["render", str(a), "--svg", str(tmp_path / "a.svg")]):
         code, _, err = run_cli(argv)
         assert_clean_exit(code, err, (0, 1, 2, 3, 4))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycontact import algebra as alg
 from polycontact import bitslice as bs
 from polycontact import logic as lg
 from polycontact.adjacency import mk_space
@@ -17,8 +18,8 @@ from polycontact.algebra import (CylinderAlgebra, FiniteContactAlgebra, Interval
 from polycontact.intervals import random_interval_polytope
 from helpers import (
     batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
-    reference_evaluate, reference_parse, reference_parse_term, reference_tokenize,
-    scalar_find_countermodel, scan_connected_spaces)
+    reference_canonical_mask, reference_evaluate, reference_parse, reference_parse_term,
+    reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -587,6 +588,74 @@ class TestBitSlicedKernel:
         assert found is not None and found == scalar_find_countermodel(f, [first])
 
 
+class TestKernelState:
+    """What a run needs besides its program is built once and shared: each
+    algebra's successor lists, interned per successor mask, and the bit
+    patterns by width."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_algebras())
+    def test_successor_lists_are_the_bits_of_succ(self, algebra):
+        n = len(algebra.cells)
+        assert algebra.near == tuple(tuple(j for j in range(n) if succ >> j & 1)
+                                     for succ in algebra.succ)
+
+    def test_equal_successor_masks_share_tuples(self):
+        a = FiniteContactAlgebra("abc", [0b011, 0b111, 0b100])
+        b = FiniteContactAlgebra("xyz", [0b100, 0b011, 0b011])
+        assert a.near[0] is b.near[1] is b.near[2]
+        assert a.near[2] is b.near[0]
+        cached = [near for n in range(1, 7) for _, algebra in lg._spaces_with_cells(n)
+                  for near in algebra.near]
+        assert len({id(near) for near in cached}) == len(set(cached))
+
+    def test_second_search_builds_no_successor_list_or_pattern(self, monkeypatch):
+        # a fresh enumeration cache and pattern cache, so the first search
+        # builds both
+        monkeypatch.setattr(lg, "_SPACE_CACHE", {})
+        monkeypatch.setattr(bs, "_PATTERNS", {})
+        built = {"near": 0, "patterns": 0}
+        successor_tuple, bit_patterns = alg._successor_tuple, bs.bit_patterns
+
+        def counting_successor_tuple(mask):
+            built["near"] += 1
+            return successor_tuple(mask)
+
+        def counting_bit_patterns(width):
+            built["patterns"] += 1
+            return bit_patterns(width)
+
+        monkeypatch.setattr(alg, "_successor_tuple", counting_successor_tuple)
+        monkeypatch.setattr(bs, "bit_patterns", counting_bit_patterns)
+        assert lg.find_countermodel("C(p,q) => C(q,p)", 4) is None
+        # one successor list per cell of the 1 + 1 + 2 + 6 spaces
+        assert built["near"] == 1 + 2 + 2 * 3 + 6 * 4 and built["patterns"] > 0
+        built.update(near=0, patterns=0)
+        assert lg.find_countermodel("p.q == q.p", 4) is None
+        found = lg.find_countermodel("C(p,q) => p.q != 0", 4)
+        assert found is not None and built == {"near": 0, "patterns": 0}
+
+    @pytest.mark.parametrize("cap", range(bs.SLICE_BITS + 1))
+    def test_every_cap_matches_evaluate(self, cap, monkeypatch):
+        # every run width up to the cap, with the pattern cache shared
+        # across the caps
+        monkeypatch.setattr(bs, "SLICE_BITS", cap)
+        rng = random.Random(f"caps/{cap}")
+        for names, cells in ((("p", "q"), 3), (("p", "q", "r"), 2)):
+            f = lg.parse(random_formula_text(rng, names))
+            program = lg.compile_formula(f)
+            algebra = FiniteContactAlgebra(
+                "abc"[:cells], [1 << i | rng.getrandbits(cells) for i in range(cells)])
+            valuations = product(algebra.elements(), repeat=len(program.names))
+            for prefix, truth, full in program.truth_runs(algebra):
+                for v in range(full.bit_length()):
+                    masks = next(valuations)
+                    assert masks[:len(prefix)] == prefix
+                    valuation = dict(zip(program.names, masks))
+                    assert bool(truth >> v & 1) == lg.evaluate(f, algebra, valuation)
+            assert next(valuations, None) is None
+
+
 def as_networkx(space):
     graph = nx.Graph()
     graph.add_nodes_from(space.cells)
@@ -634,6 +703,27 @@ class TestEnumeration:
         start = time.perf_counter()
         assert lg.find_countermodel("~C(p,q+r) | C(p,q) | C(p,r)", 7) is None
         assert time.perf_counter() - start < 60.0
+
+    def test_canonical_mask_matches_reference(self):
+        # every one-cell augmentation the enumeration canonicalises
+        for n in range(2, 8):
+            pairs = lg._pair_bits(n)
+            index = {pair: k for k, pair in enumerate(pairs)}
+            candidates = []
+            for small in lg._connected_masks(n - 1):
+                base = sum(1 << index[pair] for k, pair in enumerate(lg._pair_bits(n - 1))
+                           if small >> k & 1)
+                for nbrs in range(1, 1 << (n - 1)):
+                    candidates.append(base | sum(1 << index[(v, n - 1)] for v in range(n - 1)
+                                                 if nbrs >> v & 1))
+            for mask in candidates:
+                assert lg._canonical_mask(mask, n, pairs) == \
+                    reference_canonical_mask(mask, n, pairs)
+        assert len(candidates) == 112 * 63 == 7056
+
+    def test_bound_eight_class_count(self):
+        # connected graphs on 8 nodes up to isomorphism (OEIS A001349)
+        assert len(lg._connected_masks(8)) == 11117
 
     def test_all_connected(self):
         from polycontact.adjacency import is_connected

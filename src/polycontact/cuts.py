@@ -21,6 +21,12 @@ one Fourier-Motzkin core point each, O(k^2) for k cuts, and no search over
 the 2^k alternatives.  Which bricks a polytope fills is read off their
 sign vectors (``plane.fills``), so its boundary representation needs no
 Fourier-Motzkin call and no point test at all.
+
+The walk yields an edge's ends as ints over a common denominator, and no
+point.  A sheet's ends become ``Fraction`` parameters, and its inner point
+(``plane.edge_point``) and end points are built only for the sheets
+returned: ``boundary_representation`` builds points for its boundary
+sheets and corners alone.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .plane import (
     PlanePolytope,
     arrangement_edges,
     core_point,
+    edge_point,
     faces,
     fills,
     line_param,
@@ -120,12 +127,16 @@ class Sheet:
     other_signs: tuple[tuple[Hyperplane, int], ...]
 
 
-def _sheet(cuts: tuple[Hyperplane, ...], mu: Hyperplane, lo: Optional[Fraction],
-           hi: Optional[Fraction], rep: Point, above: int) -> Sheet:
+def _param(end: Optional[int], den: int) -> Optional[Fraction]:
+    return None if end is None else Fraction(end, den)
+
+
+def _sheet(cuts: tuple[Hyperplane, ...], mu: Hyperplane, lo: Optional[int],
+           hi: Optional[int], den: int, above: int) -> Sheet:
     """The sheet of an edge yielded by ``arrangement_edges(cuts)``."""
     signs = tuple((nu, -1 if above >> j & 1 else 1)
                   for j, nu in enumerate(cuts) if nu is not mu)
-    return Sheet(mu, lo, hi, rep, signs)
+    return Sheet(mu, _param(lo, den), _param(hi, den), edge_point(mu, lo, hi, den), signs)
 
 
 def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
@@ -176,9 +187,11 @@ def boundary_representation(poly: PlanePolytope,
     masks = sign_masks(poly, index)
     boundary, corners = [], set()
     for edge in arrangement_edges(cs.cuts):
-        mu, lo, hi, _, above = edge
+        mu, _, _, _, above = edge
         if fills(masks, above | 1 << index[mu]) != fills(masks, above):
-            boundary.append(_sheet(cs.cuts, *edge))
+            sheet = _sheet(cs.cuts, *edge)
+            boundary.append(sheet)
             base, direction = line_param(mu)
-            corners.update(point_on(base, direction, t) for t in (lo, hi) if t is not None)
+            corners.update(point_on(base, direction, t)
+                           for t in (sheet.lo, sheet.hi) if t is not None)
     return BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))

@@ -1,8 +1,12 @@
 """Exact rational scalars, points, half-spaces and hyperplanes.
 
 Everything downstream decides boundary coincidences (shared facets, touching
-endpoints) by exact comparison, so all coordinates are `fractions.Fraction`
-values and every predicate in this module is tolerance-free.
+endpoints) by exact comparison, so every value is exact and every predicate
+in this module is tolerance-free.  Points, coefficients and offsets here are
+`fractions.Fraction` values; kernels downstream also work on plain ints: the
+integer forms below, the crossing parameters of the plane's arrangement walk
+(ints over one common denominator per line), and the integral endpoints of
+line polytopes.
 
 Half-spaces and hyperplanes are kept in a canonical scaling so that
 syntactic equality coincides with geometric equality:

@@ -26,10 +26,15 @@ the polytope or misses it, and which is read off the face's sign vector
 (``sign_masks``, ``fills``).  ``arrangement_edges`` walks the edges of the
 arrangement carrying their sign vectors as bitmasks, so the open faces
 (``faces``) and the two flanks of each edge are known with no point probe
-and no Fourier-Motzkin call.  ``equals``, the facet search of
-``contact_sc`` and the boundary machinery of ``cuts`` are tests on these
-sign vectors.  ``point_in_interior`` and ``point_on_boundary`` stay as an
-independent pointwise predicate that samples the sectors around a point.
+and no Fourier-Motzkin call.  The walk is on integers: each line's
+crossings are ints over one common denominator, and an edge's ends are
+two of them.  It builds no point; ``edge_point`` builds the exact point
+inside an edge for the callers that need one, the facet edge of
+``contact_sc``/``sc_witness`` and the sheets and corners of ``cuts``.
+``equals``, the facet search of ``contact_sc`` and the boundary machinery
+of ``cuts`` are tests on these sign vectors.  ``point_in_interior`` and
+``point_on_boundary`` stay as an independent pointwise predicate that
+samples the sectors around a point.
 
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
 rational radius small enough to be checked by exact containment tests
@@ -326,27 +331,29 @@ def point_on(base: Point, direction, t: Fraction) -> Point:
 
 
 def arrangement_edges(lines: Sequence[Hyperplane]
-                      ) -> Iterator[tuple[Hyperplane, Optional[Fraction],
-                                          Optional[Fraction], Point, int]]:
+                      ) -> Iterator[tuple[Hyperplane, Optional[int], Optional[int],
+                                          int, int]]:
     """The open edges of the arrangement of distinct lines, lazily.
 
     Each line in turn is cut at its crossings with the others, and each
     relatively open piece is yielded in order along ``line_param``'s
-    direction as ``(line, lo, hi, rep, above)``: the parameters of its ends
-    (None for an unbounded end), a point inside it, at parameter ``hi - 1``,
-    the midpoint or ``lo + 1`` (0 on a line no other line crosses), which
-    lies on no other line, and the edge's sign vector as an int with bit j
+    direction as ``(line, lo, hi, den, above)``.  The parameters of its
+    ends are ``lo/den`` and ``hi/den``: ``lo`` and ``hi`` are ints (None
+    for an unbounded end) over one positive int ``den`` shared by all the
+    line's edges.  ``above`` is the edge's sign vector, an int with bit j
     set when ``lines[j]`` is positive (``value_at > 0``) on the edge.  The
     line's own bit is clear; the open faces flanking the edge have sign
     vectors ``above | bit`` (the side its normal points to) and ``above``.
+    No point is built: ``edge_point`` gives one inside an edge.
 
     The sign vector of the first piece comes from the slope of each
     crossing line along the direction (or, for a parallel line, its sign at
     the base point); crossing a breakpoint flips the bits of the lines
     through it.  Slopes, gaps and crossings come from the lines' integer
-    forms: a slope's sign is an integer determinant's, and a crossing's
-    parameter is one quotient of integers, rescaled to ``line_param``'s
-    direction.
+    forms: a slope's sign is an integer determinant's, a crossing's
+    parameter is a quotient of integers, and the crossings of one line are
+    put over the lcm of their denominators, so they are grouped and sorted
+    as plain ints.
     """
     for mu in lines:
         # mu is (A*x + B*y = C) / m with m its lead coefficient, so
@@ -356,13 +363,16 @@ def arrangement_edges(lines: Sequence[Hyperplane]
         m = A or B
         k = B or A
         above = 0
-        flips: dict[Fraction, int] = {}
+        # per crossing line: its bit, its determinant and its gap
+        bits: list[int] = []
+        dets: list[int] = []
+        gaps: list[int] = []
         for j, nu in enumerate(lines):
             if nu is mu:
                 continue
             a, b, c = nu.integer_form
             # nu's value at base + t*direction is (det*t/m - gap/k) times
-            # a positive factor
+            # a positive factor, so it crosses mu at t = gap*m / (det*k)
             det = b * A - a * B
             gap = c * k - (b if B else a) * C
             bit = 1 << j
@@ -372,20 +382,38 @@ def arrangement_edges(lines: Sequence[Hyperplane]
                 continue
             if det < 0:  # positive before the crossing
                 above |= bit
-            t = Fraction(gap * m, det * k)
-            flips[t] = flips.get(t, 0) | bit
-        ts = sorted(flips)
-        if ts:
-            pieces = [(None, ts[0], ts[0] - 1)]
-            pieces += [(a, b, (a + b) / 2) for a, b in zip(ts, ts[1:])]
-            pieces.append((ts[-1], None, ts[-1] + 1))
-        else:
-            pieces = [(None, None, Fraction(0))]
-        base, direction = line_param(mu)
-        for lo, hi, t in pieces:
-            if lo is not None:
-                above ^= flips[lo]
-            yield mu, lo, hi, point_on(base, direction, t), above
+            bits.append(bit)
+            dets.append(det)
+            gaps.append(gap)
+        # t = num / den for den = lcm(dets) * |k| and num below
+        lcm = math.lcm(*dets)
+        scale = m if k > 0 else -m
+        flips: dict[int, int] = {}
+        for bit, det, gap in zip(bits, dets, gaps):
+            num = gap * scale * (lcm // det)
+            flips[num] = flips.get(num, 0) | bit
+        den = lcm * abs(k)
+        lo = None
+        for hi in sorted(flips):
+            yield mu, lo, hi, den, above
+            above ^= flips[hi]
+            lo = hi
+        yield mu, lo, None, den, above
+
+
+def edge_point(mu: Hyperplane, lo: Optional[int], hi: Optional[int],
+               den: int) -> Point:
+    """The point inside an edge ``(mu, lo, hi, den, _)`` of
+    ``arrangement_edges``: at parameter ``hi/den - 1``, the midpoint or
+    ``lo/den + 1``, or 0 on a line no other line crosses.  It lies on no
+    other line of the arrangement."""
+    if lo is None:
+        t = Fraction(0) if hi is None else Fraction(hi - den, den)
+    elif hi is None:
+        t = Fraction(lo + den, den)
+    else:
+        t = Fraction(lo + hi, 2 * den)
+    return point_on(*line_param(mu), t)
 
 
 def faces(lines: Sequence[Hyperplane]) -> set[int]:
@@ -451,8 +479,8 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
     each flank off its sign vector (``fills``).  An edge on ``mu`` is a
     shared crossing facet when one polytope fills its flank
     ``above | bit(mu)`` and the other its flank ``above``; the first such
-    edge in walk order is returned with its point ``rep`` and the pooled
-    lines.
+    edge in walk order is returned with its point (``edge_point``, the one
+    point the search builds) and the pooled lines.
     """
     if p.is_empty() or q.is_empty():
         return None
@@ -461,11 +489,11 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
         return ("overlap", *ow)
     lines, p_masks, q_masks = _pooled(p, q)
     own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
-    for mu, _, _, x, above in arrangement_edges(lines):
+    for mu, lo, hi, den, above in arrangement_edges(lines):
         plus = above | own_bit[id(mu)]
         if ((fills(p_masks, plus) and fills(q_masks, above))
                 or (fills(p_masks, above) and fills(q_masks, plus))):
-            return ("facet", mu, x, lines)
+            return ("facet", mu, edge_point(mu, lo, hi, den), lines)
     return None
 
 

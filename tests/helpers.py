@@ -311,7 +311,8 @@ def probe_sc_analysis(p, q):
     if ow is not None:
         return ("overlap", *ow)
     lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
-    for mu, _, _, x, _ in pl.arrangement_edges(lines):
+    for mu, lo, hi, den, _ in pl.arrangement_edges(lines):
+        x = pl.edge_point(mu, lo, hi, den)
         if probe_facet(p, q, mu, x, lines):
             return ("facet", mu, x, lines)
     return None

@@ -1,9 +1,12 @@
 """Differential tests of the sign-vector arrangement walk.
 
-``plane.arrangement_edges`` runs on the lines' integer forms; its edges are
-compared whole, ``(line, lo, hi, rep, above)``, with the ``Fraction`` walk
-it replaced, on the random cut systems below and on lines whose
-coefficients have denominators up to 10^6.
+``plane.arrangement_edges`` runs on the lines' integer forms and yields
+each edge's ends as ints over one denominator per line, with no point;
+its edges, resolved to ``(line, lo, hi, rep, above)`` by ``Fraction`` ends
+and ``plane.edge_point``, are compared whole with the ``Fraction`` walk it
+replaced, on the random cut systems below, on lines whose coefficients
+have denominators up to 10^6, and on 12 lines with pairwise coprime
+denominators near 10^6.
 
 ``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
 the facet search, ``PlanePolytope.equals``, ``cuts.sheets``,
@@ -15,7 +18,9 @@ pencils of concurrent lines, and on random polytopes with translated,
 mirrored and split copies.
 """
 
+import math
 import random
+import time
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -115,11 +120,22 @@ def wide_line_lists(draw):
     return draw(st.permutations(list(dict.fromkeys(lines))[:MAX_LINES]))
 
 
+def resolved_edges(lines):
+    """The edges of ``plane.arrangement_edges`` as the reference yields
+    them: ``Fraction`` ends and the point ``plane.edge_point`` builds."""
+    out = []
+    for mu, lo, hi, den, above in pl.arrangement_edges(lines):
+        assert type(den) is int and den > 0
+        assert all(t is None or type(t) is int for t in (lo, hi))
+        ends = tuple(None if t is None else F(t, den) for t in (lo, hi))
+        out.append((mu, *ends, pl.edge_point(mu, lo, hi, den), above))
+    return out
+
+
 def assert_edges_match_reference(lines):
-    edges = list(pl.arrangement_edges(lines))
+    edges = resolved_edges(lines)
     assert edges == list(reference_arrangement_edges(lines))
-    for _, lo, hi, rep, _ in edges:
-        assert all(t is None or type(t) is F for t in (lo, hi))
+    for _, _, _, rep, _ in edges:
         assert all(type(v) is F for v in rep)
 
 
@@ -138,13 +154,80 @@ def test_edges_equal_fraction_reference_on_wide_denominators(lines):
     assert_edges_match_reference(lines)
 
 
+def primes_below(n, count):
+    """The ``count`` largest primes below ``n``, by trial division."""
+    out, k = [], n
+    while len(out) < count:
+        k -= 1
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+    return out
+
+
+# the walk on 12 lines takes about 1 ms on a 2-core VM (Python 3.11)
+WIDE_WALK_BUDGET_S = 1.0
+
+
+def test_edges_equal_fraction_reference_on_coprime_denominators():
+    # every coefficient of the 12 lines has its own prime denominator near
+    # 10^6, so each line's common crossing denominator is the lcm of 11
+    # large determinants and runs to hundreds of digits
+    primes = primes_below(10**6, 36)
+    rng = random.Random(16)
+    lines = []
+    for i in range(12):
+        p, q, r = primes[3 * i:3 * i + 3]
+        normal = (F(rng.randrange(1, p), p), F(rng.choice((-1, 1)) * rng.randrange(1, q), q))
+        lines.append(Hyperplane(normal, F(rng.randint(-5 * r, 5 * r), r)))
+    start = time.perf_counter()
+    edges = list(pl.arrangement_edges(lines))
+    elapsed = time.perf_counter() - start
+    assert len(edges) == 12 * 12
+    assert max(den for *_, den, _ in edges).bit_length() > 1000
+    assert elapsed < WIDE_WALK_BUDGET_S
+    assert_edges_match_reference(lines)
+
+
+def test_points_built_only_for_a_facet_verdict(monkeypatch):
+    # faces, equals and a negative contact_sc read sign vectors only; a
+    # facet verdict builds the one point of its edge
+    rng = random.Random(41)
+    polys = [pl.random_plane_polytope(rng, max_parts=3, bounded=b) for b in (False, True) * 4]
+    bounded = polys[1::2]  # inside [-5, 5]^2, so far from these copies
+    far = [translated(p, 20, 0) for p in bounded]
+    quadrants = [pl.PlanePolytope.from_constraint_sets([[HalfSpace((F(sx), F(0)), F(0)),
+                                                         HalfSpace((F(0), F(sy)), F(0))]])
+                 for sx, sy in ((-1, -1), (1, -1), (1, 1))]
+    q1, q2, q3 = quadrants
+    built = []
+    edge_point = pl.edge_point
+
+    def counted(*edge):
+        built.append(edge)
+        return edge_point(*edge)
+
+    monkeypatch.setattr(pl, "edge_point", counted)
+    for p in polys:
+        pl.faces(p.constraint_lines())
+        for q in polys:
+            p.equals(q)
+    assert all(not pl.contact_sc(p, q) for p in bounded for q in far)
+    assert not pl.contact_sc(q1, q3)  # they touch at the origin only
+    assert built == []
+    assert pl.contact_sc(q1, q2)  # a shared facet on the y-axis
+    assert len(built) == 1
+    built.clear()
+    assert pl.sc_witness(q2, q1) is not None
+    assert len(built) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(line_lists())
 @example(SINGLE_LINE)
 @example(PARALLEL_FAMILY)
 @example(PENCIL)
 def test_above_is_the_sign_vector_at_rep(lines):
-    for mu, _, _, rep, above in pl.arrangement_edges(lines):
+    for mu, _, _, rep, above in resolved_edges(lines):
         for j, nu in enumerate(lines):
             if nu is mu:
                 assert not above >> j & 1

@@ -8,6 +8,7 @@ import pytest
 
 from polycontact import cuts as cu
 from polycontact import plane as pl
+from polycontact.algebra import FiniteContactAlgebra, PlaneAlgebra, audit_axioms
 from polycontact.numeric import HalfSpace, Hyperplane
 from polycontact.plane import _as_con, feasible_point
 from helpers import demorgan_equals, flank_signs, polytope_brick_signs
@@ -219,3 +220,54 @@ class TestBoundaryRepresentation:
             corners = set(rep.corner_points)
             for v in cs.vertices():
                 assert pl.point_on_boundary(poly, v) == (v in corners)
+
+
+def sheet_graph(cs):
+    """The bricks of a cut system and the contact algebra of its sheet
+    graph: one cell per brick, two bricks in contact when they are equal or
+    flank a common sheet."""
+    bricks = cu.brick_decomposition(cs)
+    index = {b.signs: i for i, b in enumerate(bricks)}
+    succ = [1 << i for i in range(len(bricks))]
+    for sheet in cu.sheets(cs):
+        i, j = (index[signs] for signs in flank_signs(sheet, cs))
+        succ[i] |= 1 << j
+        succ[j] |= 1 << i
+    return bricks, FiniteContactAlgebra([str(b.signs) for b in bricks], succ)
+
+
+def brick_unions(bricks):
+    """The union of the bricks of each bitmask, indexed by the mask."""
+    return [pl.PlanePolytope.from_constraint_sets(
+        b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
+        for mask in range(1 << len(bricks))]
+
+
+class TestSheetGraph:
+    """On the unions of the bricks of a cut system, strong contact is the
+    contact of the sheet graph: exhaustively, on every pair of unions."""
+
+    # name -> (cuts, number of bricks)
+    SYSTEMS = {
+        "two-cuts": ([X_AXIS, Y_AXIS], 4),
+        "three-parallel": ([Hyperplane((F(1), F(0)), F(c)) for c in (-1, 0, 1)], 4),
+        "three-concurrent": ([X_AXIS, Y_AXIS, Hyperplane((F(1), F(-1)), F(0))], 6),
+    }
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_contact_sc_is_sheet_graph_contact(self, name):
+        cuts, count = self.SYSTEMS[name]
+        bricks, graph = sheet_graph(cu.CutSystem.of(cuts))
+        assert len(bricks) == count
+        unions = brick_unions(bricks)
+        mismatches = [(a, b) for a in range(len(unions)) for b in range(len(unions))
+                      if pl.contact_sc(unions[a], unions[b]) != graph.contact(a, b)]
+        assert mismatches == []
+
+    def test_two_cut_subalgebra_passes_exhaustive_audit(self):
+        cuts, _ = self.SYSTEMS["two-cuts"]
+        algebra = PlaneAlgebra()
+        unions = brick_unions(cu.brick_decomposition(cu.CutSystem.of(cuts)))
+        algebra.elements = lambda: unions
+        report = audit_axioms(algebra)
+        assert len(unions) == 16 and report.passed, report.text()

@@ -23,10 +23,15 @@ sign vectors (``plane.fills``), so its boundary representation needs no
 Fourier-Motzkin call and no point test at all.
 
 The walk yields an edge's ends as ints over a common denominator, and no
-point.  A sheet's ends become ``Fraction`` parameters, and its inner point
-(``plane.edge_point``) and end points are built only for the sheets
-returned: ``boundary_representation`` builds points for its boundary
-sheets and corners alone.
+point.  A sheet's ends become ``Fraction`` parameters.  Every point is
+built by ``plane.line_point`` from the carrier's integer form and an int
+parameter ``p/q``, one ``Fraction`` per coordinate: a sheet's inner point
+(``plane.edge_point``) and its ``sheet_points``, whose parameters are read
+off the numerators and denominators of its ends.  Points are built only
+for the sheets returned: ``boundary_representation`` builds them for its
+boundary sheets and corners alone, and it collects the corners from the
+edges' int ends as reduced int triples (``plane.line_point_ints``), so
+each distinct corner becomes ``Fraction``s once.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from .plane import (
     edge_point,
     faces,
     fills,
-    line_param,
-    point_on,
+    line_point,
+    line_point_ints,
     sign_masks,
 )
 
@@ -65,7 +70,9 @@ class CutSystem:
     @staticmethod
     def for_polytope(poly: PlanePolytope,
                      extra: Iterable[Hyperplane] = ()) -> "CutSystem":
-        return CutSystem.of(list(poly.constraint_lines()) + list(extra))
+        lines, extra = poly.constraint_lines(), list(extra)
+        # constraint_lines is already sorted and distinct
+        return CutSystem.of(lines + extra) if extra else CutSystem(tuple(lines))
 
     def vertices(self) -> tuple[Point, ...]:
         pts = set()
@@ -144,18 +151,24 @@ def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
 
 
 def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
-    """A few interior points of the sheet (for uniformity checks)."""
-    base, direction = line_param(sheet.carrier)
+    """A few interior points of the sheet (for uniformity checks): at
+    parameters 0, 1, ... on an uncrossed cut, 1, 2, ... past a single end,
+    and spaced evenly between two ends."""
     lo, hi = sheet.lo, sheet.hi
     if lo is None and hi is None:
-        ts = [Fraction(k) for k in range(count)]
+        ts = [(k, 1) for k in range(count)]
     elif lo is None:
-        ts = [hi - k - 1 for k in range(count)]
+        p, q = hi.numerator, hi.denominator
+        ts = [(p - (k + 1) * q, q) for k in range(count)]
     elif hi is None:
-        ts = [lo + k + 1 for k in range(count)]
+        p, q = lo.numerator, lo.denominator
+        ts = [(p + (k + 1) * q, q) for k in range(count)]
     else:
-        ts = [lo + (hi - lo) * Fraction(k + 1, count + 1) for k in range(count)]
-    return tuple(point_on(base, direction, t) for t in ts)
+        # lo + (hi - lo) * (k + 1) / (count + 1), over one denominator
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        q = lo.denominator * hi.denominator * (count + 1)
+        ts = [(a * (count + 1) + (b - a) * (k + 1), q) for k in range(count)]
+    return tuple(line_point(sheet.carrier, p, q) for p, q in ts)
 
 
 @dataclass(frozen=True)
@@ -183,15 +196,16 @@ def boundary_representation(poly: PlanePolytope,
     boundary and yield empty parts.
     """
     cs = CutSystem.for_polytope(poly, extra_cuts)
-    index = {cut: j for j, cut in enumerate(cs.cuts)}
-    masks = sign_masks(poly, index)
+    masks = sign_masks(poly, {cut: j for j, cut in enumerate(cs.cuts)})
+    own_bit = {id(cut): 1 << j for j, cut in enumerate(cs.cuts)}
     boundary, corners = [], set()
     for edge in arrangement_edges(cs.cuts):
-        mu, _, _, _, above = edge
-        if fills(masks, above | 1 << index[mu]) != fills(masks, above):
-            sheet = _sheet(cs.cuts, *edge)
-            boundary.append(sheet)
-            base, direction = line_param(mu)
-            corners.update(point_on(base, direction, t)
-                           for t in (sheet.lo, sheet.hi) if t is not None)
-    return BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))
+        mu, lo, hi, den, above = edge
+        if fills(masks, above | own_bit[id(mu)]) != fills(masks, above):
+            boundary.append(_sheet(cs.cuts, *edge))
+            # each corner once, as reduced ints, before any Fraction
+            for end in (lo, hi):
+                if end is not None:
+                    corners.add(line_point_ints(mu, end, den))
+    points = sorted((Fraction(x, d), Fraction(y, d)) for x, y, d in corners)
+    return BoundaryRepresentation(cs, tuple(boundary), tuple(points))

@@ -30,7 +30,11 @@ and no Fourier-Motzkin call.  The walk is on integers: each line's
 crossings are ints over one common denominator, and an edge's ends are
 two of them.  It builds no point; ``edge_point`` builds the exact point
 inside an edge for the callers that need one, the facet edge of
-``contact_sc``/``sc_witness`` and the sheets and corners of ``cuts``.
+``contact_sc``/``sc_witness`` and the sheets of ``cuts``.  Such points
+come from ``line_point``: the point at an int parameter ``p/q`` of a line,
+computed on the line's integer form with one ``Fraction`` per coordinate;
+``line_point_ints`` gives it as reduced ints, on which ``cuts``
+deduplicates the corners of a boundary.
 ``equals``, the facet search of ``contact_sc`` and the boundary machinery
 of ``cuts`` are tests on these sign vectors.  ``point_in_interior`` and
 ``point_on_boundary`` stay as an independent pointwise predicate that
@@ -330,6 +334,38 @@ def point_on(base: Point, direction, t: Fraction) -> Point:
     return (base[0] + t * direction[0], base[1] + t * direction[1])
 
 
+def _line_coords(mu: Hyperplane, p: int, q: int) -> tuple[int, int, int]:
+    """``(x, y, d)``, ints with d nonzero, such that ``(x/d, y/d)`` is the
+    point at parameter ``p/q`` of ``line_param(mu)``."""
+    # mu is (A*x + B*y = C) / m with m its lead coefficient; line_param's
+    # base is (0, C/B), or (C/A, 0) when B = 0 (then A = m), and its
+    # direction is (-B, A) / m
+    A, B, C = mu.integer_form
+    if B:
+        qm = q * (A or B)
+        return -p * B * B, C * qm + p * A * B, B * qm
+    return C * q, p * A, A * q
+
+
+def line_point(mu: Hyperplane, p: int, q: int) -> Point:
+    """The exact point at parameter ``p/q`` (ints, q nonzero) of
+    ``line_param(mu)``, equal to ``point_on(*line_param(mu), Fraction(p, q))``:
+    computed on the line's integer form, one ``Fraction`` per coordinate."""
+    x, y, d = _line_coords(mu, p, q)
+    return Fraction(x, d), Fraction(y, d)
+
+
+def line_point_ints(mu: Hyperplane, p: int, q: int) -> tuple[int, int, int]:
+    """``line_point(mu, p, q)`` as ``(x, y, d)``, the coordinates over
+    their least common positive denominator d: equal points give equal
+    triples, and no ``Fraction`` is built."""
+    x, y, d = _line_coords(mu, p, q)
+    g = math.gcd(x, y, d)
+    if d < 0:
+        g = -g
+    return x // g, y // g, d // g
+
+
 def arrangement_edges(lines: Sequence[Hyperplane]
                       ) -> Iterator[tuple[Hyperplane, Optional[int], Optional[int],
                                           int, int]]:
@@ -408,12 +444,10 @@ def edge_point(mu: Hyperplane, lo: Optional[int], hi: Optional[int],
     ``lo/den + 1``, or 0 on a line no other line crosses.  It lies on no
     other line of the arrangement."""
     if lo is None:
-        t = Fraction(0) if hi is None else Fraction(hi - den, den)
-    elif hi is None:
-        t = Fraction(lo + den, den)
-    else:
-        t = Fraction(lo + hi, 2 * den)
-    return point_on(*line_param(mu), t)
+        return line_point(mu, 0, 1) if hi is None else line_point(mu, hi - den, den)
+    if hi is None:
+        return line_point(mu, lo + den, den)
+    return line_point(mu, lo + hi, 2 * den)
 
 
 def faces(lines: Sequence[Hyperplane]) -> set[int]:

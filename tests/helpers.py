@@ -381,6 +381,39 @@ def reference_boundary_representation(poly, extra_cuts=()):
     return cu.BoundaryRepresentation(cs, tuple(in_boundary), corners)
 
 
+def reference_sheet_points(sheet, count=3):
+    """``cuts.sheet_points`` by ``Fraction`` parameters and ``point_on``."""
+    base, direction = pl.line_param(sheet.carrier)
+    lo, hi = sheet.lo, sheet.hi
+    if lo is None and hi is None:
+        ts = [Fraction(k) for k in range(count)]
+    elif lo is None:
+        ts = [hi - k - 1 for k in range(count)]
+    elif hi is None:
+        ts = [lo + k + 1 for k in range(count)]
+    else:
+        ts = [lo + (hi - lo) * Fraction(k + 1, count + 1) for k in range(count)]
+    return tuple(pl.point_on(base, direction, t) for t in ts)
+
+
+def reference_walk_boundary_representation(poly, extra_cuts=()):
+    """``cuts.boundary_representation`` with the own bits keyed by line and
+    each corner built by ``point_on`` at a sheet's ``Fraction`` end."""
+    cs = cu.CutSystem.of(list(poly.constraint_lines()) + list(extra_cuts))
+    index = {cut: j for j, cut in enumerate(cs.cuts)}
+    masks = pl.sign_masks(poly, index)
+    boundary, corners = [], set()
+    for edge in pl.arrangement_edges(cs.cuts):
+        mu, _, _, _, above = edge
+        if pl.fills(masks, above | 1 << index[mu]) != pl.fills(masks, above):
+            sheet = cu._sheet(cs.cuts, *edge)
+            boundary.append(sheet)
+            base, direction = pl.line_param(mu)
+            corners.update(pl.point_on(base, direction, t)
+                           for t in (sheet.lo, sheet.hi) if t is not None)
+    return cu.BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))
+
+
 def reference_union(p, q):
     """``IntervalPolytope.union`` by re-sorting and re-merging all pieces."""
     return iv.canonicalize(p.pieces + q.pieces)

@@ -6,7 +6,9 @@ its edges, resolved to ``(line, lo, hi, rep, above)`` by ``Fraction`` ends
 and ``plane.edge_point``, are compared whole with the ``Fraction`` walk it
 replaced, on the random cut systems below, on lines whose coefficients
 have denominators up to 10^6, and on 12 lines with pairwise coprime
-denominators near 10^6.
+denominators near 10^6.  ``plane.line_point``, which builds every such
+point from a line's integer form, is compared with ``point_on`` at the
+``Fraction`` parameter on vertical, horizontal and general lines.
 
 ``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
 the facet search, ``PlanePolytope.equals``, ``cuts.sheets``,
@@ -69,6 +71,9 @@ def line_lists(draw):
 SINGLE_LINE = [mk_line((1, 0), F(0))]
 PARALLEL_FAMILY = [mk_line((1, 1), F(c)) for c in (-2, 0, 1, 3)] + [mk_line((0, 1), F(0))]
 PENCIL = [line_through(n, (F(1), F(1))) for n in PENCIL_NORMALS[:4]]
+# only vertical and horizontal lines, whose integer forms have a zero
+AXIS_GRID = ([mk_line((2, 0), F(c, 3)) for c in (-4, 1, 5)]
+             + [mk_line((0, -1), F(c, 2)) for c in (-3, 0, 7)])
 
 
 @st.composite
@@ -144,8 +149,34 @@ def assert_edges_match_reference(lines):
 @example(SINGLE_LINE)
 @example(PARALLEL_FAMILY)
 @example(PENCIL)
+@example(AXIS_GRID)
 def test_edges_equal_fraction_reference(lines):
     assert_edges_match_reference(lines)
+
+
+nonzero_wide = wide_fractions.filter(bool)
+any_line = st.one_of(
+    st.builds(lambda a, c: Hyperplane((a, F(0)), c), nonzero_wide, wide_fractions),
+    st.builds(lambda b, c: Hyperplane((F(0), b), c), nonzero_wide, wide_fractions),
+    st.builds(lambda a, b, c: Hyperplane((a, b), c), nonzero_wide, nonzero_wide,
+              wide_fractions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_line, st.integers(-10**12, 10**12), st.integers(1, 10**9), st.integers(1, 50))
+@example(mk_line((1, 0), F(0)), 0, 1, 1)
+@example(mk_line((0, 1), F(-5, 2)), -7, 3, 4)
+def test_line_point_equals_point_on(mu, p, q, k):
+    point = pl.line_point(mu, p, q)
+    assert point == pl.point_on(*pl.line_param(mu), F(p, q))
+    assert all(type(v) is F for v in point) and mu.contains(point)
+    # the integer form: reduced over a positive denominator, the same for
+    # every way of writing the parameter, and the same point
+    x, y, d = pl.line_point_ints(mu, p, q)
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert pl.line_point_ints(mu, p * k, q * k) == (x, y, d)
+    assert pl.line_point_ints(mu, -p, -q) == (x, y, d)
+    assert (F(x, d), F(y, d)) == point
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,13 +5,17 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycontact import cuts as cu
 from polycontact import plane as pl
 from polycontact.algebra import FiniteContactAlgebra, PlaneAlgebra, audit_axioms
 from polycontact.numeric import HalfSpace, Hyperplane
 from polycontact.plane import _as_con, feasible_point
-from helpers import demorgan_equals, flank_signs, polytope_brick_signs
+from helpers import (
+    demorgan_equals, flank_signs, polytope_brick_signs, reference_boundary_representation,
+    reference_sheet_points, reference_walk_boundary_representation)
 
 X_AXIS = Hyperplane((F(0), F(1)), F(0))
 Y_AXIS = Hyperplane((F(1), F(0)), F(0))
@@ -222,6 +226,51 @@ class TestBoundaryRepresentation:
                 assert pl.point_on_boundary(poly, v) == (v in corners)
 
 
+def random_line(rng):
+    while True:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if a or b:
+            return Hyperplane((F(a), F(b)), F(rng.randint(-6, 6), rng.randint(1, 3)))
+
+
+def polytope_with_cuts(rng):
+    """A union of 1-3 parts over 3-8 distinct random lines, with 3 or more
+    of them as constraint lines, and the lines it leaves out."""
+    while True:
+        lines = list(dict.fromkeys(random_line(rng) for _ in range(rng.randint(3, 8))))
+        sets = [[rng.choice(line.sides()) for line in rng.sample(lines, min(len(lines),
+                                                                            rng.randint(2, 4)))]
+                for _ in range(rng.randint(1, 3))]
+        poly = pl.PlanePolytope.from_constraint_sets(sets)
+        used = poly.constraint_lines()
+        if len(used) >= 3:
+            return poly, [line for line in lines if line not in used]
+
+
+def test_boundary_path_matches_fraction_references():
+    # the integer boundary path against the Fraction one it replaced, on
+    # seeded polytopes whose cut systems have 3-8 cuts
+    rng = random.Random(17)
+    compared = 0
+    for _ in range(60):
+        poly, unused = polytope_with_cuts(rng)
+        for extra in ([], unused, unused[::-1] + poly.constraint_lines()[:2]):
+            rep = cu.boundary_representation(poly, extra)
+            cs = rep.cut_system
+            assert 3 <= len(cs.cuts) <= 8
+            assert cs == cu.CutSystem.of(list(poly.constraint_lines()) + extra)
+            assert rep == reference_walk_boundary_representation(poly, extra)
+            assert rep == reference_boundary_representation(poly, extra)
+            assert all(type(v) is F for corner in rep.corner_points for v in corner)
+            for sheet in rep.boundary_sheets:
+                for count in (1, 3, 4):
+                    points = cu.sheet_points(sheet, count)
+                    assert points == reference_sheet_points(sheet, count)
+                    assert all(type(v) is F for point in points for v in point)
+            compared += len(rep.corner_points)
+    assert compared > 500
+
+
 def sheet_graph(cs):
     """The bricks of a cut system and the contact algebra of its sheet
     graph: one cell per brick, two bricks in contact when they are equal or
@@ -271,3 +320,31 @@ class TestSheetGraph:
         algebra.elements = lambda: unions
         report = audit_axioms(algebra)
         assert len(unions) == 16 and report.passed, report.text()
+
+
+small_lines = st.builds(
+    lambda n, c: Hyperplane((F(n[0]), F(n[1])), F(c)),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda n: n != (0, 0)),
+    st.integers(-3, 3))
+
+# sampled pairs per cut system; with 60 systems about 3 s in all
+PAIRS_PER_SYSTEM = 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_lines, min_size=3, max_size=5, unique=True),
+       st.randoms(use_true_random=False))
+def test_contact_sc_is_sheet_graph_contact_on_random_systems(cuts, rng):
+    # strong contact on sampled pairs of brick unions of a random 3-5-cut
+    # system; half the pairs are disjoint, so their verdict is a facet or none
+    bricks, graph = sheet_graph(cu.CutSystem.of(cuts))
+    full = (1 << len(bricks)) - 1
+
+    def union(mask):
+        return pl.PlanePolytope.from_constraint_sets(
+            b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
+
+    for i in range(PAIRS_PER_SYSTEM):
+        a = rng.randint(0, full)
+        b = rng.randint(0, full) & (~a if i % 2 else full)
+        assert pl.contact_sc(union(a), union(b)) == graph.contact(a, b), (a, b)

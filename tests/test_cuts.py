@@ -238,9 +238,10 @@ def polytope_with_cuts(rng):
     of them as constraint lines, and the lines it leaves out."""
     while True:
         lines = list(dict.fromkeys(random_line(rng) for _ in range(rng.randint(3, 8))))
-        sets = [[rng.choice(line.sides()) for line in rng.sample(lines, min(len(lines),
-                                                                            rng.randint(2, 4)))]
-                for _ in range(rng.randint(1, 3))]
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            chosen = rng.sample(lines, min(len(lines), rng.randint(2, 4)))
+            sets.append([rng.choice(line.sides()) for line in chosen])
         poly = pl.PlanePolytope.from_constraint_sets(sets)
         used = poly.constraint_lines()
         if len(used) >= 3:
@@ -285,11 +286,15 @@ def sheet_graph(cs):
     return bricks, FiniteContactAlgebra([str(b.signs) for b in bricks], succ)
 
 
+def brick_union(bricks, mask):
+    """The union of the bricks whose bits are set in the mask."""
+    return pl.PlanePolytope.from_constraint_sets(
+        b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
+
+
 def brick_unions(bricks):
     """The union of the bricks of each bitmask, indexed by the mask."""
-    return [pl.PlanePolytope.from_constraint_sets(
-        b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
-        for mask in range(1 << len(bricks))]
+    return [brick_union(bricks, mask) for mask in range(1 << len(bricks))]
 
 
 class TestSheetGraph:
@@ -339,12 +344,8 @@ def test_contact_sc_is_sheet_graph_contact_on_random_systems(cuts, rng):
     # system; half the pairs are disjoint, so their verdict is a facet or none
     bricks, graph = sheet_graph(cu.CutSystem.of(cuts))
     full = (1 << len(bricks)) - 1
-
-    def union(mask):
-        return pl.PlanePolytope.from_constraint_sets(
-            b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
-
     for i in range(PAIRS_PER_SYSTEM):
         a = rng.randint(0, full)
         b = rng.randint(0, full) & (~a if i % 2 else full)
-        assert pl.contact_sc(union(a), union(b)) == graph.contact(a, b), (a, b)
+        p, q = brick_union(bricks, a), brick_union(bricks, b)
+        assert pl.contact_sc(p, q) == graph.contact(a, b), (a, b)

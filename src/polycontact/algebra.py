@@ -403,7 +403,9 @@ def merge(images: Mapping[str, CylinderPolytope],
     * join         - union distributes over subset union;
     * contact      - the induced relation matches strong contact of unions,
       in both directions (and likewise for plain topological contact,
-      which coincides with strong contact on projection images).
+      which coincides with strong contact on projection images).  Both
+      relations hold of two subsets exactly when they hold of some pair of
+      their cells, so over all subsets this is checked on pairs of cells.
 
     When ``space`` is given its adjacency must agree with strong contact of
     the images; otherwise the relation is derived from the images.
@@ -446,10 +448,15 @@ def merge(images: Mapping[str, CylinderPolytope],
     if 1 << n <= _EXHAUSTIVE_LIMIT:
         masks = range(1 << n)
         mask_pairs = list(product(masks, repeat=2))
+        # both contact relations hold of two subsets exactly when they hold
+        # of some pair of their cells, so the first subset pair on which
+        # they differ is that of the first cell pair on which they differ
+        contact_pairs = [(1 << i, 1 << j) for i in range(n) for j in range(n)]
     else:
         rng = random.Random(_MERGE_SEED)
         masks = sorted({rng.randrange(1 << n) for _ in range(_MERGE_SAMPLES)} | {0, full})
         mask_pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(_MERGE_SAMPLES)]
+        contact_pairs = mask_pairs
     singles = [(a,) for a in masks]
 
     ends, image_segs = iv.segment_masks([images[x].base for x in cells])
@@ -479,7 +486,7 @@ def merge(images: Mapping[str, CylinderPolytope],
     report.check("join", first_witness(
         mask_pairs, lambda a, b: segs[a | b] != segs[a] | segs[b], ab))
     # on the line C and SC coincide, so one test decides both lines
-    contact = first_witness(mask_pairs, contact_differs, ab)
+    contact = first_witness(contact_pairs, contact_differs, ab)
     report.check("contact", contact)
     report.check("contact-C-variant", contact)
     return MergeResult(cells, dict(images), union_of, report)

@@ -14,10 +14,12 @@ formula's value is one int whose bit v is its truth under valuation v.  So
 the lowest zero bit of a run is the first falsifying valuation in product
 order.
 
-A search runs one program over many algebras, so a run sets up nothing but
-its input slices: the program decodes its code once, the bit patterns of
-each width are built once per process and shared by every program, and
-each algebra builds its successor lists once (``FiniteContactAlgebra.near``).
+A search runs one program over many algebras, so a run sets up nothing:
+the program decodes its code once, the input slices of each (cells,
+variables) are built once per process from the bit patterns and shared by
+every program, and each algebra builds its successor lists once
+(``FiniteContactAlgebra.near``).  When every variable fits one run, a space
+costs that one run.
 """
 
 from __future__ import annotations
@@ -52,17 +54,27 @@ def bit_patterns(width: int) -> list[int]:
     return out
 
 
-# ``bit_patterns`` by width, shared by every program: widths never exceed
-# SLICE_BITS, so at most SLICE_BITS + 1 entries of at most SLICE_BITS ints
-# below 2^(2^SLICE_BITS) each (about 0.25 MB in all at 16)
-_PATTERNS: dict[int, list[int]] = {}
+# The input slices and ``full`` of a run by (cells, sliced variables),
+# shared by every program: slice j holds the bit patterns of the j-th
+# variable's cells, and ``full`` has every bit of the run set.  Widths never
+# exceed SLICE_BITS, and entries of equal width share their pattern ints,
+# so the patterns take at most SLICE_BITS + 1 lists of at most SLICE_BITS
+# ints below 2^(2^SLICE_BITS) each (about 0.25 MB in all at 16)
+_PATTERNS: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
 
 
-def _patterns(width: int) -> list[int]:
-    bits = _PATTERNS.get(width)
-    if bits is None:
-        bits = _PATTERNS[width] = bit_patterns(width)
-    return bits
+def _slices(n: int, sliced: int) -> tuple[list[list[int]], int]:
+    entry = _PATTERNS.get((n, sliced))
+    if entry is None:
+        width = n * sliced
+        bits = next((sum(reversed(slices), []) for (m, k), (slices, _) in _PATTERNS.items()
+                     if m * k == width), None)
+        if bits is None:
+            bits = bit_patterns(width)
+        entry = _PATTERNS[n, sliced] = (
+            [bits[n * (sliced - 1 - j):n * (sliced - j)] for j in range(sliced)],
+            (1 << (1 << width)) - 1)
+    return entry
 
 
 class Program:
@@ -72,8 +84,8 @@ class Program:
     ``names`` or the operand slots (``b`` is None for one operand), and the
     slots whose last use is this instruction, dropped right after it, so a
     run holds only the values still needed.  A program keeps no state
-    between runs: the bit patterns are shared by width across programs, and
-    each algebra carries its successor lists (``near``)."""
+    between runs: the input slices are shared across programs, and each
+    algebra carries its successor lists (``near``)."""
 
     def __init__(self, code: list[tuple]):
         last = {}
@@ -133,6 +145,11 @@ class Program:
                 vals[slot] = None
         return vals[-1]
 
+    def _sliced(self, n: int) -> int:
+        """How many of the last variables one run over n cells covers."""
+        k = len(self.names)
+        return min(k, SLICE_BITS // n) if n else k
+
     def truth_runs(self, algebra: FiniteContactAlgebra
                    ) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """``(prefix, truth, full)`` per run, in product order: the leading
@@ -140,15 +157,11 @@ class Program:
         masks in ``prefix``; bit v of ``truth`` is the formula's truth under
         the v-th valuation of the others, and ``full`` has every bit set."""
         n = len(algebra.cells)
-        k = len(self.names)
-        sliced = min(k, SLICE_BITS // n) if n else k
-        fixed = k - sliced
-        width = n * sliced
-        bits = _patterns(width)
-        full = (1 << (1 << width)) - 1
+        sliced = self._sliced(n)
+        fixed = len(self.names) - sliced
+        slices, full = _slices(n, sliced)
         near = algebra.near
-        inputs = [None] * fixed + [bits[n * (sliced - 1 - j):n * (sliced - j)]
-                                   for j in range(sliced)]
+        inputs = [None] * fixed + slices
         for prefix in product(range(1 << n), repeat=fixed):
             for j, m in enumerate(prefix):
                 inputs[j] = [full if m >> i & 1 else 0 for i in range(n)]
@@ -157,13 +170,26 @@ class Program:
     def first_falsifier(self, algebra: FiniteContactAlgebra
                         ) -> Optional[tuple[int, ...]]:
         """Masks of ``names`` in the first falsifying valuation in product
-        order, or None when the formula is true in the algebra."""
+        order, or None when the formula is true in the algebra.  When every
+        variable fits one run, that run is the whole search."""
         n = len(algebra.cells)
+        k = len(self.names)
+        if self._sliced(n) == k:
+            slices, full = _slices(n, k)
+            return _first_masks((), full ^ self.run(slices, algebra.near, full), n, k)
         for prefix, truth, full in self.truth_runs(algebra):
-            falsified = full ^ truth
-            if falsified:
-                v = (falsified & -falsified).bit_length() - 1
-                sliced = len(self.names) - len(prefix)
-                return prefix + tuple(v >> (n * (sliced - 1 - j)) & ((1 << n) - 1)
-                                      for j in range(sliced))
+            masks = _first_masks(prefix, full ^ truth, n, k - len(prefix))
+            if masks is not None:
+                return masks
         return None
+
+
+def _first_masks(prefix: tuple[int, ...], falsified: int, n: int, sliced: int
+                 ) -> Optional[tuple[int, ...]]:
+    """``prefix`` followed by the masks of the ``sliced`` run variables in
+    the lowest valuation set in ``falsified``, or None when none is."""
+    if not falsified:
+        return None
+    v = (falsified & -falsified).bit_length() - 1
+    return prefix + tuple(v >> (n * (sliced - 1 - j)) & ((1 << n) - 1)
+                          for j in range(sliced))

@@ -130,6 +130,9 @@ def _bool(x: bool) -> str:
 def _cmd_contact(args, sc_line: bool) -> int:
     fmt, a = _load_geometry(args.file_a)
     b = _load_like(fmt, args.file_b)
+    explain = sc_line and args.explain
+    if explain and fmt.kind != "plane":
+        raise CliParseError(f"--explain needs plane regions (poly), got {fmt.kind}")
     c = _bool(a.contact_c(b))
     witness = a.sc_witness(b) if sc_line else None
     if sc_line:
@@ -145,9 +148,24 @@ def _cmd_contact(args, sc_line: bool) -> int:
     elif witness is not None:
         lo, hi = witness
         print(f"witness=interval ({lo},{hi})")
+    if explain:
+        _print_explanation(a, b)
     if args.svg:
         _write(args.svg, fmt.draw([(a, "A"), (b, "B")], args.viewport, witness))
     return EXIT_OK
+
+
+def _print_explanation(a, b) -> None:
+    """The reason for the strong-contact verdict of two plane polytopes,
+    its witness and the arrangement edges walked, as ``key=value`` lines."""
+    reason, line, point, walked = pl.sc_explanation(a, b)
+    print(f"reason={reason}")
+    if reason == "overlap":
+        print(f"overlap_point=({point[0]},{point[1]})")
+    elif reason == "facet":
+        (na, nb), c = line.normal, line.offset
+        print(f"facet_line=({na},{nb},{c}) edge_point=({point[0]},{point[1]})")
+    print(f"edges_walked={walked}")
 
 
 def _cmd_bool_op(args) -> int:
@@ -338,6 +356,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("file_a")
     p.add_argument("file_b")
     add_svg(p)
+    p.add_argument("--explain", action="store_true",
+                   help="plane regions only: print the verdict's reason "
+                        "(overlap, facet or none), its witness and the "
+                        "arrangement edges walked")
     p.set_defaults(fn=lambda a: _cmd_contact(a, sc_line=True))
 
     p = sub.add_parser("c-check", help="topological contact of two regions")

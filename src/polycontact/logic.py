@@ -934,9 +934,9 @@ def find_countermodel(f: Formula | str, max_cells: int
     once with the space (see ``MAX_BOUND`` for their memory), so a query
     builds no algebra, and a returned space is the very object
     ``enumerate_connected_spaces`` yields.  Each algebra keeps the successor
-    lists the first search over it builds, and the bit patterns are shared
-    by width, so a later search sets up nothing per space but the input
-    slices of its runs.
+    lists the first search over it builds, and the input slices are shared
+    by (cells, variables), so a later search sets up nothing per space: when
+    every variable fits one run, a space costs that one run.
     """
     check_bound(max_cells)
     if isinstance(f, str):

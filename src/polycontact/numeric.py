@@ -23,6 +23,14 @@ Each half-space and hyperplane also carries its integer form
 denominators, a positive scaling, so the same set.  It is computed once per
 object, and the plane kernel decides feasibility and walks arrangements on
 it, building ``Fraction`` values only for the points it returns.
+
+Identity and order are on the integer form too: it is unique for each
+canonical object, so ``==`` and ``hash`` compare and hash its ints, and
+``<`` orders two objects as their ``(normal, offset)`` tuples would, by
+cross-multiplying each coordinate with the other form's lead scale (the
+absolute value of its first nonzero entry).  A half-space's boundary line
+is built from its own coefficients and integer form, negated when its lead
+is -1, with no ``Fraction`` division.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Sequence
 
 Rational = Fraction
@@ -112,8 +120,67 @@ def _integer_form(normal: tuple[Fraction, ...], offset: Fraction) -> tuple[int, 
     return tuple(c.numerator * (scale // c.denominator) for c in coefficients)
 
 
-@dataclass(frozen=True, order=True)
-class HalfSpace:
+def _lead(form: tuple[int, ...]) -> int:
+    """The first nonzero entry of an integer form, its lead: the canonical
+    lead (1 or -1) times the positive factor the form is of the canonical
+    coefficients."""
+    return next(c for c in form if c)
+
+
+def _below(f: tuple[int, ...], s: int, g: tuple[int, ...], t: int) -> bool:
+    """Whether ``(normal, offset)`` of the integer form ``f`` with lead scale
+    ``s`` is below that of ``g`` with scale ``t`` in tuple order: normals
+    first, a shorter one below its extensions, then offsets.  Each
+    coordinate pair is compared cross-multiplied by the other form's
+    scale."""
+    d, e = len(f) - 1, len(g) - 1
+    for i in range(d if d < e else e):
+        x, y = f[i] * t, g[i] * s
+        if x != y:
+            return x < y
+    if d != e:
+        return d < e
+    return f[d] * t < g[e] * s
+
+
+@total_ordering
+class _IntegerIdentity:
+    """Equality, hash and order on ``integer_form``, for the canonical
+    classes below.
+
+    The integer form is a function of the canonical ``(normal, offset)`` and
+    divides back to it by its lead scale, so equal forms mean equal objects;
+    the order is that of the ``(normal, offset)`` tuples, decided on the
+    forms by cross-multiplying.  Objects of different classes are never
+    equal and are not ordered."""
+
+    @cached_property
+    def integer_form(self) -> tuple[int, ...]:
+        """``(*normal, offset)`` scaled to integers by the lcm of their
+        denominators: the same set with integer coefficients, whose first
+        nonzero coordinate is that lcm up to sign."""
+        return _integer_form(self.normal, self.offset)
+
+    @cached_property
+    def _scale(self) -> int:
+        return abs(_lead(self.integer_form))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.integer_form == other.integer_form
+
+    def __hash__(self):
+        return hash(self.integer_form)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _below(self.integer_form, self._scale, other.integer_form, other._scale)
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSpace(_IntegerIdentity):
     """Closed half-space ``{x : normal.x <= offset}`` in canonical scaling."""
 
     normal: tuple[Fraction, ...]
@@ -130,19 +197,19 @@ class HalfSpace:
     def dim(self) -> int:
         return len(self.normal)
 
-    @cached_property
-    def integer_form(self) -> tuple[int, ...]:
-        """``(*normal, offset)`` scaled to integers by the lcm of their
-        denominators: the same half-space with integer coefficients."""
-        return _integer_form(self.normal, self.offset)
-
     def value_at(self, p: Point) -> Fraction:
         """normal.p - offset; negative inside, zero on the boundary."""
         return dot(self.normal, p) - self.offset
 
     @cached_property
     def _boundary(self) -> "Hyperplane":
-        return Hyperplane(self.normal, self.offset)
+        # the canonical lead is 1 or -1, and the line's is 1: the line is
+        # this half-space's own coefficients, or their negation
+        form = self.integer_form
+        if _lead(form) > 0:
+            return Hyperplane._canonical(self.normal, self.offset, form)
+        return Hyperplane._canonical(tuple(-c for c in self.normal), -self.offset,
+                                     tuple(-c for c in form))
 
     def boundary(self) -> "Hyperplane":
         return self._boundary
@@ -152,8 +219,8 @@ class HalfSpace:
         return f"HalfSpace({terms} <= {self.offset})"
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
+@dataclass(frozen=True, eq=False)
+class Hyperplane(_IntegerIdentity):
     """Hyperplane ``{x : normal.x = offset}`` in canonical (signed) scaling."""
 
     normal: tuple[Fraction, ...]
@@ -166,15 +233,20 @@ class Hyperplane:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
 
+    @classmethod
+    def _canonical(cls, normal: tuple[Fraction, ...], offset: Fraction,
+                   form: tuple[int, ...]) -> "Hyperplane":
+        """The hyperplane with these canonical coefficients (lead 1) and
+        integer form, built without rescaling."""
+        line = object.__new__(cls)
+        object.__setattr__(line, "normal", normal)
+        object.__setattr__(line, "offset", offset)
+        line.__dict__["integer_form"] = form
+        return line
+
     @property
     def dim(self) -> int:
         return len(self.normal)
-
-    @cached_property
-    def integer_form(self) -> tuple[int, ...]:
-        """``(*normal, offset)`` scaled to integers by the lcm of their
-        denominators; its first nonzero coordinate is that lcm."""
-        return _integer_form(self.normal, self.offset)
 
     def value_at(self, p: Point) -> Fraction:
         return dot(self.normal, p) - self.offset

@@ -36,7 +36,13 @@ computed on the line's integer form with one ``Fraction`` per coordinate;
 ``line_point_ints`` gives it as reduced ints, on which ``cuts``
 deduplicates the corners of a boundary.
 ``equals``, the facet search of ``contact_sc`` and the boundary machinery
-of ``cuts`` are tests on these sign vectors.  ``point_in_interior`` and
+of ``cuts`` are tests on these sign vectors.  Half-planes and lines are
+compared, hashed and sorted on their integer forms (``numeric``), so
+``mk_basic``, ``constraint_lines`` and the pooling of two polytopes' lines
+sort and deduplicate on ints, and ``sign_masks`` reads a half-plane's side
+off the sign of its integer form's lead.  ``sc_explanation`` gives the
+reason for a strong-contact verdict, its witness and the number of edges
+the facet search walked.  ``point_in_interior`` and
 ``point_on_boundary`` stay as an independent pointwise predicate that
 samples the sectors around a point.
 
@@ -473,18 +479,20 @@ def sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
     """Per part, ``(need_pos, need_neg)``: the bits of the indexed lines the
     part's interior lies on the positive, and on the negative, side of.
 
-    A half-plane whose normal is its boundary's canonical normal is the
-    negative side of that line; otherwise it is the positive side.
+    A half-plane whose lead coefficient is 1, as its boundary's is, is the
+    negative side of that line; one whose lead is -1 is the positive side.
+    The lead's sign is read off the integer form.
     """
     masks = []
     for part in poly.parts:
         need_pos = need_neg = 0
         for h in part.constraints:
-            line = h.boundary()
-            if h.normal == line.normal:
-                need_neg |= 1 << index[line]
+            bit = 1 << index[h.boundary()]
+            a, b, _ = h.integer_form
+            if (a or b) > 0:
+                need_neg |= bit
             else:
-                need_pos |= 1 << index[line]
+                need_pos |= bit
         masks.append((need_pos, need_neg))
     return masks
 
@@ -504,9 +512,18 @@ def _pooled(p: PlanePolytope, q: PlanePolytope):
     return lines, sign_masks(p, index), sign_masks(q, index)
 
 
-def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
+def _counted(edges: Iterable, stats: dict[str, int]) -> Iterator:
+    """``edges``, adding one to ``stats["edges_walked"]`` for each taken."""
+    for edge in edges:
+        stats["edges_walked"] += 1
+        yield edge
+
+
+def _sc_analysis(p: PlanePolytope, q: PlanePolytope,
+                 stats: Optional[dict[str, int]] = None):
     """None, or ("overlap", point, basic, basic), or ("facet", line, point,
-    pooled lines).
+    pooled lines).  With ``stats``, ``stats["edges_walked"]`` counts the
+    edges the facet search takes; without it, the walk counts nothing.
 
     The facet search walks the edges of the arrangement of the pooled
     constraint lines (``arrangement_edges``) and reads which polytope fills
@@ -523,7 +540,10 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
         return ("overlap", *ow)
     lines, p_masks, q_masks = _pooled(p, q)
     own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
-    for mu, lo, hi, den, above in arrangement_edges(lines):
+    edges = arrangement_edges(lines)
+    if stats is not None:
+        edges = _counted(edges, stats)
+    for mu, lo, hi, den, above in edges:
         plus = above | own_bit[id(mu)]
         if ((fills(p_masks, plus) and fills(q_masks, above))
                 or (fills(p_masks, above) and fills(q_masks, plus))):
@@ -534,6 +554,22 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope):
 def contact_sc(p: PlanePolytope, q: PlanePolytope) -> bool:
     """Strong contact: overlap or a shared crossing facet."""
     return _sc_analysis(p, q) is not None
+
+
+def sc_explanation(p: PlanePolytope, q: PlanePolytope
+                   ) -> tuple[str, Optional[Hyperplane], Optional[Point], int]:
+    """Why strong contact holds or fails, as ``(reason, line, point,
+    edges_walked)``: reason "overlap" with a point interior to both, "facet"
+    with the shared facet's line and the point inside its edge, or "none"
+    with neither.  ``edges_walked`` counts the arrangement edges the facet
+    search took, the facet edge included; an overlap walks none."""
+    stats = {"edges_walked": 0}
+    analysis = _sc_analysis(p, q, stats)
+    if analysis is None:
+        return "none", None, None, stats["edges_walked"]
+    if analysis[0] == "overlap":
+        return "overlap", None, analysis[1], 0
+    return "facet", analysis[1], analysis[2], stats["edges_walked"]
 
 
 def point_line_dist_sq(z: Point, line: Hyperplane) -> Fraction:

@@ -7,7 +7,8 @@ walk, the Fourier-Motzkin ``equals`` and brick-based boundary
 representation kept for the face kernel, the ``canonicalize``-based and
 all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
-plane kernel, the ``merge`` on geometric unions kept for the segment
+plane kernel, the ``Fraction``-field identity, order, boundary line and
+side masks kept for those on integer forms, the ``merge`` on geometric unions kept for the segment
 masks, the recursive-descent formula parser kept for the precedence-climbing
 one, the ``match``-based evaluator and tree-height walk kept for the
 type-dispatched evaluator and the height the parser carries, and random
@@ -32,6 +33,7 @@ from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
+from polycontact.numeric import Hyperplane
 from polycontact.logic import (
     MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, UnboundVariable,
     Variable, conj, evaluate, free_variables, iff, implies, meet, one_term, zero_term)
@@ -511,6 +513,35 @@ def reference_mk_basic(halfspaces):
         if reference_feasible_point(system) is None:
             current = rest
     return pl.BasicPolytope(tuple(current))
+
+
+def reference_key(h):
+    """The identity and order ``HalfSpace`` and ``Hyperplane`` had as
+    ``order=True`` dataclasses: the tuple of their ``Fraction`` fields."""
+    return h.normal, h.offset
+
+
+def reference_boundary(h):
+    """``HalfSpace.boundary`` as ``(normal, offset)`` by ``Fraction``
+    division: the half-space's coefficients over its lead."""
+    lead = next(c for c in h.normal if c)
+    return tuple(c / lead for c in h.normal), h.offset / lead
+
+
+def reference_sign_masks(poly, index):
+    """``plane.sign_masks`` reading each half-plane's side off a comparison
+    of its ``Fraction`` normal with its boundary's."""
+    masks = []
+    for part in poly.parts:
+        need_pos = need_neg = 0
+        for h in part.constraints:
+            line = Hyperplane(h.normal, h.offset)
+            if h.normal == line.normal:
+                need_neg |= 1 << index[line]
+            else:
+                need_pos |= 1 << index[line]
+        masks.append((need_pos, need_neg))
+    return masks
 
 
 def reference_arrangement_edges(lines):

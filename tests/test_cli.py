@@ -485,6 +485,48 @@ def test_contact_checks_every_carrier(carrier, capsys):
     assert capsys.readouterr().out == "C=false\n"
 
 
+# `sc-check --explain` lines after the pinned ones: A and B share the facet
+# on x = 0 (the second edge of that line, the sixth walked), A and FAR are
+# apart (all 10 edges walked), and A and the strip OVERLAP overlap
+EXPLAINED = {
+    "b": "reason=facet\nfacet_line=(1,0,0) edge_point=(0,1)\nedges_walked=6\n",
+    "far": "reason=none\nedges_walked=10\n",
+    "overlap": "reason=overlap\noverlap_point=(1/2,1)\nedges_walked=0\n",
+}
+OVERLAP = "poly { basic { 1 0 <= 1; 0 -1 <= 0 } }"
+
+
+def test_sc_check_explain(carrier, files, capsys):
+    kind, a, b, far, _ = carrier
+    code = run(["sc-check", a, b, "--explain"])
+    captured = capsys.readouterr()
+    if kind != "poly":
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --explain needs plane regions (poly), got {kind}\n"
+        return
+    assert code == 0
+    assert captured.out == PINNED[kind]["sc-check"] + EXPLAINED["b"]
+    assert run(["sc-check", a, far, "--explain"]) == 0
+    assert capsys.readouterr().out == "SC=false C=false overlap=false\n" + EXPLAINED["far"]
+    overlap = files[0]("overlap.poly", OVERLAP)
+    assert run(["sc-check", a, overlap]) == 0
+    plain = capsys.readouterr().out
+    assert run(["sc-check", a, overlap, "--explain"]) == 0
+    assert capsys.readouterr().out == plain + EXPLAINED["overlap"]
+
+
+def test_sc_check_without_explain_counts_no_edge(carrier, capsys, monkeypatch):
+    # the edge counter is a wrapper around the walk that only --explain adds
+    def counted(*args):
+        raise AssertionError("edges counted without --explain")
+
+    monkeypatch.setattr(pl, "_counted", counted)
+    kind, a, b, far, _ = carrier
+    assert run(["sc-check", a, b]) == 0
+    assert capsys.readouterr().out == PINNED[kind]["sc-check"]
+    assert run(["sc-check", a, far]) == 0
+
+
 @pytest.mark.parametrize("op", ["union", "meet", "complement"])
 def test_bool_op_every_carrier(carrier, op, capsys):
     kind, a, b, _, _ = carrier

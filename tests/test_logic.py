@@ -530,6 +530,15 @@ class TestBitSlicedKernel:
                 assert bool(truth >> v & 1) == lg.evaluate(f, algebra, valuation)
         assert next(valuations, None) is None
 
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(), st.integers(1, 3), st.sampled_from([bs.SLICE_BITS, 0, 2, 4]))
+    def test_first_falsifier_matches_scalar_search(self, f, bound, cap):
+        # at the default cap every space of up to 3 cells is one run, the
+        # path without truth_runs; the lower caps fix leading variables
+        with mock.patch.object(bs, "SLICE_BITS", cap):
+            found = lg.find_countermodel(f, bound)
+        assert found == scalar_find_countermodel(f, lg.enumerate_connected_spaces(bound))
+
     @settings(max_examples=100, deadline=None)
     @given(formulas(), finite_algebras(max_cells=3))
     def test_true_in_algebra_matches_evaluate(self, f, algebra):

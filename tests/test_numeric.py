@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_boundary, reference_key
 from polycontact.numeric import (
     DimensionMismatch,
     HalfSpace,
@@ -169,3 +172,87 @@ class TestSqrtLower:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sqrt_lower(F(-1))
+
+
+# coefficients with denominators up to 10^6, zeros and small values often,
+# so vertical and horizontal lines, negative leads and equal objects written
+# differently all come up
+_coefficients = st.one_of(
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+
+
+@st.composite
+def _canonical_objects(draw, cls, dims=(1, 2, 3)):
+    """A ``HalfSpace`` or ``Hyperplane`` of dimension 1-3, sometimes a
+    rescaled copy of an earlier draw, so equal objects recur."""
+    dim = draw(st.sampled_from(dims))
+    normal = draw(st.lists(_coefficients, min_size=dim, max_size=dim)
+                  .filter(lambda n: any(n)))
+    offset = draw(_coefficients)
+    scale = draw(st.sampled_from([F(1), F(-1), F(3, 7), F(-10**6, 999_983)]))
+    if cls is HalfSpace and scale < 0:
+        scale = -scale  # a negative scale flips a half-space
+    return cls(tuple(c * scale for c in normal), offset * scale)
+
+
+def _pools(cls):
+    return st.lists(_canonical_objects(cls), min_size=1, max_size=12).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=16)
+        .map(lambda picks: pool + picks))
+
+
+class TestIntegerIdentity:
+    """Equality, hash and order on integer forms against the ``Fraction``
+    fields' tuple identity and order they replace (``helpers.reference_key``),
+    and ``boundary()`` built from a half-space's own fields against
+    ``Fraction`` division (``helpers.reference_boundary``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([HalfSpace, Hyperplane]).flatmap(_pools))
+    def test_comparisons_match_fraction_fields(self, objects):
+        for x in objects:
+            for y in objects:
+                kx, ky = reference_key(x), reference_key(y)
+                assert (x == y) == (kx == ky) and (x != y) == (kx != ky)
+                assert (x < y) == (kx < ky) and (x <= y) == (kx <= ky)
+                assert (x > y) == (kx > ky) and (x >= y) == (kx >= ky)
+                if x == y:
+                    assert hash(x) == hash(y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([HalfSpace, Hyperplane]).flatmap(_pools))
+    def test_sorting_and_deduplication_match_fraction_fields(self, objects):
+        assert [reference_key(x) for x in sorted(objects)] == sorted(map(reference_key, objects))
+        assert ([reference_key(x) for x in sorted(set(objects))]
+                == sorted(set(map(reference_key, objects))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_canonical_objects(HalfSpace))
+    def test_boundary_matches_fraction_division(self, h):
+        line = h.boundary()
+        assert type(line) is Hyperplane
+        assert reference_key(line) == reference_boundary(h)
+        assert all(type(c) is F for c in (*line.normal, line.offset))
+        fresh = Hyperplane(h.normal, h.offset)
+        assert line == fresh and hash(line) == hash(fresh)
+        assert line.integer_form == fresh.integer_form
+        assert flip(h).boundary() == line
+
+    def test_vertical_horizontal_and_negative_leads(self):
+        lines = [HalfSpace((F(-2), F(0)), F(3)), HalfSpace((F(0), F(-5, 3)), F(1, 7)),
+                 HalfSpace((F(0), F(4)), F(-1)), HalfSpace((F(-1, 10**6), F(3)), F(0))]
+        for h in lines:
+            assert reference_key(h.boundary()) == reference_boundary(h)
+        assert lines[0].boundary().integer_form == (2, 0, -3)
+        assert lines[1].boundary().integer_form == (0, 35, -3)
+
+    def test_classes_and_dimensions(self):
+        h, line = HalfSpace((F(1), F(0)), F(0)), Hyperplane((F(1), F(0)), F(0))
+        assert h != line and line != h
+        with pytest.raises(TypeError):
+            h < line
+        # tuple order: a normal sorts below its extensions, whatever the offsets
+        short, long = HalfSpace((F(1),), F(5)), HalfSpace((F(1), F(0)), F(-5))
+        assert short < long and long > short and short != long
+        assert sorted([long, short]) == [short, long]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
-from helpers import reference_feasible_point, reference_mk_basic
+from helpers import reference_feasible_point, reference_mk_basic, reference_sign_masks
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -383,3 +383,41 @@ def test_mk_basic_equals_fraction_reference(cons):
     if got is not None:
         assert got.interior_point() == reference_feasible_point(
             [(*h.normal, h.offset, True) for h in got.constraints])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(systems(), min_size=1, max_size=3))
+def test_sign_masks_equal_fraction_reference(parts):
+    # parts straight from the systems, mk_basic skipped: every orientation
+    # of every line of a parallel family or pencil comes up
+    poly = pl.PlanePolytope(tuple(
+        pl.BasicPolytope(tuple(HalfSpace((a, b), c) for a, b, c, _ in cons if a or b))
+        for cons in parts))
+    lines = poly.constraint_lines()
+    index = {line: j for j, line in enumerate(lines)}
+    assert pl.sign_masks(poly, index) == reference_sign_masks(poly, index)
+
+
+def test_sc_explanation_matches_the_verdicts():
+    # a polytope and its complement share a facet; random pairs mostly
+    # overlap or miss each other
+    rng = random.Random(17)
+    reasons = set()
+    for i in range(120):
+        a = pl.random_plane_polytope(rng)
+        b = a.complement() if i % 3 == 0 else pl.random_plane_polytope(rng)
+        reason, line, point, walked = pl.sc_explanation(a, b)
+        reasons.add(reason)
+        assert (reason != "none") == pl.contact_sc(a, b)
+        assert (reason == "overlap") == pl.overlap(a, b)
+        lines = sorted(set(a.constraint_lines()) | set(b.constraint_lines()))
+        total = sum(1 for _ in pl.arrangement_edges(lines))
+        if reason == "overlap":
+            assert line is None and walked == 0
+            assert pl.point_in_interior(a, point) and pl.point_in_interior(b, point)
+        elif reason == "facet":
+            assert line in lines and line.contains(point) and 1 <= walked <= total
+            assert pl.sc_witness(a, b)[0] == point
+        else:
+            assert line is None and point is None and walked == total
+    assert reasons == {"overlap", "facet", "none"}

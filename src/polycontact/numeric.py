@@ -30,7 +30,10 @@ canonical object, so ``==`` and ``hash`` compare and hash its ints, and
 cross-multiplying each coordinate with the other form's lead scale (the
 absolute value of its first nonzero entry).  A half-space's boundary line
 is built from its own coefficients and integer form, negated when its lead
-is -1, with no ``Fraction`` division.
+is -1, with no ``Fraction`` division.  Nothing is divided at a unit lead
+either: coefficients whose scale factor is already 1 are kept as they are,
+and ``flip`` negates a half-space's coefficients and integer form, which
+are canonical again.
 """
 
 from __future__ import annotations
@@ -88,20 +91,24 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
+def sqrt_lower_ints(a: int, b: int) -> tuple[int, int]:
+    """The core of ``sqrt_lower`` on ints: for a reduced ratio ``a/b`` with
+    b > 0, ints ``(r, s)`` with ``(r/s)**2 <= a/b``, r/s the value
+    ``sqrt_lower(Fraction(a, b))`` returns."""
+    if a < 0:
+        raise ValueError("sqrt of negative rational")
+    # sqrt(a/b) = sqrt(a*b)/b; scale first so isqrt keeps ~20 bits.
+    scale = 1 << 20
+    return math.isqrt(a * b * scale * scale), b * scale
+
+
 def sqrt_lower(q: Fraction) -> Fraction:
     """A nonnegative rational r with r**2 <= q, tight to ~1 part in 2**20.
 
     Used to turn exact squared distances into usable rational radii and
     grid resolutions without ever rounding up.
     """
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    if q == 0:
-        return Fraction(0)
-    # sqrt(a/b) = sqrt(a*b)/b; scale first so isqrt keeps ~20 bits.
-    scale = 1 << 20
-    a, b = q.numerator, q.denominator
-    return Fraction(math.isqrt(a * b * scale * scale), b * scale)
+    return Fraction(*sqrt_lower_ints(q.numerator, q.denominator))
 
 
 def _canonical_scale(normal: tuple[Fraction, ...], offset: Fraction,
@@ -110,6 +117,8 @@ def _canonical_scale(normal: tuple[Fraction, ...], offset: Fraction,
     if lead is None:
         raise ValueError("normal vector must be nonzero")
     factor = lead if signed else abs(lead)
+    if factor == 1:
+        return normal, offset
     return tuple(c / factor for c in normal), offset / factor
 
 
@@ -160,6 +169,17 @@ class _IntegerIdentity:
         denominators: the same set with integer coefficients, whose first
         nonzero coordinate is that lcm up to sign."""
         return _integer_form(self.normal, self.offset)
+
+    @classmethod
+    def _canonical(cls, normal: tuple[Fraction, ...], offset: Fraction,
+                   form: tuple[int, ...]):
+        """The object with these canonical coefficients and integer form,
+        built without rescaling."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "normal", normal)
+        object.__setattr__(obj, "offset", offset)
+        obj.__dict__["integer_form"] = form
+        return obj
 
     @cached_property
     def _scale(self) -> int:
@@ -233,17 +253,6 @@ class Hyperplane(_IntegerIdentity):
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
 
-    @classmethod
-    def _canonical(cls, normal: tuple[Fraction, ...], offset: Fraction,
-                   form: tuple[int, ...]) -> "Hyperplane":
-        """The hyperplane with these canonical coefficients (lead 1) and
-        integer form, built without rescaling."""
-        line = object.__new__(cls)
-        object.__setattr__(line, "normal", normal)
-        object.__setattr__(line, "offset", offset)
-        line.__dict__["integer_form"] = form
-        return line
-
     @property
     def dim(self) -> int:
         return len(self.normal)
@@ -277,8 +286,11 @@ def side_of(h: HalfSpace, p: Point) -> Side:
 
 
 def flip(h: HalfSpace) -> HalfSpace:
-    """The complementary closed half-space ``{x : normal.x >= offset}``."""
-    return HalfSpace(tuple(-c for c in h.normal), -h.offset)
+    """The complementary closed half-space ``{x : normal.x >= offset}``:
+    the negated canonical coefficients and integer form, which are
+    canonical again, so nothing is rescaled."""
+    return HalfSpace._canonical(tuple(-c for c in h.normal), -h.offset,
+                                tuple(-c for c in h.integer_form))
 
 
 class LineRelation(Enum):

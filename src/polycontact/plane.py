@@ -7,9 +7,12 @@ dropped), and a polytope is a finite union of basics.  All emptiness and
 redundancy questions reduce to feasibility of small linear systems with
 strict or non-strict inequalities, decided exactly by Fourier-Motzkin
 elimination over scaled integers: each half-plane's integer form
-(``HalfSpace.integer_form``), bounds compared by cross-multiplying, and
-``Fraction`` values built only for the witness point returned.  Equality
-of polytopes does not: it compares the faces each one fills (below).
+(``HalfSpace.integer_form``) and bounds compared by cross-multiplying.
+The kernel, ``feasible_ints``, returns its witness as ints;
+``feasible_point`` builds the ``Fraction`` point from them for the callers
+that use one, and ``mk_basic``, which only needs the verdicts, builds no
+point.  Equality of polytopes makes no such test: it compares the faces
+each one fills (below).
 
 Contact relations, strongest to weakest:
 
@@ -48,7 +51,9 @@ samples the sectors around a point.
 
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
 rational radius small enough to be checked by exact containment tests
-(``sc_witness_valid``).
+(``sc_witness_valid``).  The radii come from the walls' integer forms and
+the centre over one common denominator: each distance is a ratio of ints,
+and the one ``Fraction`` built is the radius.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .numeric import (
     flip,
     intersect_lines,
     rational,
-    sqrt_lower,
+    sqrt_lower_ints,
 )
 
 # linear constraint a*x + b*y (< | <=) c, coefficients int or Fraction
@@ -114,16 +119,19 @@ def _solve_1d(cons: list[tuple[int, int, bool]]) -> Optional[tuple[int, int]]:
     return None
 
 
-def feasible_point(cons: Iterable[LinCon]) -> Optional[Point]:
-    """A rational point satisfying every constraint, or None.
+def feasible_ints(cons: Iterable[LinCon]
+                  ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """The witness of ``feasible_point`` as ints ``((p, q), (r, s))``, the
+    point ``(p/q, r/s)`` with q, s > 0, or None: the Fourier-Motzkin kernel,
+    which builds no ``Fraction``.
 
     Coefficients may be ints or Fractions; each constraint with a Fraction
     is first scaled to integers by the lcm of its denominators, which
-    changes neither its solutions nor the point returned.  Eliminates y
-    first: each (lower, upper) pair of y-bounds yields an x-constraint,
-    strict when either side is strict; the resulting one-variable system is
+    changes neither its solutions nor the witness.  Eliminates y first:
+    each (lower, upper) pair of y-bounds yields an x-constraint, strict
+    when either side is strict; the resulting one-variable system is
     solved directly, and y is back-substituted at ``x = p/q`` by scaling
-    its constraints by q.  Only the returned point is a Fraction.
+    its constraints by q.
     """
     x_cons: list[tuple[int, int, bool]] = []
     uppers: list[tuple[int, int, int, bool]] = []
@@ -151,7 +159,17 @@ def feasible_point(cons: Iterable[LinCon]) -> Optional[Point]:
     y = _solve_1d([(b * q, c * q - a * p, strict) for a, b, c, strict in lowers + uppers])
     if y is None:
         return None
-    return Fraction(p, q), Fraction(*y)
+    return x, y
+
+
+def feasible_point(cons: Iterable[LinCon]) -> Optional[Point]:
+    """A rational point satisfying every constraint, or None: the witness
+    of ``feasible_ints`` as ``Fraction``s."""
+    witness = feasible_ints(cons)
+    if witness is None:
+        return None
+    x, y = witness
+    return Fraction(*x), Fraction(*y)
 
 
 def _as_con(h: HalfSpace, strict: bool) -> LinCon:
@@ -204,19 +222,20 @@ def mk_basic(halfspaces: Iterable[HalfSpace]) -> Optional[BasicPolytope]:
     None exactly when the strict system has no solution, i.e. the interior
     of the intersection is empty (so the regularised intersection is empty).
     Redundant constraints are removed: h is redundant when the others
-    already force ``normal.x <= offset``.
+    already force ``normal.x <= offset``.  Every test is a verdict of the
+    integer kernel ``feasible_ints``; no point is built.
     """
     current = sorted(set(halfspaces))
     for h in current:
         if h.dim != 2:
             raise DimensionMismatch("mk_basic expects half-planes")
-    if core_point(current) is None:
+    if feasible_ints([_as_con(h, True) for h in current]) is None:
         return None
     for h in list(current):
         rest = [g for g in current if g != h]
         system = [_as_con(g, False) for g in rest]
         system.append(_negated_strict(h))
-        if feasible_point(system) is None:
+        if feasible_ints(system) is None:
             current = rest
     return BasicPolytope(tuple(current))
 
@@ -572,30 +591,47 @@ def sc_explanation(p: PlanePolytope, q: PlanePolytope
     return "facet", analysis[1], analysis[2], stats["edges_walked"]
 
 
-def point_line_dist_sq(z: Point, line: Hyperplane) -> Fraction:
-    v = line.value_at(z)
-    return v * v / dot(line.normal, line.normal)
-
-
 def sc_witness(p: PlanePolytope, q: PlanePolytope
                ) -> Optional[tuple[Point, Fraction]]:
     """An open disk inside ``p | q`` meeting both, when SC holds.
 
-    Overlap case: a ball around an interior point of the regularised meet.
-    Facet case: the half-disk construction at the facet edge's point, with
-    radius half the distance to the nearest other constraint line.
+    Overlap case: a ball around an interior point of the regularised meet,
+    with radius half the least ``sqrt_lower`` distance to the constraint
+    lines of the two parts.  Facet case: the half-disk construction at the
+    facet edge's point, with radius half the least such distance to the
+    other pooled constraint lines.
+
+    The distances are computed on ints: with the centre over one common
+    denominator as ``(X/D, Y/D)``, the squared distance to the line of
+    integer form ``(A, B, C)`` is ``(A*X + B*Y - C*D)**2 / (D**2 *
+    (A**2 + B**2))``, reduced and passed to ``sqrt_lower_ints``; the least
+    root is found by cross-multiplying, and the radius is its one
+    ``Fraction``.
     """
     analysis = _sc_analysis(p, q)
     if analysis is None:
         return None
     if analysis[0] == "overlap":
         _, z, a, b = analysis
-        walls = [h.boundary() for h in a.constraints + b.constraints]
+        # a half-plane's integer form is its line's, up to sign
+        walls = [h.integer_form for h in a.constraints + b.constraints]
     else:
         _, mu, z, lines = analysis
-        walls = [nu for nu in lines if nu != mu]
-    dists = [sqrt_lower(point_line_dist_sq(z, nu)) for nu in walls]
-    return z, min(dists) / 2 if dists else Fraction(1)
+        walls = [nu.integer_form for nu in lines if nu is not mu]
+    if not walls:
+        return z, Fraction(1)
+    x, y = z
+    D = math.lcm(x.denominator, y.denominator)
+    X, Y = x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)
+    best_r, best_s = None, 1
+    for A, B, C in walls:
+        v = A * X + B * Y - C * D
+        num, den = v * v, D * D * (A * A + B * B)
+        g = math.gcd(num, den)
+        r, s = sqrt_lower_ints(num // g, den // g)
+        if best_r is None or r * best_s < best_r * s:
+            best_r, best_s = r, s
+    return z, Fraction(best_r, 2 * best_s)
 
 
 # ---------------------------------------------------------------------------

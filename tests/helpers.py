@@ -8,11 +8,14 @@ representation kept for the face kernel, the ``canonicalize``-based and
 all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
 plane kernel, the ``Fraction``-field identity, order, boundary line and
-side masks kept for those on integer forms, the ``merge`` on geometric unions kept for the segment
-masks, the recursive-descent formula parser kept for the precedence-climbing
-one, the ``match``-based evaluator and tree-height walk kept for the
-type-dispatched evaluator and the height the parser carries, and random
-formula text in the concrete syntax."""
+side masks kept for those on integer forms, the canonical scaling by
+division kept for the unit-lead and negation shortcuts, the ``Fraction``
+witness radii kept for those on integer forms, the ``merge`` on geometric
+unions kept for the segment masks, the recursive-descent formula parser
+kept for the precedence-climbing one, the ``match``-based evaluator and
+tree-height walk kept for the type-dispatched evaluator and the height the
+parser carries, the seeded plane polytope pairs of the strong-contact
+tests, and random formula text in the concrete syntax."""
 
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
-from polycontact.numeric import Hyperplane
+from polycontact.numeric import HalfSpace, Hyperplane, flip, intersect_lines, sqrt_lower
 from polycontact.logic import (
     MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, UnboundVariable,
     Variable, conj, evaluate, free_variables, iff, implies, meet, one_term, zero_term)
@@ -526,6 +529,92 @@ def reference_boundary(h):
     division: the half-space's coefficients over its lead."""
     lead = next(c for c in h.normal if c)
     return tuple(c / lead for c in h.normal), h.offset / lead
+
+
+def reference_canonical(normal, offset, signed):
+    """The canonical ``(normal, offset)`` of a ``Hyperplane`` (``signed``)
+    or ``HalfSpace`` by ``Fraction`` division by the lead, or its absolute
+    value, whatever the lead."""
+    normal, offset = tuple(Fraction(c) for c in normal), Fraction(offset)
+    lead = next(c for c in normal if c)
+    factor = lead if signed else abs(lead)
+    return tuple(c / factor for c in normal), offset / factor
+
+
+def point_line_dist_sq(z, line):
+    """The exact squared distance from a point to a line, over ``Fraction``."""
+    v = line.value_at(z)
+    return v * v / (line.normal[0] ** 2 + line.normal[1] ** 2)
+
+
+def reference_sc_witness(p, q):
+    """``plane.sc_witness`` over ``Fraction``: each wall's squared distance
+    by ``point_line_dist_sq`` on its boundary line, ``sqrt_lower`` of it,
+    and half the least root."""
+    analysis = pl._sc_analysis(p, q)
+    if analysis is None:
+        return None
+    if analysis[0] == "overlap":
+        _, z, a, b = analysis
+        walls = [h.boundary() for h in a.constraints + b.constraints]
+    else:
+        _, mu, z, lines = analysis
+        walls = [nu for nu in lines if nu != mu]
+    dists = [sqrt_lower(point_line_dist_sq(z, nu)) for nu in walls]
+    return z, min(dists) / 2 if dists else Fraction(1)
+
+
+def corners(poly):
+    """The sorted vertices of the parts of a plane polytope."""
+    pts = set()
+    for part in poly.parts:
+        lines = [h.boundary() for h in part.constraints]
+        for i, l1 in enumerate(lines):
+            for l2 in lines[i + 1:]:
+                _, v = intersect_lines(l1, l2)
+                if v is not None and part.contains(v):
+                    pts.add(v)
+    return sorted(pts)
+
+
+def translated(poly, dx, dy):
+    return pl.PlanePolytope.from_constraint_sets(
+        [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
+          for h in part.constraints] for part in poly.parts])
+
+
+def mirrored(poly, rng):
+    """The parts of a polytope, each with one constraint flipped: mirror
+    pieces across their facets, which touch the parts without overlapping."""
+    sets = []
+    for part in poly.parts:
+        cons = list(part.constraints)
+        if cons:
+            i = rng.randrange(len(cons))
+            cons[i] = flip(cons[i])
+        sets.append(cons)
+    return pl.PlanePolytope.from_constraint_sets(sets)
+
+
+SC_PAIR_KINDS = ("random", "corner", "mirrored", "far")
+
+
+def sc_pair(rng, kind):
+    """A seeded pair of plane polytopes of one of ``SC_PAIR_KINDS``: random
+    unbounded polytopes (overlapping or apart), corner copies of a bounded
+    one (a shared facet, or one corner only), mirrored copies (a shared
+    facet) and far copies (apart)."""
+    a = pl.random_plane_polytope(rng, bounded=kind != "random")
+    if kind == "random":
+        b = pl.random_plane_polytope(rng)
+    elif kind == "corner":
+        u, w = rng.sample(corners(a), 2)
+        b = translated(a, u[0] - w[0], u[1] - w[1])
+    elif kind == "mirrored":
+        b = mirrored(a, rng)
+    else:
+        b = translated(a, Fraction(rng.choice((-11, 11))), Fraction(rng.randint(-11, 11)))
+    return a, b
 
 
 def reference_sign_masks(poly, index):

@@ -30,10 +30,11 @@ from hypothesis import strategies as st
 
 from polycontact import cuts as cu
 from polycontact import plane as pl
-from polycontact.numeric import HalfSpace, Hyperplane, flip
+from polycontact.numeric import HalfSpace, Hyperplane
 from helpers import (
-    demorgan_equals, evaluated_other_signs, exhaustive_brick_decomposition,
-    probe_sc_analysis, reference_arrangement_edges, reference_boundary_representation)
+    demorgan_equals, evaluated_other_signs, exhaustive_brick_decomposition, mirrored,
+    probe_sc_analysis, reference_arrangement_edges, reference_boundary_representation,
+    translated)
 
 MAX_LINES = 9
 # pairwise non-parallel directions, so a pencil keeps all its lines
@@ -90,12 +91,6 @@ def polytope_over(draw, lines):
         chosen = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=4, unique=True))
         sets.append([cut.sides()[draw(st.integers(0, 1))] for cut in chosen])
     return pl.PlanePolytope.from_constraint_sets(sets)
-
-
-def translated(poly, dx, dy):
-    return pl.PlanePolytope.from_constraint_sets(
-        [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
-          for h in part.constraints] for part in poly.parts])
 
 
 BIG_DEN = 10**6
@@ -276,19 +271,6 @@ def test_bricks_and_sheets_match_references(lines):
     assert cu.brick_decomposition(cs) == exhaustive_brick_decomposition(cs)
     for sheet in cu.sheets(cs):
         assert sheet.other_signs == evaluated_other_signs(cs, sheet)
-
-
-def mirrored(poly, rng):
-    """The parts of a polytope, each with one constraint flipped: mirror
-    pieces across their facets, which touch the parts without overlapping."""
-    sets = []
-    for part in poly.parts:
-        cons = list(part.constraints)
-        if cons:
-            i = rng.randrange(len(cons))
-            cons[i] = flip(cons[i])
-        sets.append(cons)
-    return pl.PlanePolytope.from_constraint_sets(sets)
 
 
 @settings(max_examples=200, deadline=None)

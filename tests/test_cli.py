@@ -2,7 +2,6 @@ import hashlib
 import random
 import time
 from collections import Counter
-from fractions import Fraction as F
 
 import pytest
 
@@ -11,7 +10,7 @@ from polycontact.cli import run
 from polycontact import adjacency as adj
 from polycontact import pipeline as pp
 from polycontact import plane as pl
-from polycontact.numeric import HalfSpace, flip, intersect_lines
+from helpers import sc_pair
 
 
 @pytest.fixture
@@ -570,49 +569,6 @@ def test_audit_draws_one_pool(monkeypatch, capsys):
 # sc-check stdout over a seeded corpus, witness lines included
 # ---------------------------------------------------------------------------
 
-def _corners(poly):
-    pts = set()
-    for part in poly.parts:
-        lines = [h.boundary() for h in part.constraints]
-        for i, l1 in enumerate(lines):
-            for l2 in lines[i + 1:]:
-                _, v = intersect_lines(l1, l2)
-                if v is not None and part.contains(v):
-                    pts.add(v)
-    return sorted(pts)
-
-
-def _moved(poly, dx, dy):
-    return pl.PlanePolytope.from_constraint_sets(
-        [[HalfSpace(h.normal, h.offset + h.normal[0] * dx + h.normal[1] * dy)
-          for h in part.constraints] for part in poly.parts])
-
-
-def _mirrored(poly, rng):
-    """Each part with one constraint flipped: touches it along a facet."""
-    sets = []
-    for part in poly.parts:
-        cons = list(part.constraints)
-        i = rng.randrange(len(cons))
-        cons[i] = flip(cons[i])
-        sets.append(cons)
-    return pl.PlanePolytope.from_constraint_sets(sets)
-
-
-def _sc_pair(rng, kind):
-    a = pl.random_plane_polytope(rng, bounded=kind != "random")
-    if kind == "random":
-        b = pl.random_plane_polytope(rng)
-    elif kind == "corner":
-        u, w = rng.sample(_corners(a), 2)
-        b = _moved(a, u[0] - w[0], u[1] - w[1])
-    elif kind == "mirrored":
-        b = _mirrored(a, rng)
-    else:
-        b = _moved(a, F(rng.choice((-11, 11))), F(rng.randint(-11, 11)))
-    return a, b
-
-
 # SHA-256 of the concatenated `sc-check` stdout of ten seeded pairs per kind:
 # random unbounded pairs (overlap or apart), corner copies of a bounded
 # polytope (a shared facet, or one corner only), mirrored copies (a shared
@@ -632,7 +588,7 @@ def test_sc_check_stdout_pinned(files, capsys):
     for kind, want in SC_CORPUS_SHA256.items():
         digest = hashlib.sha256()
         for i in range(10):
-            a, b = _sc_pair(rng, kind)
+            a, b = sc_pair(rng, kind)
             argv = ["sc-check", write(f"{kind}{i}a.poly", pl.format_plane(a)),
                     write(f"{kind}{i}b.poly", pl.format_plane(b))]
             assert run(argv) == 0
@@ -644,3 +600,39 @@ def test_sc_check_stdout_pinned(files, capsys):
     assert min(verdicts[v] for v in (
         "SC=true C=true overlap=true", "SC=true C=true overlap=false",
         "SC=false C=true overlap=false", "SC=false C=false overlap=false")) >= 3
+
+
+# ---------------------------------------------------------------------------
+# bool-op stdout over a seeded corpus
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the concatenated `bool-op` stdout per operation over twelve
+# seeded pairs of `random_plane_polytope` operands, every other first operand
+# boxed; `complement` takes the first operand of each pair, so its De Morgan
+# form is pinned along with the union and the meet
+BOOL_OP_CORPUS_SHA256 = {
+    "union": "8d03d90ef63422b1e0e7ffb03113371286a395fed8e83324df92bb446f438732",
+    "meet": "fa2713771263750cb63b10b4cfb5947026596cc26a381ff32feca54c4a79cc5c",
+    "complement": "0b950c9b5c55f134bac384a94c0f3bfad52d3dfaeb32dfaff1a7203ee12f311b",
+}
+
+
+def test_bool_op_stdout_pinned(files, capsys):
+    write, _ = files
+    rng = random.Random(20182)
+    pairs = [(pl.random_plane_polytope(rng, bounded=i % 2 == 1),
+              pl.random_plane_polytope(rng, max_parts=3)) for i in range(12)]
+    paths = [(write(f"{i}a.poly", pl.format_plane(a)), write(f"{i}b.poly", pl.format_plane(b)))
+             for i, (a, b) in enumerate(pairs)]
+    sizes = Counter()
+    for op, want in BOOL_OP_CORPUS_SHA256.items():
+        digest = hashlib.sha256()
+        for a, b in paths:
+            assert run(["bool-op", op, a] + ([] if op == "complement" else [b])) == 0
+            out = capsys.readouterr().out
+            sizes[op, out.count("basic")] += 1
+            digest.update(out.encode())
+        assert digest.hexdigest() == want, op
+    # empty and multi-part meets, and multi-part complements, are covered
+    assert sizes["meet", 0] and sum(n for (op, k), n in sizes.items() if op == "meet" and k > 1)
+    assert sum(n for (op, k), n in sizes.items() if op == "complement" and k > 1)

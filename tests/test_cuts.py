@@ -95,9 +95,12 @@ def test_equals_and_boundary_make_no_fourier_motzkin_call(monkeypatch):
 
     def counted(cons):
         calls.append(cons)
-        return feasible_point(cons)
+        return kernel(cons)
 
-    monkeypatch.setattr(pl, "feasible_point", counted)
+    # every Fourier-Motzkin test, mk_basic's and feasible_point's, runs
+    # through the integer kernel
+    kernel = pl.feasible_ints
+    monkeypatch.setattr(pl, "feasible_ints", counted)
     assert [p.equals(q) for p in polys for q in polys] == expected
     for p in polys:
         cu.boundary_representation(p, extra_cuts=[X_AXIS, Y_AXIS])

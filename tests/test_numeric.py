@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_boundary, reference_key
+from helpers import reference_boundary, reference_canonical, reference_key
 from polycontact.numeric import (
     DimensionMismatch,
     HalfSpace,
@@ -17,6 +18,7 @@ from polycontact.numeric import (
     rational,
     side_of,
     sqrt_lower,
+    sqrt_lower_ints,
 )
 
 
@@ -172,6 +174,13 @@ class TestSqrtLower:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sqrt_lower(F(-1))
+        with pytest.raises(ValueError):
+            sqrt_lower_ints(-1, 3)
+
+    def test_int_core(self):
+        assert sqrt_lower_ints(0, 7) == (0, 7 << 20)
+        assert sqrt_lower_ints(9, 4) == (6 << 20, 4 << 20)
+        assert sqrt_lower(F(0)) == 0 and sqrt_lower(F(9, 4)) == F(3, 2)
 
 
 # coefficients with denominators up to 10^6, zeros and small values often,
@@ -256,3 +265,65 @@ class TestIntegerIdentity:
         short, long = HalfSpace((F(1),), F(5)), HalfSpace((F(1), F(0)), F(-5))
         assert short < long and long > short and short != long
         assert sorted([long, short]) == [short, long]
+
+
+@st.composite
+def _raw_coefficients(draw):
+    """``(normal, offset)`` of dimension 1-3 as given to a constructor, ints
+    or Fractions, the lead 1, -1 or anything else after 0-2 zeros, so the
+    unit-lead shortcut and the division both come up, for either class."""
+    dim = draw(st.integers(1, 3))
+    zeros = draw(st.integers(0, dim - 1))
+    lead = draw(st.one_of(st.sampled_from([1, -1, F(1), F(-1)]),
+                          _coefficients.filter(bool)))
+    rest = draw(st.lists(st.one_of(st.integers(-4, 4), _coefficients),
+                         min_size=dim - zeros - 1, max_size=dim - zeros - 1))
+    offset = draw(st.one_of(st.integers(-9, 9), _coefficients))
+    return (0,) * zeros + (lead, *rest), offset
+
+
+def _reference_integer_form(normal, offset):
+    scale = math.lcm(*(c.denominator for c in (*normal, offset)))
+    return tuple(int(c * scale) for c in (*normal, offset))
+
+
+class TestDivisionFreeScaling:
+    """Canonical scaling with no division at a unit lead, and ``flip`` by
+    negation, against the dividing construction they replace
+    (``helpers.reference_canonical``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([HalfSpace, Hyperplane]), _raw_coefficients())
+    def test_fields_match_division(self, cls, raw):
+        obj = cls(*raw)
+        want = reference_canonical(*raw, signed=cls is Hyperplane)
+        assert reference_key(obj) == want
+        assert all(type(c) is F for c in (*obj.normal, obj.offset))
+        assert obj.integer_form == _reference_integer_form(*want)
+        fresh = cls(tuple(c * 3 for c in raw[0]), raw[1] * 3)
+        assert obj == fresh and hash(obj) == hash(fresh)
+
+    def test_unit_and_non_unit_leads(self):
+        for normal, offset, signed, want in [
+                ((1, -2), F(1, 3), False, ((1, -2), F(1, 3))),
+                ((-1, 0), 5, False, ((-1, 0), 5)),
+                ((-1, 3), 2, True, ((1, -3), -2)),
+                ((0, F(-1)), F(-7, 2), True, ((0, 1), F(7, 2))),
+                ((F(2), F(1, 2)), 4, False, ((1, F(1, 4)), 2)),
+                ((F(-2, 3), 1), 1, True, ((1, F(-3, 2)), F(-3, 2)))]:
+            cls = Hyperplane if signed else HalfSpace
+            assert reference_key(cls(normal, offset)) == reference_canonical(
+                normal, offset, signed) == (tuple(map(F, want[0])), F(want[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_canonical_objects(HalfSpace))
+    def test_flip_matches_negated_construction(self, h):
+        f = flip(h)
+        fresh = HalfSpace(tuple(-c for c in h.normal), -h.offset)
+        assert type(f) is HalfSpace
+        assert reference_key(f) == reference_key(fresh)
+        assert all(type(c) is F for c in (*f.normal, f.offset))
+        assert f.integer_form == fresh.integer_form == tuple(-c for c in h.integer_form)
+        assert f == fresh and hash(f) == hash(fresh)
+        assert not f < fresh and not fresh < f
+        assert flip(f) == h and f.boundary() == h.boundary()

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
-from helpers import reference_feasible_point, reference_mk_basic, reference_sign_masks
+from helpers import (
+    SC_PAIR_KINDS, reference_feasible_point, reference_mk_basic, reference_sc_witness,
+    reference_sign_masks, sc_pair)
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -368,10 +370,18 @@ def systems(draw):
 @example([(0, 1, F(1, 3), False), (0, -1, F(-1, 3), False), (1, 1, 1, True)])
 @example([(0, 0, 0, False), (0, 0, -1, False)])
 @example([(F(1, 999983), F(-2, 3), F(5, 1000000), True), (-2, F(1, 7), 1, False)])
+@example([(F(1, 3), 0, F(1, 7), False), (0, F(-2, 5), 1, True)])
 def test_feasible_point_equals_fraction_reference(cons):
     point = pl.feasible_point(cons)
     assert point == reference_feasible_point(cons)
     assert point is None or all(type(v) is F for v in point)
+    # the kernel's verdict and int witness, which feasible_point only wraps
+    witness = pl.feasible_ints(cons)
+    assert (witness is None) == (point is None)
+    if witness is not None:
+        (p, q), (r, s) = witness
+        assert all(type(v) is int for v in (p, q, r, s)) and q > 0 and s > 0
+        assert (F(p, q), F(r, s)) == point
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,3 +431,47 @@ def test_sc_explanation_matches_the_verdicts():
         else:
             assert line is None and point is None and walked == total
     assert reasons == {"overlap", "facet", "none"}
+
+
+# ---------------------------------------------------------------------------
+# witness radii on integer forms against the Fraction reference
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SC_PAIR_KINDS), st.integers(0, 2**32))
+def test_sc_witness_equals_fraction_reference(kind, seed):
+    a, b = sc_pair(random.Random(seed), kind)
+    got = pl.sc_witness(a, b)
+    assert got == reference_sc_witness(a, b)
+    if got is not None:
+        assert all(type(v) is F for v in (*got[0], got[1])) and got[1] > 0
+
+
+def test_sc_witness_on_axis_walls_and_fractional_centres():
+    cases = [
+        # a shared vertical facet at x = 1/3, and a horizontal one at y = 2/7
+        ("poly { basic { 3 0 <= 1; -1 0 <= 0; 0 1 <= 1; 0 -1 <= 0 } }",
+         "poly { basic { -3 0 <= -1; 1 0 <= 1; 0 1 <= 1; 0 -1 <= 0 } }"),
+        ("poly { basic { 0 7 <= 2; 0 -1 <= 0; 1 0 <= 1; -1 0 <= 0 } }",
+         "poly { basic { 0 -7 <= -2; 0 1 <= 5/3; 1 0 <= 1; -1 0 <= 0 } }"),
+        # boxes overlapping in [1/7, 1/3] x [1/9, 1/5]
+        ("poly { basic { 3 0 <= 1; -1 0 <= 0; 0 5 <= 1; 0 -1 <= 0 } }",
+         "poly { basic { -7 0 <= -1; 1 0 <= 1; 0 -9 <= -1; 0 1 <= 1 } }"),
+        # slanted walls with non-unit integer forms, overlapping and touching
+        ("poly { basic { 2 3 <= 1; -1 0 <= 1/2; 0 -1 <= 3/4 } }",
+         "poly { basic { -2 -3 <= 1/5; 1 -4 <= 2 } }"),
+        ("poly { basic { 2 3 <= 1; -1 0 <= 1/2; 0 -1 <= 3/4 } }",
+         "poly { basic { -2 -3 <= -1; 5 -1 <= 9/2 } }"),
+        # a lone half-plane against the plane: an overlap with one wall;
+        # the plane against itself: no wall, radius 1
+        ("poly { basic { 0 2 <= 1/3 } }", "poly { basic { } }"),
+        ("poly { basic { } }", "poly { basic { } }"),
+    ]
+    denominators = set()
+    for text_a, text_b in cases:
+        a, b = P(text_a), P(text_b)
+        got = pl.sc_witness(a, b)
+        assert got is not None and got == reference_sc_witness(a, b)
+        assert pl.sc_witness_valid(a, b, *got)
+        denominators.update(v.denominator for v in got[0])
+    assert max(denominators) > 1

@@ -218,9 +218,7 @@ def untie(space: AdjacencySpace) -> tuple[AdjacencySpace, PMorphism]:
         b = min(_cycle_neighbours(cycle, a))
         broken = break_cycle(current, cycle, a, b)
         fresh = next(iter(set(broken.cells) - set(current.cells)))
-        step = {x: x for x in current.cells}
-        step[fresh] = a
-        to_original = {x: to_original[step[x]] for x in broken.cells}
+        to_original[fresh] = to_original[a]
         current = broken
     return current, PMorphism.of(to_original)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .numeric import HalfSpace, Hyperplane, LineRelation, Point, flip, intersect_lines
+from .numeric import HalfSpace, Hyperplane, LineRelation, Point, intersect_lines
 from .plane import (
     PlanePolytope,
     arrangement_edges,
@@ -52,11 +52,6 @@ from .plane import (
     line_point_ints,
     sign_masks,
 )
-
-
-def _side(cut: Hyperplane, sign: int) -> HalfSpace:
-    h = HalfSpace(cut.normal, cut.offset)
-    return h if sign > 0 else flip(h)
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,10 @@ def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
     # a set bit is the positive side of its cut, sign -1
     alternatives = {tuple(-1 if face >> j & 1 else 1 for j in range(len(cs.cuts)))
                     for face in faces(cs.cuts)}
+    sides = [cut.sides() for cut in cs.cuts]
     bricks = []
     for signs in sorted(alternatives, reverse=True):
-        cons = tuple(_side(cut, s) for cut, s in zip(cs.cuts, signs))
+        cons = tuple(pair[0 if s > 0 else 1] for pair, s in zip(sides, signs))
         bricks.append(Brick(signs, cons, core_point(cons)))
     return tuple(bricks)
 

@@ -8,8 +8,12 @@ integer forms below, the crossing parameters of the plane's arrangement walk
 (ints over one common denominator per line), and the integral endpoints of
 line polytopes.
 
-Half-spaces and hyperplanes are kept in a canonical scaling so that
-syntactic equality coincides with geometric equality:
+Half-spaces and hyperplanes have one body, the base ``_IntegerIdentity``:
+construction, canonical scaling, integer form, ``dim``, ``value_at``,
+identity, order and ``repr``.  Its class attribute ``_signed`` is the one
+difference in scaling, and ``_relation`` the one in printing.  Both are
+kept in a canonical scaling so that syntactic equality coincides with
+geometric equality:
 
 * a half-space ``{x : n.x <= c}`` is scaled so the first nonzero normal
   coordinate has absolute value 1 (positive scaling preserves the
@@ -153,15 +157,30 @@ def _below(f: tuple[int, ...], s: int, g: tuple[int, ...], t: int) -> bool:
 
 
 @total_ordering
+@dataclass(frozen=True, eq=False)
 class _IntegerIdentity:
-    """Equality, hash and order on ``integer_form``, for the canonical
-    classes below.
+    """The body of ``HalfSpace`` and ``Hyperplane``, which differ only in
+    ``_signed`` (whether the scaling fixes the lead's sign) and
+    ``_relation`` (printed by ``repr``).
 
-    The integer form is a function of the canonical ``(normal, offset)`` and
-    divides back to it by its lead scale, so equal forms mean equal objects;
-    the order is that of the ``(normal, offset)`` tuples, decided on the
-    forms by cross-multiplying.  Objects of different classes are never
-    equal and are not ordered."""
+    Equality, hash and order are on ``integer_form``: a function of the
+    canonical ``(normal, offset)`` that divides back to it by its lead
+    scale, so equal forms mean equal objects; the order is that of the
+    ``(normal, offset)`` tuples, decided on the forms by cross-multiplying.
+    Objects of different classes are never equal and are not ordered."""
+
+    normal: tuple[Fraction, ...]
+    offset: Fraction
+
+    _signed = False
+    _relation = "<="
+
+    def __post_init__(self):
+        normal, offset = _canonical_scale(
+            tuple(rational(c) for c in self.normal), rational(self.offset),
+            signed=self._signed)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
 
     @cached_property
     def integer_form(self) -> tuple[int, ...]:
@@ -181,6 +200,15 @@ class _IntegerIdentity:
         obj.__dict__["integer_form"] = form
         return obj
 
+    @property
+    def dim(self) -> int:
+        return len(self.normal)
+
+    def value_at(self, p: Point) -> Fraction:
+        """normal.p - offset; negative inside a half-space, zero on the
+        boundary."""
+        return dot(self.normal, p) - self.offset
+
     @cached_property
     def _scale(self) -> int:
         return abs(_lead(self.integer_form))
@@ -198,28 +226,13 @@ class _IntegerIdentity:
             return NotImplemented
         return _below(self.integer_form, self._scale, other.integer_form, other._scale)
 
+    def __repr__(self) -> str:
+        terms = " + ".join(f"{c}*x{i}" for i, c in enumerate(self.normal) if c)
+        return f"{type(self).__name__}({terms} {self._relation} {self.offset})"
 
-@dataclass(frozen=True, eq=False)
+
 class HalfSpace(_IntegerIdentity):
     """Closed half-space ``{x : normal.x <= offset}`` in canonical scaling."""
-
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def __post_init__(self):
-        normal, offset = _canonical_scale(
-            tuple(rational(c) for c in self.normal), rational(self.offset),
-            signed=False)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-    def value_at(self, p: Point) -> Fraction:
-        """normal.p - offset; negative inside, zero on the boundary."""
-        return dot(self.normal, p) - self.offset
 
     @cached_property
     def _boundary(self) -> "Hyperplane":
@@ -234,43 +247,21 @@ class HalfSpace(_IntegerIdentity):
     def boundary(self) -> "Hyperplane":
         return self._boundary
 
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{c}*x{i}" for i, c in enumerate(self.normal) if c)
-        return f"HalfSpace({terms} <= {self.offset})"
 
-
-@dataclass(frozen=True, eq=False)
 class Hyperplane(_IntegerIdentity):
     """Hyperplane ``{x : normal.x = offset}`` in canonical (signed) scaling."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def __post_init__(self):
-        normal, offset = _canonical_scale(
-            tuple(rational(c) for c in self.normal), rational(self.offset),
-            signed=True)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-    def value_at(self, p: Point) -> Fraction:
-        return dot(self.normal, p) - self.offset
+    _signed = True
+    _relation = "="
 
     def contains(self, p: Point) -> bool:
         return self.value_at(p) == 0
 
     def sides(self) -> tuple[HalfSpace, HalfSpace]:
-        """The two closed half-spaces whose shared boundary is this line."""
+        """The two closed half-spaces whose shared boundary is this line:
+        ``normal.x <= offset``, then ``normal.x >= offset``."""
         h = HalfSpace(self.normal, self.offset)
         return h, flip(h)
-
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{c}*x{i}" for i, c in enumerate(self.normal) if c)
-        return f"Hyperplane({terms} = {self.offset})"
 
 
 def side_of(h: HalfSpace, p: Point) -> Side:

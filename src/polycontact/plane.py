@@ -8,11 +8,12 @@ redundancy questions reduce to feasibility of small linear systems with
 strict or non-strict inequalities, decided exactly by Fourier-Motzkin
 elimination over scaled integers: each half-plane's integer form
 (``HalfSpace.integer_form``) and bounds compared by cross-multiplying.
-The kernel, ``feasible_ints``, returns its witness as ints;
-``feasible_point`` builds the ``Fraction`` point from them for the callers
-that use one, and ``mk_basic``, which only needs the verdicts, builds no
-point.  Equality of polytopes makes no such test: it compares the faces
-each one fills (below).
+The kernel, ``feasible_ints``, returns its witness as ints.  ``mk_basic``
+and the contact predicates' overlap search (``_common_point``) call it
+and build no point; ``feasible_point``, which builds the ``Fraction``
+point, serves only ``core_point`` and outside callers.  Equality of
+polytopes makes no such test: it compares the faces each one fills
+(below).
 
 Contact relations, strongest to weakest:
 
@@ -38,22 +39,28 @@ come from ``line_point``: the point at an int parameter ``p/q`` of a line,
 computed on the line's integer form with one ``Fraction`` per coordinate;
 ``line_point_ints`` gives it as reduced ints, on which ``cuts``
 deduplicates the corners of a boundary.
-``equals``, the facet search of ``contact_sc`` and the boundary machinery
+``equals``, the facet search of strong contact and the boundary machinery
 of ``cuts`` are tests on these sign vectors.  Half-planes and lines are
 compared, hashed and sorted on their integer forms (``numeric``), so
 ``mk_basic``, ``constraint_lines`` and the pooling of two polytopes' lines
 sort and deduplicate on ints, and ``sign_masks`` reads a half-plane's side
-off the sign of its integer form's lead.  ``sc_explanation`` gives the
-reason for a strong-contact verdict, its witness and the number of edges
-the facet search walked.  ``point_in_interior`` and
+off the sign of its integer form's lead.  ``point_in_interior`` and
 ``point_on_boundary`` stay as an independent pointwise predicate that
 samples the sectors around a point.
 
+Strong contact is one analysis (``_sc_analysis``) that returns one record,
+``(point, walls, line)``, or None: the witness centre as ``Fraction``s
+(built once), the integer forms of the lines that bound its disk, and the
+shared facet's line, None for an overlap.  ``contact_sc``, ``sc_witness``
+and ``sc_explanation`` read it; ``sc_explanation`` gives the reason for a
+strong-contact verdict, its witness and the number of edges the facet
+search walked.
+
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
 rational radius small enough to be checked by exact containment tests
-(``sc_witness_valid``).  The radii come from the walls' integer forms and
-the centre over one common denominator: each distance is a ratio of ints,
-and the one ``Fraction`` built is the radius.
+(``sc_witness_valid``).  The radii come from the record's walls and the
+centre over one common denominator: each distance is a ratio of ints, and
+the one ``Fraction`` built is the radius.
 """
 
 from __future__ import annotations
@@ -321,13 +328,13 @@ R2 = PlanePolytope((R2_BASIC,))
 # contact predicates
 # ---------------------------------------------------------------------------
 
-def _common_point(p: PlanePolytope, q: PlanePolytope, strict: bool
-                  ) -> Optional[tuple[Point, BasicPolytope, BasicPolytope]]:
+def _common_point(p: PlanePolytope, q: PlanePolytope, strict: bool):
     """The first pair of parts of ``p`` and ``q`` that share a point (an
-    interior point, when ``strict``) as (point, part, part), or None."""
+    interior point, when ``strict``) as ``(witness, part, part)``, the
+    witness the ints of ``feasible_ints``, or None."""
     for a in p.parts:
         for b in q.parts:
-            z = feasible_point([_as_con(h, strict) for h in a.constraints + b.constraints])
+            z = feasible_ints([_as_con(h, strict) for h in a.constraints + b.constraints])
             if z is not None:
                 return z, a, b
     return None
@@ -338,13 +345,8 @@ def contact_c(p: PlanePolytope, q: PlanePolytope) -> bool:
     return _common_point(p, q, False) is not None
 
 
-def _overlap_witness(p: PlanePolytope, q: PlanePolytope
-                     ) -> Optional[tuple[Point, BasicPolytope, BasicPolytope]]:
-    return _common_point(p, q, True)
-
-
 def overlap(p: PlanePolytope, q: PlanePolytope) -> bool:
-    return _overlap_witness(p, q) is not None
+    return _common_point(p, q, True) is not None
 
 
 def line_param(mu: Hyperplane) -> tuple[Point, tuple[Fraction, Fraction]]:
@@ -540,23 +542,29 @@ def _counted(edges: Iterable, stats: dict[str, int]) -> Iterator:
 
 def _sc_analysis(p: PlanePolytope, q: PlanePolytope,
                  stats: Optional[dict[str, int]] = None):
-    """None, or ("overlap", point, basic, basic), or ("facet", line, point,
-    pooled lines).  With ``stats``, ``stats["edges_walked"]`` counts the
-    edges the facet search takes; without it, the walk counts nothing.
+    """The strong-contact record ``(point, walls, line)`` (module
+    docstring), or None when strong contact fails.  With ``stats``,
+    ``stats["edges_walked"]`` counts the edges the facet search takes;
+    without it, the walk counts nothing.
 
-    The facet search walks the edges of the arrangement of the pooled
+    An overlap's point is the first common interior point of two parts
+    (``_common_point``), its walls the parts' half-planes.  Otherwise the
+    facet search walks the edges of the arrangement of the pooled
     constraint lines (``arrangement_edges``) and reads which polytope fills
     each flank off its sign vector (``fills``).  An edge on ``mu`` is a
     shared crossing facet when one polytope fills its flank
-    ``above | bit(mu)`` and the other its flank ``above``; the first such
-    edge in walk order is returned with its point (``edge_point``, the one
-    point the search builds) and the pooled lines.
+    ``above | bit(mu)`` and the other its flank ``above``; the point is
+    that of the first such edge in walk order (``edge_point``, the one
+    point the search builds), and the walls are the other pooled lines.
     """
     if p.is_empty() or q.is_empty():
         return None
-    ow = _overlap_witness(p, q)
-    if ow is not None:
-        return ("overlap", *ow)
+    common = _common_point(p, q, True)
+    if common is not None:
+        (x, y), a, b = common
+        # a half-plane's integer form is its line's, up to sign
+        return ((Fraction(*x), Fraction(*y)),
+                [h.integer_form for h in a.constraints + b.constraints], None)
     lines, p_masks, q_masks = _pooled(p, q)
     own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
     edges = arrangement_edges(lines)
@@ -566,7 +574,8 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope,
         plus = above | own_bit[id(mu)]
         if ((fills(p_masks, plus) and fills(q_masks, above))
                 or (fills(p_masks, above) and fills(q_masks, plus))):
-            return ("facet", mu, edge_point(mu, lo, hi, den), lines)
+            return (edge_point(mu, lo, hi, den),
+                    [nu.integer_form for nu in lines if nu is not mu], mu)
     return None
 
 
@@ -586,9 +595,8 @@ def sc_explanation(p: PlanePolytope, q: PlanePolytope
     analysis = _sc_analysis(p, q, stats)
     if analysis is None:
         return "none", None, None, stats["edges_walked"]
-    if analysis[0] == "overlap":
-        return "overlap", None, analysis[1], 0
-    return "facet", analysis[1], analysis[2], stats["edges_walked"]
+    point, _, line = analysis
+    return "overlap" if line is None else "facet", line, point, stats["edges_walked"]
 
 
 def sc_witness(p: PlanePolytope, q: PlanePolytope
@@ -599,7 +607,8 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
     with radius half the least ``sqrt_lower`` distance to the constraint
     lines of the two parts.  Facet case: the half-disk construction at the
     facet edge's point, with radius half the least such distance to the
-    other pooled constraint lines.
+    other pooled constraint lines.  Both are read off the strong-contact
+    record, whose walls are those lines.
 
     The distances are computed on ints: with the centre over one common
     denominator as ``(X/D, Y/D)``, the squared distance to the line of
@@ -611,13 +620,7 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
     analysis = _sc_analysis(p, q)
     if analysis is None:
         return None
-    if analysis[0] == "overlap":
-        _, z, a, b = analysis
-        # a half-plane's integer form is its line's, up to sign
-        walls = [h.integer_form for h in a.constraints + b.constraints]
-    else:
-        _, mu, z, lines = analysis
-        walls = [nu.integer_form for nu in lines if nu is not mu]
+    z, walls, _ = analysis
     if not walls:
         return z, Fraction(1)
     x, y = z

@@ -18,6 +18,8 @@ from .plane import BasicPolytope, PlanePolytope
 Box = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
 
 _PALETTE = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377"]
+_PLANE_SIZE = 480  # px, the side of a plane drawing
+_NUMBERLINE_WIDTH = 600  # px
 
 
 def clip_basic_to_box(basic: BasicPolytope, box: Box) -> list[Point]:
@@ -61,13 +63,12 @@ def _f(x) -> str:
 
 def plane_svg(polys: Sequence[tuple[PlanePolytope, str]],
               witness: Optional[tuple[Point, Fraction]] = None,
-              box: Box = (Fraction(-5), Fraction(-5), Fraction(5), Fraction(5)),
-              size: int = 480) -> str:
+              box: Box = (Fraction(-5), Fraction(-5), Fraction(5), Fraction(5))) -> str:
     """Filled polygons for each polytope (one colour per entry), the box
     frame, and the witness disk if given."""
     xmin, ymin, xmax, ymax = box
     span = max(xmax - xmin, ymax - ymin)
-    scale = Fraction(size) / span
+    scale = Fraction(_PLANE_SIZE) / span
 
     def sx(x):
         return _f((x - xmin) * scale)
@@ -75,9 +76,9 @@ def plane_svg(polys: Sequence[tuple[PlanePolytope, str]],
     def sy(y):
         return _f((ymax - y) * scale)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">']
-    parts.append(f'<rect x="0" y="0" width="{size}" height="{size}" '
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLANE_SIZE}" '
+             f'height="{_PLANE_SIZE}" viewBox="0 0 {_PLANE_SIZE} {_PLANE_SIZE}">']
+    parts.append(f'<rect x="0" y="0" width="{_PLANE_SIZE}" height="{_PLANE_SIZE}" '
                  'fill="white" stroke="#222"/>')
     for idx, (poly, label) in enumerate(polys):
         colour = _PALETTE[idx % len(_PALETTE)]
@@ -101,24 +102,23 @@ def plane_svg(polys: Sequence[tuple[PlanePolytope, str]],
 
 
 def numberline_svg(items: Sequence[tuple[IntervalPolytope | CylinderPolytope, str]],
-                   window: tuple[Fraction, Fraction] = (Fraction(-6), Fraction(6)),
-                   width: int = 600) -> str:
+                   window: tuple[Fraction, Fraction] = (Fraction(-6), Fraction(6))) -> str:
     """One row per item: axis, thick bars for pieces, arrows for rays."""
     lo, hi = window
-    scale = Fraction(width - 40) / (hi - lo)
+    scale = Fraction(_NUMBERLINE_WIDTH - 40) / (hi - lo)
     row_h = 34
     height = row_h * len(items) + 20
 
     def sx(x):
         return _f(20 + (x - lo) * scale)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_NUMBERLINE_WIDTH}" '
+             f'height="{height}" viewBox="0 0 {_NUMBERLINE_WIDTH} {height}">']
     for idx, (item, label) in enumerate(items):
         base = item.base if isinstance(item, CylinderPolytope) else item
         y = 10 + row_h * idx + row_h // 2
         colour = _PALETTE[idx % len(_PALETTE)]
-        parts.append(f'<line x1="20" y1="{y}" x2="{width - 20}" y2="{y}" '
+        parts.append(f'<line x1="20" y1="{y}" x2="{_NUMBERLINE_WIDTH - 20}" y2="{y}" '
                      'stroke="#ccc"/>')
         for plo, phi in base.pieces:
             a = lo if plo is None or plo < lo else plo
@@ -131,7 +131,7 @@ def numberline_svg(items: Sequence[tuple[IntervalPolytope | CylinderPolytope, st
                 parts.append(f'<text x="4" y="{y + 4}" font-size="12" '
                              f'fill="{colour}">&#8592;</text>')
             if phi is None:
-                parts.append(f'<text x="{width - 14}" y="{y + 4}" font-size="12" '
+                parts.append(f'<text x="{_NUMBERLINE_WIDTH - 14}" y="{y + 4}" font-size="12" '
                              f'fill="{colour}">&#8594;</text>')
         parts.append(f'<text x="24" y="{y - 8}" font-size="12" '
                      f'fill="{colour}">{label}</text>')

@@ -308,18 +308,20 @@ def probe_facet(p, q, mu, x, lines) -> bool:
 
 
 def probe_sc_analysis(p, q):
-    """``plane._sc_analysis`` with each edge classified by ``probe_facet``
-    instead of by sign vectors."""
+    """``plane._sc_analysis``'s record ``(point, walls, line)`` with each
+    edge classified by ``probe_facet`` instead of by sign vectors."""
     if p.is_empty() or q.is_empty():
         return None
-    ow = pl._overlap_witness(p, q)
-    if ow is not None:
-        return ("overlap", *ow)
+    common = pl._common_point(p, q, True)
+    if common is not None:
+        (x, y), a, b = common
+        return ((Fraction(*x), Fraction(*y)),
+                [h.integer_form for h in a.constraints + b.constraints], None)
     lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
     for mu, lo, hi, den, _ in pl.arrangement_edges(lines):
         x = pl.edge_point(mu, lo, hi, den)
         if probe_facet(p, q, mu, x, lines):
-            return ("facet", mu, x, lines)
+            return x, [nu.integer_form for nu in lines if nu is not mu], mu
     return None
 
 
@@ -547,18 +549,36 @@ def point_line_dist_sq(z, line):
     return v * v / (line.normal[0] ** 2 + line.normal[1] ** 2)
 
 
+def _reference_overlap(p, q):
+    """The first pair of parts of ``p`` and ``q`` with a common interior
+    point by ``reference_feasible_point``, as ``(point, the pair's
+    half-planes)``, or None."""
+    for a in p.parts:
+        for b in q.parts:
+            cons = a.constraints + b.constraints
+            z = reference_feasible_point([(*h.normal, h.offset, True) for h in cons])
+            if z is not None:
+                return z, cons
+    return None
+
+
 def reference_sc_witness(p, q):
     """``plane.sc_witness`` over ``Fraction``: each wall's squared distance
     by ``point_line_dist_sq`` on its boundary line, ``sqrt_lower`` of it,
-    and half the least root."""
+    and half the least root.  Only the verdict and the facet's line and
+    point are read off ``plane._sc_analysis``: an overlap's centre and
+    walls come from ``_reference_overlap``, a facet's walls are the other
+    pooled lines."""
     analysis = pl._sc_analysis(p, q)
     if analysis is None:
         return None
-    if analysis[0] == "overlap":
-        _, z, a, b = analysis
-        walls = [h.boundary() for h in a.constraints + b.constraints]
+    overlap = _reference_overlap(p, q)
+    if overlap is not None:
+        z, cons = overlap
+        walls = [h.boundary() for h in cons]
     else:
-        _, mu, z, lines = analysis
+        z, _, mu = analysis
+        lines = sorted(set(p.constraint_lines()) | set(q.constraint_lines()))
         walls = [nu for nu in lines if nu != mu]
     dists = [sqrt_lower(point_line_dist_sq(z, nu)) for nu in walls]
     return z, min(dists) / 2 if dists else Fraction(1)

@@ -41,16 +41,17 @@ def test_sc_check_negative_runs_one_overlap_search(files, capsys, monkeypatch):
     write, _ = files
     a, b = write("a.poly", Q1), write("b.poly", Q3)
     calls = []
-    search = pl._overlap_witness
+    search = pl._common_point
 
-    def counted(p, q):
-        calls.append(1)
-        return search(p, q)
+    def counted(p, q, strict):
+        calls.append(strict)
+        return search(p, q, strict)
 
-    monkeypatch.setattr(pl, "_overlap_witness", counted)
+    monkeypatch.setattr(pl, "_common_point", counted)
     assert run(["sc-check", a, b]) == 0
     assert capsys.readouterr().out == "SC=false C=true overlap=false\n"
-    assert len(calls) == 1
+    # contact_c makes the one non-strict search
+    assert calls.count(True) == 1
 
 
 def test_sc_check_intervals_with_witness(files, capsys):

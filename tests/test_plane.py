@@ -433,6 +433,26 @@ def test_sc_explanation_matches_the_verdicts():
     assert reasons == {"overlap", "facet", "none"}
 
 
+def test_contact_predicates_build_no_fraction_point(monkeypatch):
+    # the overlap search answers on feasible_ints' witness; the strong-
+    # contact record builds its one centre itself
+    pairs = [sc_pair(random.Random(seed), kind)
+             for seed in range(6) for kind in SC_PAIR_KINDS]
+
+    def answers():
+        return [(pl.contact_c(a, b), pl.overlap(a, b), pl.contact_sc(a, b),
+                 pl.sc_witness(a, b), pl.sc_explanation(a, b)) for a, b in pairs]
+
+    want = answers()
+
+    def refuse(cons):
+        raise AssertionError("feasible_point called")
+
+    monkeypatch.setattr(pl, "feasible_point", refuse)
+    assert answers() == want
+    assert {explanation[0] for *_, explanation in want} == {"overlap", "facet", "none"}
+
+
 # ---------------------------------------------------------------------------
 # witness radii on integer forms against the Fraction reference
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ def simple_cycles(space: AdjacencySpace) -> list[tuple[str, ...]]:
 
     Canonical form: the cycle starts at its least cell and its second entry
     is smaller than its last, so each undirected cycle appears exactly once.
+    The cycles come in ``(len, cycle)`` order: shortest first, and
+    lexicographically among cycles of one length.
     """
     cycles = []
     cells = space.cells
@@ -200,10 +202,11 @@ def check_pmorphism(f: PMorphism | Mapping[str, str],
 def untie(space: AdjacencySpace) -> tuple[AdjacencySpace, PMorphism]:
     """Untied (acyclic) version of a connected space plus the collapsing map.
 
-    Deterministic choices: the lexicographically least simple cycle, its
-    least cell, and that cell's least neighbour on the cycle.  The returned
-    map composes the per-step collapses a' -> a and is a p-morphism onto
-    the input.
+    Deterministic choices: the shortest simple cycle, the lexicographically
+    least of those (the first in ``simple_cycles``' ``(len, cycle)``
+    order), its least cell, and that cell's least neighbour on the cycle.
+    The returned map composes the per-step collapses a' -> a and is a
+    p-morphism onto the input.
     """
     if not is_connected(space):
         raise ValueError("untying is defined for connected spaces")

@@ -23,17 +23,19 @@ pool can also serve ``is_connected_algebra``.
 ``merge`` turns the image map of a projection into the embedding of a
 finite power-set algebra into the polytope algebra (subset goes to union of
 images) and verifies the embedding laws: injectivity, complement and join
-homomorphism, and contact preservation in both directions.  It decides them
-on bitmasks of the elementary segments that the images' pooled endpoints
-cut the line into, each subset's mask the OR of its images' masks, so no
-union is built to check a law.
+homomorphism, and contact preservation in both directions, over every
+subset at every size.  It decides each law on the n images' bitmasks of
+the elementary segments that their pooled endpoints cut the line into,
+each subset's mask the OR of its images' masks, so no union is built and
+no subset is enumerated to check a law.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import intervals as iv
@@ -384,38 +386,39 @@ class MergeResult:
     report: AuditReport
 
 
-# above _EXHAUSTIVE_LIMIT subsets, merge draws this many subsets and subset
-# pairs from this seed
-_MERGE_SAMPLES = 200
-_MERGE_SEED = 0
-
-
 def merge(images: Mapping[str, CylinderPolytope],
           space: Optional[AdjacencySpace] = None) -> MergeResult:
     """Embed subsets of projected cells into the polytope algebra by union.
 
-    Verifies, over all subsets when there are at most ``_EXHAUSTIVE_LIMIT``
-    (64, so up to 6 cells), and otherwise over up to 200 subsets drawn from
-    seed 0 (with the empty and the full one) and 200 pairs of them:
+    Verifies, over all 2^n subsets of the n cells:
 
     * bijectivity  - distinct subsets have distinct unions;
     * complement   - union of the complement subset is the complement;
     * join         - union distributes over subset union;
     * contact      - the induced relation matches strong contact of unions,
       in both directions (and likewise for plain topological contact,
-      which coincides with strong contact on projection images).  Both
-      relations hold of two subsets exactly when they hold of some pair of
-      their cells, so over all subsets this is checked on pairs of cells.
+      which coincides with strong contact on projection images).
 
     When ``space`` is given its adjacency must agree with strong contact of
     the images; otherwise the relation is derived from the images.
 
-    The subset checks run on the elementary segments of the images' pooled
-    endpoints (``intervals.segment_masks``): a union is the OR of its
-    images' segment masks, its complement the mask's complement among all
-    segments, and two unions touch when a segment of one is, or neighbours,
-    a segment of the other.  ``union_of`` builds the ``CylinderPolytope``
-    of a subset on demand.
+    Each law is decided on the n images' bitmasks of the elementary
+    segments that their pooled endpoints cut the line into
+    (``intervals.segment_masks``), a subset's union being the OR of its
+    images' masks:
+
+    * bijectivity fails exactly when some image's mask lies inside the OR
+      of the others; for the first such cell x, every cell but x and every
+      cell share an image;
+    * complement holds of every subset exactly when it holds of {} (the
+      masks cover every segment) and of each single cell (its mask meets no
+      other), and the first of these to fail is the least failing subset;
+    * both contact relations hold of two subsets exactly when they hold of
+      some pair of their cells, where two images touch when a segment of
+      one is, or neighbours, a segment of the other, so the first subset
+      pair on which they differ is that of the first such cell pair.
+
+    ``union_of`` builds the ``CylinderPolytope`` of a subset on demand.
     """
     cells = tuple(sorted(images))
     n = len(cells)
@@ -445,61 +448,30 @@ def merge(images: Mapping[str, CylinderPolytope],
             lambda i, j: f"pair={(cells[i], cells[j])}"))
 
     full = (1 << n) - 1
-    if 1 << n <= _EXHAUSTIVE_LIMIT:
-        masks = range(1 << n)
-        mask_pairs = list(product(masks, repeat=2))
-        # both contact relations hold of two subsets exactly when they hold
-        # of some pair of their cells, so the first subset pair on which
-        # they differ is that of the first cell pair on which they differ
-        contact_pairs = [(1 << i, 1 << j) for i in range(n) for j in range(n)]
-    else:
-        rng = random.Random(_MERGE_SEED)
-        masks = sorted({rng.randrange(1 << n) for _ in range(_MERGE_SAMPLES)} | {0, full})
-        mask_pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(_MERGE_SAMPLES)]
-        contact_pairs = mask_pairs
-    singles = [(a,) for a in masks]
-
-    ends, image_segs = iv.segment_masks([images[x].base for x in cells])
+    ends, segs = iv.segment_masks([images[x].base for x in cells])
     all_segs = (2 << len(ends)) - 1
-    # subset -> segments its union fills; -> segments at or next to those,
-    # whose closures share a point with it; -> cells it is in contact with
-    segs = _OrOverBits(image_segs)
-    near = _OrOverBits([m | m << 1 | m >> 1 for m in image_segs])
-    reach = _OrOverBits(discrete.succ)
-
-    first_with: dict[int, int] = {}  # segment mask -> first subset with it
-
-    def shares_image(a: int) -> bool:
-        return first_with.setdefault(segs[a], a) != a
-
-    def contact_differs(a: int, b: int) -> bool:
-        return bool(reach[a] & b) != bool(segs[a] & near[b])
-
-    def ab(a: int, b: int) -> str:
-        return f"a={name(a)} b={name(b)}"
+    # the segments of all images, and of every image but cell i's, from
+    # prefix and suffix ORs
+    before = list(accumulate(segs, or_, initial=0))
+    after = list(accumulate(reversed(segs), or_, initial=0))[::-1]
+    others = [before[i] | after[i + 1] for i in range(n)]
 
     report.check("bijectivity", first_witness(
-        singles, shares_image,
-        lambda a: f"{name(first_with[segs[a]])} and {name(a)} share an image"))
+        enumerate(segs), lambda i, m: m | others[i] == others[i],
+        lambda i, m: f"{name(full ^ 1 << i)} and {name(full)} share an image"))
     report.check("complement", first_witness(
-        singles, lambda a: segs[full ^ a] != all_segs ^ segs[a], lambda a: f"a={name(a)}"))
-    report.check("join", first_witness(
-        mask_pairs, lambda a, b: segs[a | b] != segs[a] | segs[b], ab))
+        [(0, before[n], 0), *((1 << i, others[i], m) for i, m in enumerate(segs))],
+        lambda a, rest, m: rest != all_segs ^ m, lambda a, rest, m: f"a={name(a)}"))
+    # a subset's mask is the OR of its images' masks, so join holds by
+    # construction
+    report.check("join", None)
+    # segments at or next to an image's, whose closures share a point with it
+    near = [m | m << 1 | m >> 1 for m in segs]
     # on the line C and SC coincide, so one test decides both lines
-    contact = first_witness(contact_pairs, contact_differs, ab)
+    contact = first_witness(
+        product(range(n), repeat=2),
+        lambda i, j: bool(discrete.succ[i] >> j & 1) != bool(segs[i] & near[j]),
+        lambda i, j: f"a={name(1 << i)} b={name(1 << j)}")
     report.check("contact", contact)
     report.check("contact-C-variant", contact)
     return MergeResult(cells, dict(images), union_of, report)
-
-
-class _OrOverBits(dict):
-    """Memoised map from a mask to the OR of ``parts[i]`` over its bits i."""
-
-    def __init__(self, parts: Sequence[int]):
-        super().__init__({0: 0})
-        self.parts = parts
-
-    def __missing__(self, mask: int) -> int:
-        low = mask & -mask
-        out = self[mask] = self[mask ^ low] | self.parts[low.bit_length() - 1]
-        return out

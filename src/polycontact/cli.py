@@ -134,11 +134,18 @@ def _cmd_contact(args, sc_line: bool) -> int:
     if explain and fmt.kind != "plane":
         raise CliParseError(f"--explain needs plane regions (poly), got {fmt.kind}")
     c = _bool(a.contact_c(b))
-    witness = a.sc_witness(b) if sc_line else None
-    if sc_line:
-        # strong contact holds exactly when the regions have a witness, and
-        # overlap implies strong contact
+    witness = explanation = None
+    if sc_line and fmt.kind == "plane":
+        # one strong-contact analysis: overlap holds exactly when it found
+        # no shared facet
+        witness, explanation = pl.sc_verdict(a, b, count_edges=explain)
+        overlap = explanation[0] == "overlap"
+    elif sc_line:
+        # overlap implies strong contact, which holds exactly when the
+        # regions have a witness
+        witness = a.sc_witness(b)
         overlap = witness is not None and a.overlap(b)
+    if sc_line:
         print(f"SC={_bool(witness is not None)} C={c} overlap={_bool(overlap)}")
     else:
         print(f"C={c}")
@@ -149,16 +156,16 @@ def _cmd_contact(args, sc_line: bool) -> int:
         lo, hi = witness
         print(f"witness=interval ({lo},{hi})")
     if explain:
-        _print_explanation(a, b)
+        _print_explanation(*explanation)
     if args.svg:
         _write(args.svg, fmt.draw([(a, "A"), (b, "B")], args.viewport, witness))
     return EXIT_OK
 
 
-def _print_explanation(a, b) -> None:
-    """The reason for the strong-contact verdict of two plane polytopes,
-    its witness and the arrangement edges walked, as ``key=value`` lines."""
-    reason, line, point, walked = pl.sc_explanation(a, b)
+def _print_explanation(reason, line, point, walked) -> None:
+    """An ``sc_explanation`` of two plane polytopes: the reason for the
+    strong-contact verdict, its witness and the arrangement edges walked,
+    as ``key=value`` lines."""
     print(f"reason={reason}")
     if reason == "overlap":
         print(f"overlap_point=({point[0]},{point[1]})")

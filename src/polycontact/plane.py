@@ -51,10 +51,10 @@ samples the sectors around a point.
 Strong contact is one analysis (``_sc_analysis``) that returns one record,
 ``(point, walls, line)``, or None: the witness centre as ``Fraction``s
 (built once), the integer forms of the lines that bound its disk, and the
-shared facet's line, None for an overlap.  ``contact_sc``, ``sc_witness``
-and ``sc_explanation`` read it; ``sc_explanation`` gives the reason for a
-strong-contact verdict, its witness and the number of edges the facet
-search walked.
+shared facet's line, None for an overlap.  ``contact_sc`` and
+``sc_verdict`` read it; ``sc_verdict`` gives from one analysis both the
+witness disk (``sc_witness``) and the reason for the verdict, its point and
+the number of edges the facet search walked (``sc_explanation``).
 
 Every half-disk/ball construction used by ``sc_witness`` is returned with a
 rational radius small enough to be checked by exact containment tests
@@ -591,12 +591,7 @@ def sc_explanation(p: PlanePolytope, q: PlanePolytope
     with the shared facet's line and the point inside its edge, or "none"
     with neither.  ``edges_walked`` counts the arrangement edges the facet
     search took, the facet edge included; an overlap walks none."""
-    stats = {"edges_walked": 0}
-    analysis = _sc_analysis(p, q, stats)
-    if analysis is None:
-        return "none", None, None, stats["edges_walked"]
-    point, _, line = analysis
-    return "overlap" if line is None else "facet", line, point, stats["edges_walked"]
+    return sc_verdict(p, q, count_edges=True)[1]
 
 
 def sc_witness(p: PlanePolytope, q: PlanePolytope
@@ -609,20 +604,31 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
     facet edge's point, with radius half the least such distance to the
     other pooled constraint lines.  Both are read off the strong-contact
     record, whose walls are those lines.
+    """
+    return sc_verdict(p, q)[0]
 
-    The distances are computed on ints: with the centre over one common
+
+def sc_verdict(p: PlanePolytope, q: PlanePolytope, count_edges: bool = False):
+    """``(sc_witness(p, q), sc_explanation(p, q))`` from one strong-contact
+    analysis.  Unless ``count_edges``, the walk is not wrapped in a counter
+    and the explanation's ``edges_walked`` is None.
+
+    The witness radius is computed on ints: with the centre over one common
     denominator as ``(X/D, Y/D)``, the squared distance to the line of
     integer form ``(A, B, C)`` is ``(A*X + B*Y - C*D)**2 / (D**2 *
     (A**2 + B**2))``, reduced and passed to ``sqrt_lower_ints``; the least
     root is found by cross-multiplying, and the radius is its one
     ``Fraction``.
     """
-    analysis = _sc_analysis(p, q)
+    stats = {"edges_walked": 0} if count_edges else None
+    analysis = _sc_analysis(p, q, stats)
+    walked = None if stats is None else stats["edges_walked"]
     if analysis is None:
-        return None
-    z, walls, _ = analysis
+        return None, ("none", None, None, walked)
+    z, walls, line = analysis
+    explanation = ("overlap" if line is None else "facet", line, z, walked)
     if not walls:
-        return z, Fraction(1)
+        return (z, Fraction(1)), explanation
     x, y = z
     D = math.lcm(x.denominator, y.denominator)
     X, Y = x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)
@@ -634,7 +640,7 @@ def sc_witness(p: PlanePolytope, q: PlanePolytope
         r, s = sqrt_lower_ints(num // g, den // g)
         if best_r is None or r * best_s < best_r * s:
             best_r, best_s = r, s
-    return z, Fraction(best_r, 2 * best_s)
+    return (z, Fraction(best_r, 2 * best_s)), explanation
 
 
 # ---------------------------------------------------------------------------

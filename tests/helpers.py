@@ -10,8 +10,9 @@ Fourier-Motzkin elimination and arrangement walk kept for the integer
 plane kernel, the ``Fraction``-field identity, order, boundary line and
 side masks kept for those on integer forms, the canonical scaling by
 division kept for the unit-lead and negation shortcuts, the ``Fraction``
-witness radii kept for those on integer forms, the ``merge`` on geometric
-unions kept for the segment masks, the recursive-descent formula parser
+witness radii kept for those on integer forms, the subset-by-subset
+``merge`` on geometric unions kept for the laws decided on the image
+masks, the recursive-descent formula parser
 kept for the precedence-climbing one, the ``match``-based evaluator and
 tree-height walk kept for the type-dispatched evaluator and the height the
 parser carries, the seeded plane polytope pairs of the strong-contact
@@ -690,11 +691,21 @@ def reference_arrangement_edges(lines):
             yield mu, lo, hi, pl.point_on(base, direction, t), above
 
 
+# above _REFERENCE_EXHAUSTIVE_LIMIT subsets, reference_merge draws this many
+# subsets and subset pairs from this seed
+_REFERENCE_EXHAUSTIVE_LIMIT = 64
+_REFERENCE_MERGE_SAMPLES = 200
+_REFERENCE_MERGE_SEED = 0
+
+
 def reference_merge(images, space=None):
-    """``algebra.merge`` on geometric unions: every checked subset's
-    ``CylinderPolytope`` is built by ``union`` sweeps and compared by
-    ``equals``, ``complement``, ``contact_sc`` and ``contact_c``, and the
-    discrete contact of two subsets is ``FiniteContactAlgebra.contact``."""
+    """The embedding laws of ``algebra.merge`` checked on geometric unions:
+    every checked subset's ``CylinderPolytope`` is built by ``union``
+    sweeps and compared by ``equals``, ``complement``, ``contact_sc`` and
+    ``contact_c``, and the discrete contact of two subsets is
+    ``FiniteContactAlgebra.contact``.  Up to 6 cells every subset and
+    subset pair is checked, in ascending order; above that 200 subsets and
+    200 pairs of them drawn from seed 0."""
     cells = tuple(sorted(images))
     n = len(cells)
     unions = {0: lift(iv.EMPTY, images[cells[0]].ambient_dim)}
@@ -718,14 +729,15 @@ def reference_merge(images, space=None):
             lambda i, j: f"pair={(cells[i], cells[j])}"))
 
     full = (1 << n) - 1
-    if 1 << n <= alg._EXHAUSTIVE_LIMIT:
+    if 1 << n <= _REFERENCE_EXHAUSTIVE_LIMIT:
         masks = range(1 << n)
         mask_pairs = list(product(masks, repeat=2))
     else:
-        rng = random.Random(alg._MERGE_SEED)
-        masks = sorted({rng.randrange(1 << n) for _ in range(alg._MERGE_SAMPLES)} | {0, full})
+        rng = random.Random(_REFERENCE_MERGE_SEED)
+        masks = sorted({rng.randrange(1 << n) for _ in range(_REFERENCE_MERGE_SAMPLES)}
+                       | {0, full})
         mask_pairs = [(rng.choice(masks), rng.choice(masks))
-                      for _ in range(alg._MERGE_SAMPLES)]
+                      for _ in range(_REFERENCE_MERGE_SAMPLES)]
     singles = [(a,) for a in masks]
 
     first_with = {}  # union pieces -> first mask with them

@@ -153,6 +153,24 @@ class TestUntie:
         assert adj.is_acyclic(untied) and adj.is_connected(untied)
         assert adj.check_pmorphism(collapse, untied, K4)
 
+    def test_shortest_cycle_broken_first(self, monkeypatch):
+        # the triangle b-e-f goes before the lexicographically smaller
+        # square a-b-c-d: shortest cycle first, then the least
+        space = adj.mk_space("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                                        ("b", "e"), ("e", "f"), ("f", "b")])
+        assert adj.simple_cycles(space) == [("b", "e", "f"), ("a", "b", "c", "d")]
+        broken, break_cycle = [], adj.break_cycle
+
+        def logged(current, cycle, a, b):
+            broken.append((cycle, a, b))
+            return break_cycle(current, cycle, a, b)
+
+        monkeypatch.setattr(adj, "break_cycle", logged)
+        untied, collapse = adj.untie(space)
+        assert broken == [(("b", "e", "f"), "b", "e"), (("a", "b", "c", "d"), "a", "b")]
+        assert adj.is_acyclic(untied) and adj.check_pmorphism(collapse, untied, space)
+        assert collapse.mapping["b'"] == "b" and collapse.mapping["a'"] == "a"
+
     def test_random(self):
         rng = random.Random(5)
         for _ in range(20):

@@ -1,7 +1,9 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -188,10 +190,11 @@ class _Touchy(CylinderPolytope):
 
 @st.composite
 def merge_inputs(draw):
-    """An image map of 1-7 cells; up to 6 cells are merged exhaustively, 7
-    on seeded samples.  Empty, duplicate and overlapping images and gaps
-    fail bijectivity and complement, and a ``_Touchy`` image fails the
-    contact checks; no map of canonical images can fail join."""
+    """An image map of 1-7 cells; ``reference_merge`` checks every subset of
+    up to 6 cells and seeded samples of 7.  Empty, duplicate and
+    overlapping images and gaps fail bijectivity and complement, and a
+    ``_Touchy`` image fails the contact checks; no map of canonical images
+    can fail join."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         bases = draw(_partition(n))
@@ -236,9 +239,59 @@ def _projected(edges, root="a"):
 @example(_projected([("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("a", "f"), ("a", "g")]))
 @example({"a": lift(iv.parse_intervals("[0,1]"), 2), "b": lift(iv.parse_intervals("[0,1]"), 2)})
 def test_merge_matches_reference(images):
+    # up to 6 cells the reference checks every subset: each law's verdict
+    # and every witness but bijectivity's agree byte for byte; at 7 cells it
+    # checks samples, so each law it fails merge fails too.  A bijectivity
+    # witness is checked on the geometric unions.
     for space in _spaces(images):
-        assert (alg.merge(images, space=space).report.text()
-                == reference_merge(images, space=space).text())
+        result = alg.merge(images, space=space)
+        got, want = result.report.entries, reference_merge(images, space=space).entries
+        assert [e.name for e in got] == [e.name for e in want]
+        for entry, ref in zip(got, want):
+            if len(images) > 6:
+                assert ref.passed or not entry.passed, (entry, ref)
+            elif entry.name == "bijectivity":
+                assert entry.passed == ref.passed, (entry, ref)
+            else:
+                assert entry == ref
+            if entry.name == "bijectivity" and not entry.passed:
+                _assert_shares_image(result, entry.witness)
+
+
+def _assert_shares_image(result, witness):
+    """A bijectivity witness names every cell but one and every cell, and
+    the two subsets have one union."""
+    groups = re.fullmatch(r"\{(.*)\} and \{(.*)\} share an image", witness).groups()
+    a, b = (sum(1 << result.cells.index(cell) for cell in group.split(",") if cell)
+            for group in groups)
+    assert b == (1 << len(result.cells)) - 1 and (a ^ b).bit_count() == 1
+    assert result.union_of(a).equals(result.union_of(b))
+
+
+def _tiles(cells, extra):
+    """Images of ``cells`` that tile the line, the k-th on [k-1, k] with the
+    first and last unbounded, plus the image ``extra`` of a further cell."""
+    bases = {cell: iv.canonicalize([(None if k == 0 else k - 1,
+                                     None if k == len(cells) - 1 else k)])
+             for k, cell in enumerate(cells)}
+    return {cell: lift(base, 1) for cell, base in {**bases, "z": extra}.items()}
+
+
+@pytest.mark.parametrize("extra,failing", [
+    # an empty image lies in every union: only bijectivity fails
+    (iv.EMPTY, {"bijectivity"}),
+    # an image inside the union of three others, equal to none of them,
+    # fails complement too, which needs the images pairwise disjoint
+    (iv.parse_intervals("[3/2,7/2]"), {"bijectivity", "complement"}),
+], ids=["empty", "covered"])
+def test_merge_finds_a_shared_image_above_six_cells(extra, failing):
+    images = _tiles("abcdefgh", extra)
+    assert len(images) == 9
+    assert len({image.base for image in images.values()}) == 9  # no two equal
+    result = alg.merge(images)
+    assert {e.name for e in result.report.entries if not e.passed} == failing
+    entry = next(e for e in result.report.entries if e.name == "bijectivity")
+    _assert_shares_image(result, entry.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +364,10 @@ def _tampered_merges():
 
 
 def test_merge_reports_pinned():
-    # four cells are merged exhaustively, seven on seeded samples
+    # four and seven cells alike: every law is decided on the image masks,
+    # and a bijectivity witness is every cell but one and every cell
     texts = [alg.merge(images, space=space).report.text()
              for images, space in _tampered_merges()]
     assert sum(text.count(" FAIL ") for text in texts) >= 8
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    assert digest == "cc87336f6c8a26339d891478ca3434b2d5b00789c3177e9ea99e03c4b18a4b21"
+    assert digest == "8632e64b545b7ec72a6d62eb828f1da5ea17c595241fbb3de381af549d939306"

@@ -35,23 +35,44 @@ def test_sc_check_vertical_angles(files, capsys):
     assert "SC=false C=true overlap=false" in out
 
 
+# a quadrant beside Q1 across the y axis, sharing its facet on x = 0
+Q2 = "poly { basic { 1 0 <= 0; 0 -1 <= 0 } }"
+
+
 def test_sc_check_negative_runs_one_overlap_search(files, capsys, monkeypatch):
-    # overlap implies strong contact, so an SC-negative pair needs no
-    # second overlap search after the witness search
+    # one strong-contact analysis gives the verdict, the witness, overlap
+    # (no shared facet) and the --explain lines: one interior-point search
+    # and at most one arrangement walk, for an SC-negative pair (Q1 and Q3
+    # share a corner only), a shared facet and an overlap
     write, _ = files
-    a, b = write("a.poly", Q1), write("b.poly", Q3)
-    calls = []
-    search = pl._common_point
+    calls, walks = [], []
+    search, walk = pl._common_point, pl.arrangement_edges
 
     def counted(p, q, strict):
         calls.append(strict)
         return search(p, q, strict)
 
+    def walked(lines):
+        walks.append(lines)
+        return walk(lines)
+
     monkeypatch.setattr(pl, "_common_point", counted)
-    assert run(["sc-check", a, b]) == 0
-    assert capsys.readouterr().out == "SC=false C=true overlap=false\n"
-    # contact_c makes the one non-strict search
-    assert calls.count(True) == 1
+    monkeypatch.setattr(pl, "arrangement_edges", walked)
+    a = write("a.poly", Q1)
+    for other, verdict in ((Q3, "SC=false C=true overlap=false"),
+                           (Q2, "SC=true C=true overlap=false"),
+                           (OVERLAP, "SC=true C=true overlap=true")):
+        b = write("b.poly", other)
+        for explain in ([], ["--explain"]):
+            calls.clear()
+            walks.clear()
+            assert run(["sc-check", a, b] + explain) == 0
+            out = capsys.readouterr().out
+            assert out.splitlines()[0] == verdict
+            assert ("reason=" in out) == bool(explain)
+            # contact_c makes the one non-strict search
+            assert calls.count(True) == 1 and calls.count(False) == 1
+            assert len(walks) == (not verdict.endswith("overlap=true"))
 
 
 def test_sc_check_intervals_with_witness(files, capsys):

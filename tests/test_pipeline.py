@@ -15,8 +15,8 @@ TRIANGLE_FORCER = ("~( C(p,q) & C(q,r) & C(p,r) & "
                    "p.q == 0 & q.r == 0 & p.r == 0 )")
 # false exactly on three disjoint nonzero regions p, q, r and the rest,
 # in contact on the edges of the diamond (K4 minus the q-rest edge) or of
-# K4; their certificates untie to 6 cells (merge checks all 4^6 mask
-# pairs) and to 7 cells (merge checks seeded samples)
+# K4; their certificates untie to 6 and to 7 cells, on which merge
+# decides every law over all subsets alike
 _FORCER_ATOMS = ("~(p <= -q) | ~(p <= -r) | ~(q <= -r) | p == 0 | q == 0 | "
                  "r == 0 | -(p + q + r) == 0 | ~C(p, q) | ~C(p, r) | "
                  "~C(p, -(p + q + r)) | ~C(q, r) | {}C(q, -(p + q + r)) | "
@@ -242,8 +242,8 @@ def test_pinned_certificate_and_report(formula, bound, dim, cells, cert_sha):
 
 
 @pytest.mark.parametrize("formula,report_sha", [
-    (DIAMOND_FORCER, "9a0b1295b4a6797740aa41241c3ef832edff36baaeed90f5b7f52c2043c9f56c"),
-    (K4_FORCER, "6524f3f00f0b6b8e874212abf3d58301e12c1124b6cc216fd955839dc08c1e1d"),
+    (DIAMOND_FORCER, "3671b8ae761f35401ceebefd61de726deacd1e2baf6640f4f15952cfaa081697"),
+    (K4_FORCER, "25c786e38bb205668792f751b91dfef0b9f5c63534421753b57841612e40fc5e"),
 ], ids=["diamond", "K4"])
 def test_pinned_report_of_tampered_certificate(formula, report_sha):
     # the last cell's image moved onto two others: the witnesses of the

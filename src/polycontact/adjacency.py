@@ -22,12 +22,13 @@ The three stages used by countermodel synthesis live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cylinder import CylinderPolytope
-from .intervals import canonicalize
+from .intervals import canonicalize, segment_masks
 
 Edge = tuple[str, str]
 
@@ -309,7 +310,7 @@ def project(space: AdjacencySpace, walk: Sequence[str], n: int = 1
     cell occurring there; the root also receives the two closed rays, so
     the images are regular closed, pairwise non-overlapping, and cover
     everything.  Adjacency coincides with strong contact of the images;
-    this is re-checked before returning.
+    this is re-checked on their segment masks before returning.
     """
     _require_tree(space)
     if n < 1:
@@ -336,16 +337,14 @@ class ProjectionError(RuntimeError):
 
 def _check_projection(space: AdjacencySpace, images: dict[str, CylinderPolytope]) -> None:
     cells = space.cells
-    total = images[cells[0]]
-    for x in cells[1:]:
-        total = total.union(images[x])
-    if not total.is_all():
+    ends, masks = segment_masks([images[x].base for x in cells])
+    if reduce(or_, masks) != (2 << len(ends)) - 1:
         raise ProjectionError("projection images do not cover the line")
-    for i, x in enumerate(cells):
-        for y in cells[i + 1:]:
-            if images[x].overlap(images[y]):
+    for i, (x, m) in enumerate(zip(cells, masks)):
+        for y, other in zip(cells[i + 1:], masks[i + 1:]):
+            if m & other:
                 raise ProjectionError(f"projection images of {x!r} and {y!r} overlap")
-            if space.adjacent(x, y) != images[x].contact_sc(images[y]):
+            if space.adjacent(x, y) != bool((m | m << 1 | m >> 1) & other):
                 raise ProjectionError(
                     f"adjacency of ({x!r}, {y!r}) disagrees with image contact")
 

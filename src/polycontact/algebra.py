@@ -24,16 +24,17 @@ pool can also serve ``is_connected_algebra``.
 finite power-set algebra into the polytope algebra (subset goes to union of
 images) and verifies the embedding laws: injectivity, complement and join
 homomorphism, and contact preservation in both directions, over every
-subset at every size.  It decides each law on the n images' bitmasks of
-the elementary segments that their pooled endpoints cut the line into,
-each subset's mask the OR of its images' masks, so no union is built and
-no subset is enumerated to check a law.
+subset at every size.  It decides each law on one table of the n images'
+elementary segments (``intervals.segment_masks``), a subset's mask the OR
+of its images' masks, so no subset is enumerated; on those masks the line
+is the finite carrier ``path_algebra``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, product
 from operator import or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -192,6 +193,11 @@ def induced_algebra(space: AdjacencySpace) -> FiniteContactAlgebra:
         for y in space.neighbours(x):
             succ[i] |= 1 << index[y]
     return FiniteContactAlgebra(space.cells, succ)
+
+
+def path_algebra(segments: int) -> FiniteContactAlgebra:
+    """The line's ``segments`` segments (``intervals.segment_masks``): k touches k - 1 to k + 1."""
+    return FiniteContactAlgebra(map(str, range(segments)), [7 << k >> 1 for k in range(segments)])
 
 
 class PolytopeAlgebra(ContactAlgebra):
@@ -381,7 +387,6 @@ def is_connected_algebra(algebra: ContactAlgebra, samples: int = 50, seed: int =
 @dataclass
 class MergeResult:
     cells: tuple[str, ...]
-    images: dict[str, CylinderPolytope]
     union_of: Callable[[int], CylinderPolytope]
     report: AuditReport
 
@@ -402,8 +407,7 @@ def merge(images: Mapping[str, CylinderPolytope],
     When ``space`` is given its adjacency must agree with strong contact of
     the images; otherwise the relation is derived from the images.
 
-    Each law is decided on the n images' bitmasks of the elementary
-    segments that their pooled endpoints cut the line into
+    Each law is decided on one table of the n images' elementary segments
     (``intervals.segment_masks``), a subset's union being the OR of its
     images' masks:
 
@@ -418,21 +422,12 @@ def merge(images: Mapping[str, CylinderPolytope],
       one is, or neighbours, a segment of the other, so the first subset
       pair on which they differ is that of the first such cell pair.
 
-    ``union_of`` builds the ``CylinderPolytope`` of a subset on demand.
+    ``union_of`` reads a subset's ``CylinderPolytope`` off that OR by
+    ``intervals.from_segments``, on the table's own endpoints.
     """
     cells = tuple(sorted(images))
     n = len(cells)
     dim = images[cells[0]].ambient_dim
-    empty = lift(iv.EMPTY, dim)
-
-    unions: dict[int, CylinderPolytope] = {0: empty}
-
-    def union_of(mask: int) -> CylinderPolytope:
-        if mask not in unions:
-            low = mask & -mask
-            rest = mask ^ low
-            unions[mask] = union_of(rest).union(images[cells[low.bit_length() - 1]])
-        return unions[mask]
 
     # the relation the images induce on cells, as one neighbour mask per cell
     discrete = FiniteContactAlgebra(cells, [
@@ -450,6 +445,11 @@ def merge(images: Mapping[str, CylinderPolytope],
     full = (1 << n) - 1
     ends, segs = iv.segment_masks([images[x].base for x in cells])
     all_segs = (2 << len(ends)) - 1
+
+    def union_of(subset: int) -> CylinderPolytope:
+        picked = (m for i, m in enumerate(segs) if subset >> i & 1)
+        return lift(iv.from_segments(ends, reduce(or_, picked, 0)), dim)
+
     # the segments of all images, and of every image but cell i's, from
     # prefix and suffix ORs
     before = list(accumulate(segs, or_, initial=0))
@@ -474,4 +474,4 @@ def merge(images: Mapping[str, CylinderPolytope],
         lambda i, j: f"a={name(1 << i)} b={name(1 << j)}")
     report.check("contact", contact)
     report.check("contact-C-variant", contact)
-    return MergeResult(cells, dict(images), union_of, report)
+    return MergeResult(cells, union_of, report)

@@ -17,7 +17,8 @@ them) are linear sweeps over two canonical piece tuples, with no sort and no
 re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
 text, projected pieces and the random generator.  ``segment_masks`` turns
 polytopes over shared breakpoints into bitmasks of elementary segments, on
-which the Boolean operations and contact are single integer operations.
+which Boolean operations and contact are integer operations; its inverse
+``from_segments`` reuses the table's endpoints, with no sort or ``canonicalize``.
 
 Only finite unions are representable.  Regular closed sets built from
 infinitely many segments (for instance the closure of an infinite union of
@@ -262,6 +263,20 @@ def segment_masks(polytopes: Sequence[IntervalPolytope]) -> tuple[tuple[End, ...
             mask |= (2 << last) - (1 << first)  # bits first..last
         masks.append(mask)
     return ends, masks
+
+
+def from_segments(ends: Sequence[End], mask: int) -> IntervalPolytope:
+    """The polytope filling the segments of ``mask`` over the breakpoints
+    ``ends``: the inverse of ``segment_masks``, each run of set bits one
+    piece between the table's own endpoint objects."""
+    bounds = (None, *ends, None)
+    pieces = []
+    while mask:
+        low = mask & -mask
+        above = (mask + low) & ~mask  # the clear bit just above the lowest run
+        pieces.append((bounds[low.bit_length() - 1], bounds[above.bit_length() - 1]))
+        mask ^= above - low
+    return IntervalPolytope(tuple(pieces))
 
 
 def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[End, End] | None:

@@ -7,7 +7,11 @@ onto cylinders over the line, and merge cell sets into polytopes, so the
 formula is falsified by an explicit geometric valuation.  Falsity is
 re-checked at the discrete, untied and geometric stages; a failure at any
 stage aborts with the name of the violated identity (it would indicate a
-bug, not a property of the input).
+bug, not a property of the input).  The geometric stage reads one table of
+the images' segments (``intervals.segment_masks``): a variable fills the OR
+of its cells' masks, is checked false on ``algebra.path_algebra`` and is read
+back by ``intervals.from_segments``.  ``verify`` pools the geometric
+valuation into its table, and re-checks falsity over ``CylinderAlgebra``.
 
 The resulting certificate serialises to a line-oriented text bundle that
 round-trips through ``parse_certificate`` and re-verifies from scratch with
@@ -17,7 +21,9 @@ round-trips through ``parse_certificate`` and re-verifies from scratch with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional
 
 from . import logic as lg
@@ -33,9 +39,9 @@ from .adjacency import (
     untie,
 )
 from .algebra import (AuditReport, CylinderAlgebra, UnknownCell, first_witness,
-                      induced_algebra, merge)
+                      induced_algebra, merge, path_algebra)
 from .cylinder import CylinderPolytope, format_cylinder, lift, parse_cylinder
-from .intervals import EMPTY as EMPTY_LINE
+from .intervals import from_segments, segment_masks
 
 Valuation = dict[str, frozenset[str]]
 
@@ -64,14 +70,6 @@ def _eval_discrete(formula: lg.Formula, space: AdjacencySpace,
     algebra = induced_algebra(space)
     masks = {name: algebra.element_of(cells) for name, cells in valuation.items()}
     return lg.evaluate(formula, algebra, masks)
-
-
-def _union_image(cells: frozenset[str], images: dict[str, CylinderPolytope],
-                 dim: int) -> CylinderPolytope:
-    out = lift(EMPTY_LINE, dim)
-    for cell in sorted(cells):
-        out = out.union(images[cell])
-    return out
 
 
 def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
@@ -107,16 +105,16 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
         raise PipelineError(
             "formula became true in the untied preimage (truth transfer failed)")
 
-    root = min(untied.cells)
-    walk = arrangement(untied, numeration(untied, root))
+    walk = arrangement(untied, numeration(untied, min(untied.cells)))
     images = project(untied, walk, dim)
 
-    geometric = {name: _union_image(cells, images, dim)
-                 for name, cells in lifted.items()}
-    algebra = CylinderAlgebra(dim)
-    if lg.evaluate(parsed, algebra, geometric):
+    ends, masks = segment_masks([images[x].base for x in untied.cells])
+    mask_of = dict(zip(untied.cells, masks))
+    filled = {name: reduce(or_, map(mask_of.get, cells), 0) for name, cells in lifted.items()}
+    if lg.evaluate(parsed, path_algebra(len(ends) + 1), filled):
         raise PipelineError(
             "formula became true under the merged polytope valuation")
+    geometric = {name: lift(from_segments(ends, m), dim) for name, m in filled.items()}
 
     verdicts = {"discrete": False, "untied": False, "geometric": False}
     return CountermodelCertificate(
@@ -169,10 +167,14 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     image_ok = set(cert.images) == set(cells)
     report.check("images-cover-cells", holds(image_ok))
     if image_ok:
-        total = _union_image(frozenset(cells), cert.images, cert.dim)
-        report.check("images-cover-line", holds(total.is_all()))
+        geometric = cert.geometric_valuation
+        ends, masks = segment_masks([*(cert.images[x].base for x in cells),
+                                     *(g.base for g in geometric.values())])
+        mask_of, filled = dict(zip(cells, masks)), dict(zip(geometric, masks[len(cells):]))
+        report.check("images-cover-line", holds(
+            reduce(or_, masks[:len(cells)], 0) == (2 << len(ends)) - 1))
         report.check("images-non-overlapping", first_witness(
-            combinations(cells, 2), lambda x, y: cert.images[x].overlap(cert.images[y]),
+            combinations(cells, 2), lambda x, y: mask_of[x] & mask_of[y],
             lambda x, y: str((x, y))))
 
         for entry in merge(cert.images, space=cert.untied_space).report.entries:
@@ -180,10 +182,8 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
 
         report.check("geometric-valuation-is-merged-union", first_witness(
             cert.untied_valuation.items(),
-            lambda name, cells_: (name not in cert.geometric_valuation
-                                  or not cells_ <= cert.images.keys()
-                                  or not cert.geometric_valuation[name].equals(
-                                      _union_image(cells_, cert.images, cert.dim))),
+            lambda name, cells_: (name not in filled or not cells_ <= cert.images.keys()
+                                  or filled[name] != reduce(or_, map(mask_of.get, cells_), 0)),
             lambda name, _: f"variable {name}"))
 
     report.check("geometric-eval-false", falsified(lambda: lg.evaluate(

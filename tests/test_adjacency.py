@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polycontact import adjacency as adj
+from polycontact.cylinder import lift
 from polycontact.intervals import parse_intervals
 
 TRIANGLE = adj.mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
@@ -287,6 +288,22 @@ class TestProjection:
                     assert lo is None or lo.denominator == 1
                     assert hi is None or hi.denominator == 1
             assert total.is_all()
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"c": "empty"}, "projection images do not cover the line"),
+        ({"b": "[1,4]"}, "projection images of 'b' and 'c' overlap"),
+        ({"b": "[1,2]", "c": "[2,4]"},
+         "adjacency of ('a', 'c') disagrees with image contact"),
+    ], ids=["cover", "overlap", "contact"])
+    def test_self_check_failures(self, edits, message):
+        # the walk a b c b a gives a (-inf,1]; [4,inf), b [1,2]; [3,4] and
+        # c [2,3]; each edit breaks one property of the images, and no
+        # pair before the one named breaks another
+        images = adj.project(PATH3, ("a", "b", "c", "b", "a"), 1)
+        images.update({x: lift(parse_intervals(text), 1) for x, text in edits.items()})
+        with pytest.raises(adj.ProjectionError) as raised:
+            adj._check_projection(PATH3, images)
+        assert str(raised.value) == message
 
     def test_bad_walk_rejected(self):
         s = adj.mk_space("ab", [("a", "b")])

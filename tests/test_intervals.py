@@ -192,6 +192,9 @@ def test_segment_masks_match_sweeps(x, y):
     assert bool(mx & my) == x.overlap(y)
     for p, m in ((x, mx), (y, my)):
         assert _from_segments(m, ends) == p
+    # the inverse, on the table's own endpoints: every input, and an OR
+    assert ([iv.from_segments(ends, m) for m in (*masks, mx | my)]
+            == [x, y, x.union(y), x.reg_meet(y), x.complement(), x.union(y)])
 
 
 def _exact_ends(ends):

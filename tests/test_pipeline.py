@@ -1,13 +1,19 @@
 import hashlib
 import re
+from functools import reduce
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import all_trees, random_formula_text
+from polycontact import adjacency as adj
 from polycontact import intervals as iv
 from polycontact import logic as lg
 from polycontact import pipeline as pp
-from polycontact.algebra import merge
-from polycontact.cylinder import lift
+from polycontact.algebra import CylinderAlgebra, merge, path_algebra
+from polycontact.cylinder import CylinderPolytope, lift
 from polycontact.intervals import parse_intervals
 
 CONTACT_NOT_OVERLAP = "C(p,q) => p.q != 0"
@@ -174,6 +180,35 @@ class TestSerialization:
             pp.parse_certificate(text.replace(old, new))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(all_trees(5)), st.integers(1, 3), st.data(),
+       st.randoms(use_true_random=False))
+def test_path_algebra_verdict_matches_cylinders(space, dim, data, rng):
+    # the geometric stage check of synthesize, on the path of the images'
+    # segments, against the evaluation over cylinders built by union; a
+    # formula and its negation give one true and one false verdict
+    walk = adj.arrangement(space, adj.numeration(space, min(space.cells)))
+    images = adj.project(space, walk, dim)
+    text = random_formula_text(rng, ["p", "q", "r"])
+    # 0 and 1 expand over the variable a in a formula without variables
+    valuation = {name: data.draw(st.frozensets(st.sampled_from(space.cells)))
+                 for name in sorted(lg.free_variables(lg.parse(text)))}
+    ends, masks = iv.segment_masks([images[x].base for x in space.cells])
+    mask_of = dict(zip(space.cells, masks))
+    filled = {name: sum(mask_of[x] for x in cells) for name, cells in valuation.items()}
+    geometric = {name: reduce(CylinderPolytope.union, (images[x] for x in sorted(cells)),
+                              lift(iv.EMPTY, dim))
+                 for name, cells in valuation.items()}
+    assert geometric == {name: lift(iv.from_segments(ends, m), dim)
+                         for name, m in filled.items()}
+    path = path_algebra(len(ends) + 1)
+    for formula in (lg.parse(text), lg.parse(f"~({text})")):
+        assert (lg.evaluate(formula, path, filled)
+                == lg.evaluate(formula, CylinderAlgebra(dim), geometric))
+    for x, y in product(filled, repeat=2):
+        assert path.contact(filled[x], filled[y]) == geometric[x].contact_sc(geometric[y])
+
+
 def _finite_ends(cert):
     for c in (*cert.images.values(), *cert.geometric_valuation.values()):
         for piece in c.base.pieces:
@@ -241,15 +276,31 @@ def test_pinned_certificate_and_report(formula, bound, dim, cells, cert_sha):
     assert _sha(pp.verify(cert).text()) == ALL_PASS_REPORT
 
 
-@pytest.mark.parametrize("formula,report_sha", [
+# the last cell's image, d in both certificates, moved onto two others
+MOVED_ONTO_TWO = ("images", "d", "[1/2,3/2]; [5,6]")
+
+
+@pytest.mark.parametrize("formula,report_sha,edit", [(*case, MOVED_ONTO_TWO) for case in [
     (DIAMOND_FORCER, "3671b8ae761f35401ceebefd61de726deacd1e2baf6640f4f15952cfaa081697"),
     (K4_FORCER, "25c786e38bb205668792f751b91dfef0b9f5c63534421753b57841612e40fc5e"),
-], ids=["diamond", "K4"])
-def test_pinned_report_of_tampered_certificate(formula, report_sha):
-    # the last cell's image moved onto two others: the witnesses of the
-    # failing merge checks are the first ones found, in the order checked
+]] + [
+    (DIAMOND_FORCER, "ba56e4f6424805a8b018a0a6f4906b3cfa7b6bde366780ed86092ecdea732a46",
+     ("images", "d", "empty")),
+    (DIAMOND_FORCER, "08d228e2a57567723eb639aad14ffa25ec6095938ad2c07faebe6e82ca011801",
+     ("images", "a'", "all")),
+    (DIAMOND_FORCER, "275c6bef0bfabbef74b8f2fdbce45618bd5b66534350b2c916e64caabd3962f3",
+     ("geometric", "q", "empty")),
+    # a variable the formula does not name, with ends no image has
+    (DIAMOND_FORCER, ALL_PASS_REPORT, ("geometric", "zz", "[1/3,7/2]")),
+], ids=["diamond", "K4", "image-empty", "image-all", "variable-empty", "extra-variable"])
+def test_pinned_report_of_tampered_certificate(formula, report_sha, edit):
+    # one image or one geometric variable replaced: the witnesses of the
+    # failing checks are the first ones found, in the order checked
     cert = pp.synthesize(formula, 4, 1)
-    cert.images[max(cert.images)] = lift(parse_intervals("[1/2,3/2]; [5,6]"), 1)
+    section, key, text = edit
+    edited = cert.images if section == "images" else cert.geometric_valuation
+    assert section == "geometric" or key in edited
+    edited[key] = lift(parse_intervals(text), 1)
     assert _sha(pp.verify(cert).text()) == report_sha
 
 

@@ -199,6 +199,8 @@ def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
 
 def _end(value) -> End:
     """An exact endpoint: the ``int`` itself when integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
     x = rational(value)
     return x.numerator if x.denominator == 1 else x
 
@@ -333,7 +335,21 @@ class IntervalFormatError(ValueError):
     pass
 
 
+def _token_end(token: str) -> End:
+    # an integer token is read as the int it names; only p/q goes through
+    # ``rational`` (which rejects a zero denominator)
+    return rational(token) if "/" in token else int(token)
+
+
 def parse_intervals(text: str) -> IntervalPolytope:
+    """The polytope named by ``empty``, ``all`` or ``;``-separated pieces
+    such as ``(-inf,-1]; [0,3/2]; [2,inf)``.
+
+    An integer end is read as an ``int``; a ``p/q`` end is a ``Fraction``,
+    stored as an ``int`` by ``canonicalize`` when ``q`` divides ``p``.  A
+    malformed piece raises ``IntervalFormatError``; a zero denominator, or
+    a token over Python's integer-string digit limit, raises ``ValueError``.
+    """
     body = text.strip()
     if body == "empty":
         return EMPTY
@@ -345,8 +361,8 @@ def parse_intervals(text: str) -> IntervalPolytope:
         if not m:
             raise IntervalFormatError(f"bad interval piece: {chunk.strip()!r}")
         open_b, lo_s, hi_s, close_b = m.groups()
-        lo = None if lo_s == "-inf" else rational(lo_s)
-        hi = None if hi_s == "inf" else rational(hi_s)
+        lo = None if lo_s == "-inf" else _token_end(lo_s)
+        hi = None if hi_s == "inf" else _token_end(hi_s)
         if (lo is None) != (open_b == "("):
             raise IntervalFormatError(f"finite ends must use '[': {chunk.strip()!r}")
         if (hi is None) != (close_b == ")"):

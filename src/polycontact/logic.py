@@ -530,31 +530,47 @@ def true_in_algebra(f: Formula, algebra: FiniteContactAlgebra) -> bool:
 
 _OPCODES = {Complement: bs.COMPLEMENT, Join: bs.JOIN, Eq: bs.EQ,
             Contact: bs.CONTACT, Not: bs.NOT, Or: bs.OR}
+_PAIRS = frozenset((Join, Eq, Contact, Or))
 
 
 def compile_formula(f: Formula) -> bs.Program:
     """The formula as a bit-sliced program over its unique subterms.
 
     Iterative, so operator chains compile without recursing; structurally
-    equal subterms (which the abbreviations duplicate) share one slot.
+    equal subterms (which the abbreviations duplicate) share one slot.  A
+    node stays on the stack until its children have slots: the right child
+    is pushed first, so a right subtree is numbered before the left one.
+    Each node is pushed once, and the stack holds one path from the root.
     """
     slots: dict[tuple, int] = {}
     done: dict[int, int] = {}          # id(node) -> slot
     code: list[tuple] = []
-    stack = [(f, False)]
+    stack = [f]
     while stack:
-        node, ready = stack.pop()
-        if id(node) in done:
-            continue
-        kids = _children(node)
-        if kids and not ready:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in kids)
-            continue
-        if type(node) is Variable:
+        node = stack[-1]
+        kind = type(node)
+        if kind is Variable:
             key = (bs.VAR, node.name)
+        elif kind is Complement or kind is Not:
+            kid = node.term if kind is Complement else node.body
+            a = done.get(id(kid))
+            if a is None:
+                stack.append(kid)
+                continue
+            key = (_OPCODES[kind], a)
+        elif kind in _PAIRS:
+            b = done.get(id(node.right))
+            if b is None:
+                stack.append(node.right)
+                continue
+            a = done.get(id(node.left))
+            if a is None:
+                stack.append(node.left)
+                continue
+            key = (_OPCODES[kind], a, b)
         else:
-            key = (_OPCODES[type(node)], *(done[id(kid)] for kid in kids))
+            raise TypeError(f"not a term or formula: {node!r}")
+        stack.pop()
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(code)

@@ -15,8 +15,11 @@ witness radii kept for those on integer forms, the subset-by-subset
 masks, the recursive-descent formula parser
 kept for the precedence-climbing one, the ``match``-based evaluator and
 tree-height walk kept for the type-dispatched evaluator and the height the
-parser carries, the seeded plane polytope pairs of the strong-contact
-tests, and random formula text in the concrete syntax."""
+parser carries, the compiler that pops each node twice kept for the one
+that keeps nodes on its stack, the ``rational``-built interval ends kept
+for the integer tokens of ``parse_intervals``, the seeded plane polytope
+pairs of the strong-contact tests, and random formula text in the concrete
+syntax."""
 
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from polycontact import algebra as alg
+from polycontact import bitslice as bs
 from polycontact import cuts as cu
 from polycontact import intervals as iv
 from polycontact import plane as pl
@@ -37,7 +41,8 @@ from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
-from polycontact.numeric import HalfSpace, Hyperplane, flip, intersect_lines, sqrt_lower
+from polycontact.numeric import (HalfSpace, Hyperplane, flip, intersect_lines, rational,
+                                 sqrt_lower)
 from polycontact.logic import (
     MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, UnboundVariable,
     Variable, conj, evaluate, free_variables, iff, implies, meet, one_term, zero_term)
@@ -446,6 +451,31 @@ def reference_contact_c(p, q):
             if lo is None or hi is None or lo <= hi:
                 return True
     return False
+
+
+def reference_parse_intervals(text: str):
+    """``parse_intervals`` with every finite end built by ``rational``, so
+    an integer token passes through a ``Fraction`` on its way to
+    ``canonicalize``."""
+    body = text.strip()
+    if body == "empty":
+        return iv.EMPTY
+    if body == "all":
+        return iv.ALL
+    pieces = []
+    for chunk in body.split(";"):
+        m = iv._PIECE_RE.match(chunk)
+        if not m:
+            raise iv.IntervalFormatError(f"bad interval piece: {chunk.strip()!r}")
+        open_b, lo_s, hi_s, close_b = m.groups()
+        lo = None if lo_s == "-inf" else rational(lo_s)
+        hi = None if hi_s == "inf" else rational(hi_s)
+        if (lo is None) != (open_b == "("):
+            raise iv.IntervalFormatError(f"finite ends must use '[': {chunk.strip()!r}")
+        if (hi is None) != (close_b == ")"):
+            raise iv.IntervalFormatError(f"finite ends must use ']': {chunk.strip()!r}")
+        pieces.append((lo, hi))
+    return iv.canonicalize(pieces)
 
 
 def _reference_solve_1d(cons):
@@ -971,8 +1001,9 @@ def reference_parse_term(text: str) :
 
 # ---------------------------------------------------------------------------
 # the ``match``-based walkers, kept as the references for the type-dispatched
-# ones in ``logic``, and the separate tree-height walk, kept as the reference
-# for the height the parser carries
+# ones in ``logic``, the separate tree-height walk, kept as the reference
+# for the height the parser carries, and the compiler that pops each node
+# twice, kept as the reference for ``compile_formula``
 # ---------------------------------------------------------------------------
 
 def _reference_children(node) -> tuple:
@@ -1039,3 +1070,32 @@ def reference_evaluate(f, algebra, valuation) -> bool:
             return (reference_evaluate(left, algebra, valuation)
                     or reference_evaluate(right, algebra, valuation))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_compile_formula(f) -> bs.Program:
+    """``logic.compile_formula`` by popping each node twice: first to push
+    it back as ready behind its children, then, once they have slots, to
+    give it its own."""
+    slots: dict[tuple, int] = {}
+    done: dict[int, int] = {}          # id(node) -> slot
+    code: list[tuple] = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        kids = _reference_children(node)
+        if kids and not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in kids)
+            continue
+        if type(node) is Variable:
+            key = (bs.VAR, node.name)
+        else:
+            key = (lg._OPCODES[type(node)], *(done[id(kid)] for kid in kids))
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(code)
+            code.append(key)
+        done[id(node)] = slot
+    return bs.Program(code)

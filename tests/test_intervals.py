@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycontact import intervals as iv
-from helpers import reference_contact_c, reference_reg_meet, reference_union
+from helpers import (reference_contact_c, reference_parse_intervals, reference_reg_meet,
+                     reference_union)
 from sc_oracle import interval_sc_oracle
 
 P = iv.parse_intervals
@@ -229,6 +230,70 @@ def test_canonicalize_stores_integral_ends_as_int():
     _assert_exact(iv.canonicalize([(False, True)]))
     with pytest.raises(TypeError):
         iv.canonicalize([(0.5, 1)])
+
+
+@st.composite
+def end_tokens(draw):
+    """A finite end as text: signed or not, zero-padded or not, an integer,
+    ``n/1`` or ``p/q``."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    pad = "0" * draw(st.integers(0, 2))
+    num = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["n", "n/1", "p/q"]))
+    if kind == "n":
+        return f"{sign}{pad}{num}"
+    den = 1 if kind == "n/1" else draw(st.integers(1, 12))
+    return f"{sign}{pad}{num}/{'0' * draw(st.integers(0, 1))}{den}"
+
+
+@st.composite
+def interval_texts(draw):
+    """``;``-separated pieces, each with its ends in order, or ``empty``
+    or ``all``."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["empty", " all "]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.one_of(end_tokens(), st.just("-inf")))
+        hi = draw(st.one_of(end_tokens(), st.just("inf")))
+        if lo != "-inf" and hi != "inf" and F(lo) > F(hi):
+            lo, hi = hi, lo
+        space = " " * draw(st.integers(0, 1))
+        pieces.append(f"{'(' if lo == '-inf' else '['}{space}{lo},{space}{hi}"
+                      f"{')' if hi == 'inf' else ']'}")
+    return draw(st.sampled_from([";", "; "])).join(pieces)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_texts())
+@example("[-007,+3]; [4/1,9/2]; [010/02,0012]")
+@example("(-inf,-0]; [+0/5,1/01]")
+def test_parse_intervals_matches_rational_reference(text):
+    got = P(text)
+    assert got == reference_parse_intervals(text)
+    for piece in got.pieces:
+        for x in piece:
+            assert x is None or type(x) is (int if F(x).denominator == 1 else F), repr(x)
+
+
+@pytest.mark.parametrize("text", [
+    "[1/0,2]", "[0,3/0]", "[-1/00,inf)",
+    "[0," + "7" * 5000 + "]", "[-" + "0" * 10 + "1" * 4295 + ",0]",
+    "[1/" + "3" * 5000 + ",1]",
+    "[1e3,2]", "[0,1E2]", "[0,1.5]",
+    "[0;1]", "[0,1)", "(0,1]", "[-inf,1]", "[0,inf]", "[0,1]; ", "[2,1]", "[0,1/2/3]",
+])
+def test_parse_intervals_errors_match_rational_reference(text):
+    want = _parse_outcome(reference_parse_intervals, text)
+    assert isinstance(want, tuple)
+    assert _parse_outcome(P, text) == want
 
 
 def test_sc_is_c_and_matches_definition_oracle():

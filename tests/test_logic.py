@@ -18,8 +18,8 @@ from polycontact.algebra import (CylinderAlgebra, FiniteContactAlgebra, Interval
 from polycontact.intervals import random_interval_polytope
 from helpers import (
     batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
-    reference_canonical_mask, reference_evaluate, reference_parse, reference_parse_term,
-    reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
+    reference_canonical_mask, reference_compile_formula, reference_evaluate, reference_parse,
+    reference_parse_term, reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -595,6 +595,37 @@ class TestBitSlicedKernel:
         first = next(s for s in spaces if len(s.cells) == 5)
         found = lg.find_countermodel(f, 5)
         assert found is not None and found == scalar_find_countermodel(f, [first])
+
+
+class TestCompileFormula:
+    """``compile_formula`` against the compiler that pops each node twice:
+    equal code, slot order included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formula_texts(), deep_texts()))
+    def test_formula_texts_match_reference(self, text):
+        f = _parsed(text)
+        if f is not None:
+            assert lg.compile_formula(f).code == reference_compile_formula(f).code
+
+    @pytest.mark.parametrize("operands", range(1, 17))
+    def test_iff_chains_match_reference(self, operands):
+        # each <=> holds both of its operands twice, so the chain is a DAG
+        # whose tree doubles per link
+        f = lg.parse(" <=> ".join(["p == q"] * operands))
+        code = lg.compile_formula(f).code
+        assert code == reference_compile_formula(f).code
+        assert len(code) == len(set(code))
+
+    def test_axiom_instances_match_reference(self):
+        instances = lg.generate_axiom_instances(("p", "q", "r"))
+        assert instances
+        for _, f in instances:
+            assert lg.compile_formula(f).code == reference_compile_formula(f).code
+
+    def test_not_a_node_rejected(self):
+        with pytest.raises(TypeError, match="not a term or formula"):
+            lg.compile_formula(lg.Not("p"))
 
 
 class TestKernelState:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 from functools import reduce
@@ -321,3 +322,45 @@ def test_merge_makes_no_canonicalize_call(monkeypatch):
     result = merge(cert.images, space=cert.untied_space)
     assert len(result.cells) == 6 and result.report.passed
     assert len(calls) == 1
+
+
+def test_each_query_parses_its_formula_once_per_text(monkeypatch):
+    # a certificate's formula is parsed from its text at most once:
+    # synthesize hands over its parse, parse_certificate makes one, and
+    # verify reads the certificate's
+    parse = lg.parse
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(lg, "parse", counted)
+    cert = pp.synthesize(DIAMOND_FORCER, 4, 1)
+    text = pp.serialize_certificate(cert)
+    cert2 = pp.parse_certificate(text)
+    assert _sha(pp.verify(cert2).text()) == ALL_PASS_REPORT
+    assert calls == [DIAMOND_FORCER, DIAMOND_FORCER]
+
+    calls.clear()
+    assert _sha(pp.verify(cert).text()) == ALL_PASS_REPORT
+    assert calls == []
+    assert _sha(pp.verify(pp.parse_certificate(text)).text()) == ALL_PASS_REPORT
+    assert calls == [DIAMOND_FORCER]
+    assert cert2.formula == cert.formula and cert2.formula is not cert.formula
+
+
+def test_malformed_formula_line_raises_in_parse_certificate():
+    text = pp.serialize_certificate(pp.synthesize(CONTACT_NOT_OVERLAP, 2, 1))
+    bad = text.replace(f"formula: {CONTACT_NOT_OVERLAP}", "formula: C(p,q) => => p")
+    assert bad != text
+    with pytest.raises(lg.FormulaSyntaxError):
+        pp.parse_certificate(bad)
+
+
+def test_certificate_formula_cannot_leave_its_text():
+    cert = pp.synthesize(CONTACT_NOT_OVERLAP, 2, 1)
+    for name, value in (("formula_text", "p == p"), ("formula", lg.parse("p == p"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, value)
+    assert cert.formula == lg.parse(CONTACT_NOT_OVERLAP)

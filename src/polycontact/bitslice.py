@@ -88,25 +88,47 @@ class Program:
     algebra carries its successor lists (``near``)."""
 
     def __init__(self, code: list[tuple]):
-        last = {}
-        for i, (op, *args) in enumerate(code):
-            if op != VAR:
-                for a in args:
-                    last[a] = i
-        dead: list[list[int]] = [[] for _ in code]
-        for slot, i in last.items():
-            dead[i].append(slot)
-        self.code = code
-        self.names = sorted(args[0] for op, *args in code if op == VAR)
-        position = {name: j for j, name in enumerate(self.names)}
+        # One backward pass: the first instruction it meets that uses a slot
+        # is the slot's last use.  ``first`` ends holding each slot's first
+        # use, as 2 x instruction + operand position; two slots that die at
+        # one instruction are dropped in that order, which the pass knows
+        # only at its end.
+        first: dict[int, int] = {}
         # a list, not a tuple: a freed tuple of under 20 items stays on
         # CPython's free list for its length, so a tuple per program, of
         # every length programs have, would hold about 1 MB after a few
         # thousand searches
-        self.steps = [
-            (op, position[args[0]], None, ()) if op == VAR
-            else (op, args[0], args[1] if len(args) > 1 else None, tuple(dead[i]))
-            for i, (op, *args) in enumerate(code)]
+        steps: list = [None] * len(code)
+        variables = []
+        pairs = []
+        for i in range(len(code) - 1, -1, -1):
+            ins = code[i]
+            op, a = ins[0], ins[1]
+            if op == VAR:
+                variables.append(i)
+            elif len(ins) == 2:
+                steps[i] = (op, a, None, () if a in first else (a,))
+                first[a] = 2 * i
+            else:
+                b = ins[2]
+                dead = () if b in first else (b,)
+                if a not in first and a != b:
+                    if dead:
+                        pairs.append(i)
+                    dead = (a, *dead)
+                steps[i] = (op, a, b, dead)
+                first[b] = 2 * i + 1
+                first[a] = 2 * i
+        for i in pairs:
+            op, a, b, _ = steps[i]
+            if first[b] < first[a]:
+                steps[i] = (op, a, b, (b, a))
+        self.code = code
+        self.names = sorted(code[i][1] for i in variables)
+        position = {name: j for j, name in enumerate(self.names)}
+        for i in variables:
+            steps[i] = (VAR, position[code[i][1]], None, ())
+        self.steps = steps
 
     def run(self, inputs: Sequence[list[int]], near: Sequence[Sequence[int]],
             full: int) -> int:

@@ -273,7 +273,10 @@ def _print_countermodel(space, valuation) -> None:
 def _cmd_countermodel(args) -> int:
     if args.file:
         # one formula per line, '#' comments; exit 1 when any line fails
-        formulas = lg.parse_formula_file(_read(args.file))
+        try:
+            formulas = lg.parse_formula_file(_read(args.file))
+        except lg.FormulaSyntaxError as exc:
+            raise CliParseError(f"{args.file}: {exc}") from exc
         any_found = False
         for lineno, formula in formulas:
             found = lg.find_countermodel(formula, args.bound)

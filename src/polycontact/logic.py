@@ -24,6 +24,12 @@ tree height of the node it builds from its operands' heights, so the parser
 knows the height of every tree it returns and the ``MAX_NESTING`` limit on
 it costs no second walk.
 
+The text is read by one ``findall`` scan into plain token strings (``C(``
+is one token; whitespace is skipped by the scan), and a character that
+starts no token is rejected before parsing begins.  The parser keeps token
+indices, not offsets: a ``FormulaSyntaxError`` gets its character offset
+from a second scan, made only for the error.
+
 Every walker over terms and formulas (evaluation, printing, compilation and
 the child lists behind ``free_variables`` and scheme matching) dispatches on
 ``type(node)``, through a table or an ``is`` chain: a ``match`` over class
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import bitslice as bs
@@ -277,8 +283,12 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 class FormulaSyntaxError(ValueError):
+    """A formula text that does not parse: ``message`` at character offset
+    ``position``."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
+        self.message = message
         self.position = position
 
 
@@ -290,24 +300,44 @@ class FormulaSyntaxError(ValueError):
 MAX_NESTING = 100
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<C>C)(?=\()|(?P<var>[a-z][a-z0-9]*)"
-    r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+# A token is an operator, ``C(``, a variable or any other non-space
+# character, which is an error.  No alternative matches whitespace, so
+# ``findall`` skips it.
+_TOKEN_RE = re.compile(r"<=>|=>|==|!=|<=|C\(|[a-z][a-z0-9]*|\S")
+# the token after the last one; it holds spaces, so no text has it
+_END = "end of input"
+_SYMBOLS = frozenset(("<=>", "=>", "==", "!=", "<=", "C(", "-", "+", ".", "~", "|", "&",
+                      "(", ")", ",", "0", "1", _END))
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` of every token, in one scan, then an
-    end-of-input sentinel."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "end of input", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """Every token of the text, from one ``findall``, then ``_END``.  A
+    character that starts no token fails here, before any parsing."""
+    tokens = _TOKEN_RE.findall(text)
+    # a token that is no symbol is a variable, or one character that is an
+    # error; the variables of a text are few, so this looks at few tokens
+    if not all(token[0] in _LETTERS for token in set(tokens).difference(_SYMBOLS)):
+        index = next(i for i, token in enumerate(tokens)
+                     if token not in _SYMBOLS and token[0] not in _LETTERS)
+        raise FormulaSyntaxError(f"unexpected character {tokens[index]!r}",
+                                 _offset(text, index))
+    tokens.append(_END)
     return tokens
+
+
+def _offset(text: str, index: int) -> int:
+    """The character offset of token ``index`` of the text, ``_END``'s
+    being the text's length.  Only an error needs an offset, so the scan is
+    repeated then."""
+    match = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    return len(text) if match is None else match.start()
+
+
+def _shown(token: str) -> str:
+    """A token as an error message names it: ``C(`` is one token, but the
+    messages name its ``C``."""
+    return "C" if token == "C(" else token
 
 
 class _Op(NamedTuple):
@@ -346,43 +376,44 @@ _PREFIX = {"~": _Op(5, True, False, Not, _one_up),
 _VARIABLE_HEIGHT, _ZERO_HEIGHT, _ONE_HEIGHT = 1, 5, 6
 
 
-def _sorted(node, terms: bool, where: int):
-    """``node``, if it is a term exactly when ``terms``."""
-    if (type(node) in _TERM_TYPES) != terms:
-        raise FormulaSyntaxError("expected a term" if terms else "expected a formula", where)
-    return node
-
-
 class _Parser:
     """Precedence climbing over ``_INFIX`` and ``_PREFIX`` (Pratt, "Top down
     operator precedence", 1973), one expression grammar for terms and
     formulas.  ``expr`` and ``operand`` return each node with its tree
-    height."""
+    height.  The parser keeps token indices; ``_error`` turns one into a
+    character offset."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         # 0 and 1 expand over the first variable of the text: the
         # abbreviations keep operands in textual order, so it is also the
         # first variable of the parse tree
-        first = next((t[1] for t in self.tokens if t[0] == "var"), "a")
+        first = next((token for token in self.tokens if token not in _SYMBOLS), "a")
         self.carrier = Variable(first)
 
-    def _here(self) -> int:
-        return self.tokens[self.pos][2]
+    def _error(self, message: str, index: int) -> FormulaSyntaxError:
+        return FormulaSyntaxError(message, _offset(self.text, index))
+
+    def _sorted(self, node, terms: bool, index: int):
+        """``node``, if it is a term exactly when ``terms``."""
+        if (type(node) in _TERM_TYPES) != terms:
+            raise self._error("expected a term" if terms else "expected a formula", index)
+        return node
 
     def _expect(self, op: str) -> None:
-        _, value, where = self.tokens[self.pos]
-        if value != op:
-            raise FormulaSyntaxError(f"expected {op!r}, got {value!r}", where)
+        token = self.tokens[self.pos]
+        if token != op:
+            raise self._error(f"expected {op!r}, got {_shown(token)!r}", self.pos)
         self.pos += 1
 
     def _nested(self, prec: int) -> tuple:
         """``expr(prec)`` one level down, after a prefix operator, '(' or '=>'."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise FormulaSyntaxError("nested too deeply", self._here())
+            raise self._error("nested too deeply", self.pos)
         out = self.expr(prec)
         self.depth -= 1
         return out
@@ -390,17 +421,17 @@ class _Parser:
     def expr(self, min_prec: int) -> tuple:
         """The longest expression whose operators bind at ``min_prec`` or
         tighter, and its height."""
-        start = self._here()
+        start = self.pos
         left, height = self.operand(min_prec)
         while True:
-            op = _INFIX.get(self.tokens[self.pos][1])
+            op = _INFIX.get(self.tokens[self.pos])
             if op is None or op.prec < min_prec:
                 break
-            _sorted(left, op.terms, start)
+            self._sorted(left, op.terms, start)
             self.pos += 1
-            at = self._here()
+            at = self.pos
             right, right_height = self._nested(op.prec) if op.right else self.expr(op.prec + 1)
-            left = op.build(left, _sorted(right, op.terms, at))
+            left = op.build(left, self._sorted(right, op.terms, at))
             height = op.height(height, right_height)
         return left, height
 
@@ -409,44 +440,47 @@ class _Parser:
         application, and its height.  Where a term is due, '~' and 'C' fail
         where they stand and a parenthesis holds a term, so a sort error
         never waits for a deeply nested operand to close."""
-        kind, value, where = self.tokens[self.pos]
+        index = self.pos
+        token = self.tokens[index]
+        if token not in _SYMBOLS:
+            self.pos = index + 1
+            return Variable(token), _VARIABLE_HEIGHT
         term_only = min_prec >= _TERM
-        if term_only and value in ("~", "C"):
-            raise FormulaSyntaxError("expected a term", where)
-        if kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", where)
-        self.pos += 1
-        if kind == "var":
-            return Variable(value), _VARIABLE_HEIGHT
-        if value == "0":
-            return zero_term(self.carrier), _ZERO_HEIGHT
-        if value == "1":
-            return one_term(self.carrier), _ONE_HEIGHT
-        if value in _PREFIX:
-            op, at = _PREFIX[value], self._here()
+        if term_only and (token == "~" or token == "C("):
+            raise self._error("expected a term", index)
+        if token == _END:
+            raise self._error("unexpected end of input", index)
+        self.pos = index + 1
+        op = _PREFIX.get(token)
+        if op is not None:
             inner, height = self._nested(op.prec)
-            return op.build(_sorted(inner, op.terms, at)), op.height(height)
-        if value == "(":
+            return op.build(self._sorted(inner, op.terms, index + 1)), op.height(height)
+        if token == "(":
             inner = self._nested(_TERM if term_only else 0)
             self._expect(")")
             return inner
-        if kind == "C":
-            self._expect("(")
+        if token == "C(":
             left, left_height = self.expr(_TERM)
             self._expect(",")
             right, right_height = self.expr(_TERM)
             self._expect(")")
             return Contact(left, right), 1 + max(left_height, right_height)
-        raise FormulaSyntaxError(f"unexpected {value!r}", where)
+        if token == "0":
+            return zero_term(self.carrier), _ZERO_HEIGHT
+        if token == "1":
+            return one_term(self.carrier), _ONE_HEIGHT
+        raise self._error(f"unexpected {token!r}", index)
 
 
 def _parse(text: str, min_prec: int):
     parser = _Parser(text)
     tree, height = parser.expr(min_prec)
-    kind, value, where = parser.tokens[parser.pos]
-    if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {value!r}", where)
-    _sorted(tree, min_prec >= _TERM, 0)
+    token = parser.tokens[parser.pos]
+    if token != _END:
+        raise parser._error(f"trailing input {_shown(token)!r}", parser.pos)
+    terms = min_prec >= _TERM
+    if (type(tree) in _TERM_TYPES) != terms:
+        raise FormulaSyntaxError("expected a term" if terms else "expected a formula", 0)
     # operator chains such as ``a | b | ...`` nest the tree without nesting
     # the parser
     if height > MAX_NESTING:
@@ -972,9 +1006,15 @@ def find_countermodel(f: Formula | str, max_cells: int
 # ---------------------------------------------------------------------------
 
 def parse_formula_file(text: str) -> list[tuple[int, Formula]]:
+    """``(line number, formula)`` of each line that holds a formula.  A
+    line that does not parse raises ``FormulaSyntaxError`` naming the line,
+    at the offset in the line as written."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, parse(body)))
+        body = line.split("#", 1)[0]
+        if body and not body.isspace():
+            try:
+                out.append((lineno, parse(body)))
+            except FormulaSyntaxError as err:
+                raise FormulaSyntaxError(f"line {lineno}: {err.message}", err.position) from None
     return out

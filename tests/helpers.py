@@ -13,10 +13,13 @@ division kept for the unit-lead and negation shortcuts, the ``Fraction``
 witness radii kept for those on integer forms, the subset-by-subset
 ``merge`` on geometric unions kept for the laws decided on the image
 masks, the recursive-descent formula parser
-kept for the precedence-climbing one, the ``match``-based evaluator and
+kept for the precedence-climbing one, the precedence climbing over
+``(kind, text, offset)`` tokens kept for the one over token strings and
+indices, the ``match``-based evaluator and
 tree-height walk kept for the type-dispatched evaluator and the height the
 parser carries, the compiler that pops each node twice kept for the one
-that keeps nodes on its stack, the ``rational``-built interval ends kept
+that keeps nodes on its stack, the forward decode of a ``Program`` kept for
+the backward one, the ``rational``-built interval ends kept
 for the integer tokens of ``parse_intervals``, the seeded plane polytope
 pairs of the strong-contact tests, and random formula text in the concrete
 syntax."""
@@ -1099,3 +1102,153 @@ def reference_compile_formula(f) -> bs.Program:
             code.append(key)
         done[id(node)] = slot
     return bs.Program(code)
+
+
+# ---------------------------------------------------------------------------
+# the precedence-climbing parser over ``(kind, text, offset)`` tokens from a
+# ``finditer`` scan, kept as the reference for the one over the token
+# strings of one ``findall`` that finds an offset only for an error, and
+# the decode that finds last uses in a forward pass, kept as the reference
+# for the backward one
+# ---------------------------------------------------------------------------
+
+_OFFSET_TOKEN_RE = re.compile(
+    r"(?P<op><=>|=>|==|!=|<=|[-+.~|&(),01])|(?P<C>C)(?=\()|(?P<var>[a-z][a-z0-9]*)"
+    r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+
+
+def reference_offset_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of every token, in one scan, then an
+    end-of-input sentinel."""
+    tokens = []
+    for m in _OFFSET_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
+
+
+def _reference_sorted(node, terms: bool, where: int):
+    """``node``, if it is a term exactly when ``terms``."""
+    if (type(node) in lg._TERM_TYPES) != terms:
+        raise FormulaSyntaxError("expected a term" if terms else "expected a formula", where)
+    return node
+
+
+class _ReferencePrattParser:
+    """Precedence climbing over ``logic._INFIX`` and ``logic._PREFIX``;
+    ``expr`` and ``operand`` return each node with its tree height."""
+
+    def __init__(self, text: str):
+        self.tokens = reference_offset_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        first = next((t[1] for t in self.tokens if t[0] == "var"), "a")
+        self.carrier = Variable(first)
+
+    def _here(self) -> int:
+        return self.tokens[self.pos][2]
+
+    def _expect(self, op: str) -> None:
+        _, value, where = self.tokens[self.pos]
+        if value != op:
+            raise FormulaSyntaxError(f"expected {op!r}, got {value!r}", where)
+        self.pos += 1
+
+    def _nested(self, prec: int) -> tuple:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError("nested too deeply", self._here())
+        out = self.expr(prec)
+        self.depth -= 1
+        return out
+
+    def expr(self, min_prec: int) -> tuple:
+        start = self._here()
+        left, height = self.operand(min_prec)
+        while True:
+            op = lg._INFIX.get(self.tokens[self.pos][1])
+            if op is None or op.prec < min_prec:
+                break
+            _reference_sorted(left, op.terms, start)
+            self.pos += 1
+            at = self._here()
+            right, right_height = self._nested(op.prec) if op.right else self.expr(op.prec + 1)
+            left = op.build(left, _reference_sorted(right, op.terms, at))
+            height = op.height(height, right_height)
+        return left, height
+
+    def operand(self, min_prec: int) -> tuple:
+        kind, value, where = self.tokens[self.pos]
+        term_only = min_prec >= lg._TERM
+        if term_only and value in ("~", "C"):
+            raise FormulaSyntaxError("expected a term", where)
+        if kind == "end":
+            raise FormulaSyntaxError("unexpected end of input", where)
+        self.pos += 1
+        if kind == "var":
+            return Variable(value), lg._VARIABLE_HEIGHT
+        if value == "0":
+            return zero_term(self.carrier), lg._ZERO_HEIGHT
+        if value == "1":
+            return one_term(self.carrier), lg._ONE_HEIGHT
+        if value in lg._PREFIX:
+            op, at = lg._PREFIX[value], self._here()
+            inner, height = self._nested(op.prec)
+            return op.build(_reference_sorted(inner, op.terms, at)), op.height(height)
+        if value == "(":
+            inner = self._nested(lg._TERM if term_only else 0)
+            self._expect(")")
+            return inner
+        if kind == "C":
+            self._expect("(")
+            left, left_height = self.expr(lg._TERM)
+            self._expect(",")
+            right, right_height = self.expr(lg._TERM)
+            self._expect(")")
+            return Contact(left, right), 1 + max(left_height, right_height)
+        raise FormulaSyntaxError(f"unexpected {value!r}", where)
+
+
+def _reference_pratt(text: str, min_prec: int):
+    parser = _ReferencePrattParser(text)
+    tree, height = parser.expr(min_prec)
+    kind, value, where = parser.tokens[parser.pos]
+    if kind != "end":
+        raise FormulaSyntaxError(f"trailing input {value!r}", where)
+    _reference_sorted(tree, min_prec >= lg._TERM, 0)
+    if height > MAX_NESTING:
+        raise FormulaSyntaxError("nested too deeply", 0)
+    return tree
+
+
+def reference_pratt_parse(text: str):
+    return _reference_pratt(text, 0)
+
+
+def reference_pratt_parse_term(text: str):
+    return _reference_pratt(text, lg._TERM)
+
+
+def reference_decode(code: list[tuple]) -> tuple[list[tuple], list[str]]:
+    """``(steps, names)`` of ``bitslice.Program(code)``, each slot's last
+    use found in a forward pass."""
+    last = {}
+    for i, (op, *args) in enumerate(code):
+        if op != bs.VAR:
+            for a in args:
+                last[a] = i
+    dead: list[list[int]] = [[] for _ in code]
+    for slot, i in last.items():
+        dead[i].append(slot)
+    names = sorted(args[0] for op, *args in code if op == bs.VAR)
+    position = {name: j for j, name in enumerate(names)}
+    steps = [
+        (op, position[args[0]], None, ()) if op == bs.VAR
+        else (op, args[0], args[1] if len(args) > 1 else None, tuple(dead[i]))
+        for i, (op, *args) in enumerate(code)]
+    return steps, names

@@ -297,6 +297,23 @@ def test_countermodel_formula_file(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, error", [
+    ("C(p,q) => C(q,p)\n   p == Q   # bad\n", "line 2: unexpected character 'Q' at offset 8"),
+    ("x == x\n\t C(p, q  # unclosed\n",
+     "line 2: expected ')', got 'end of input' at offset 10"),
+    ("# comment\n\n  p == q) \n", "line 3: trailing input ')' at offset 8"),
+], ids=["bad-character", "end-of-input", "trailing-input"])
+def test_formula_file_error_names_file_line_and_column(text, error, files, capsys):
+    # offsets count in the line as written: its leading whitespace counts,
+    # and the end of input is where its comment starts
+    write, _ = files
+    path = write("formulas.txt", text)
+    assert run(["countermodel", "--file", path, "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {error}\n"
+
+
 def test_synthesize_certificate(files, capsys):
     write, tmp_path = files
     svg = str(tmp_path / "cm.svg")

@@ -18,8 +18,9 @@ from polycontact.algebra import (CylinderAlgebra, FiniteContactAlgebra, Interval
 from polycontact.intervals import random_interval_polytope
 from helpers import (
     batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
-    reference_canonical_mask, reference_compile_formula, reference_evaluate, reference_parse,
-    reference_parse_term, reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
+    reference_canonical_mask, reference_compile_formula, reference_decode, reference_evaluate,
+    reference_parse, reference_parse_term, reference_pratt_parse, reference_pratt_parse_term,
+    reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -102,6 +103,22 @@ HEIGHT_CASES = {
     "C right": ("formula", lambda k: "C(p, p" + " + q" * k + ")"),
 }
 TOO_DEEP = "nested too deeply at offset 0"
+# characters a one-character edit inserts or substitutes
+EDIT_CHARACTERS = "pqC01(),-+.~|&=!<> \t"
+
+
+@st.composite
+def one_character_edits(draw, texts) -> str:
+    """A text drawn from ``texts`` with one character inserted, deleted or
+    replaced by one of ``EDIT_CHARACTERS``."""
+    text = draw(texts)
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = draw(st.sampled_from(EDIT_CHARACTERS))
+    if kind == "insert" or not text:
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + char + text[i:]
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + (char if kind == "replace" else "") + text[i + 1:]
 
 
 class TestParser:
@@ -265,15 +282,56 @@ class TestParser:
     @example("p == q\u00a0| C(p, q)")
     @example("C (p, q)")
     @example("p == Q")
+    @example("C(p, q) | pC(q, p)")
     def test_tokenize_matches_reference(self, text):
-        # the same tokens, or the same "unexpected character" error
+        # the same tokens at the same offsets, or the same "unexpected
+        # character" error; ``C(`` is one token, at the offset of its C
+        def reference():
+            tokens = []
+            for kind, value, where in reference_tokenize(text):
+                if tokens and tokens[-1][0] == "C" and value == "(":
+                    tokens[-1] = ("C(", tokens[-1][1])
+                else:
+                    tokens.append((value, where))
+            return tokens
+
         def outcome(tokenize):
             try:
-                return [token for token in tokenize(text) if token[0] != "end"]
+                return tokenize()
             except lg.FormulaSyntaxError as err:
-                return str(err)
+                return str(err), err.position
 
-        assert outcome(lg._tokenize) == outcome(reference_tokenize)
+        def tokenize():
+            tokens = lg._tokenize(text)
+            assert tokens[-1] == lg._END
+            assert lg._offset(text, len(tokens) - 1) == len(text)
+            return [(token, lg._offset(text, i)) for i, token in enumerate(tokens[:-1])]
+
+        assert outcome(tokenize) == outcome(reference)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(formula_texts(), deep_texts(),
+                     one_character_edits(st.one_of(formula_texts(), deep_texts()))))
+    @example("C (p, q)")
+    @example("p !== q")
+    @example("p <=>q")
+    @example("   ")
+    @example("p == q)")
+    @example("p == q C(p, q)")
+    @example("(p == q C(p, q)")
+    @example("C(p, q")
+    @example("  -(p == q) == p")
+    def test_outcome_matches_pratt_reference(self, text):
+        # the same tree, or the same error message at the same offset, as
+        # the precedence climbing over (kind, text, offset) tokens
+        def outcome(parse):
+            try:
+                return parse(text)
+            except lg.FormulaSyntaxError as err:
+                return str(err), err.position
+
+        assert outcome(lg.parse) == outcome(reference_pratt_parse)
+        assert outcome(lg.parse_term) == outcome(reference_pratt_parse_term)
 
 
 class TestEvaluate:
@@ -628,6 +686,53 @@ class TestCompileFormula:
             lg.compile_formula(lg.Not("p"))
 
 
+class _ForwardDecodedProgram(bs.Program):
+    """A ``Program`` whose steps come from the forward decode."""
+
+    def __init__(self, code):
+        self.code = code
+        self.steps, self.names = reference_decode(code)
+
+
+class TestProgramDecode:
+    """``Program``'s backward decode against the forward one: equal steps,
+    the slots each instruction drops in the same order, and equal names."""
+
+    def test_axiom_instances_match_reference(self):
+        instances = lg.generate_axiom_instances(("p", "q", "r"))
+        assert len(instances) == 25695
+        for _, f in instances:
+            code = lg.compile_formula(f).code
+            program = bs.Program(code)
+            assert (program.steps, program.names) == reference_decode(code)
+            # an axiom instance has no countermodel: the search with the
+            # backward decode finds none, as it found none with the forward
+            assert lg.find_countermodel(f, 4) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(formula_texts(), deep_texts()))
+    def test_formula_texts_match_reference(self, text):
+        f = _parsed(text)
+        if f is not None:
+            code = lg.compile_formula(f).code
+            program = bs.Program(code)
+            assert (program.steps, program.names) == reference_decode(code)
+            with mock.patch.object(bs, "Program", _ForwardDecodedProgram):
+                reference = lg.find_countermodel(f, 4)
+            assert lg.find_countermodel(f, 4) == reference
+
+    @pytest.mark.parametrize("code", [
+        [(bs.VAR, "p"), (bs.JOIN, 0, 0)],
+        [(bs.VAR, "q"), (bs.VAR, "p"), (bs.CONTACT, 1, 0), (bs.EQ, 0, 1), (bs.OR, 3, 2)],
+        [(bs.VAR, "p"), (bs.COMPLEMENT, 0), (bs.JOIN, 1, 0), (bs.NOT, 2)],
+        [(bs.VAR, "p"), (bs.VAR, "p"), (bs.EQ, 0, 1)],
+    ], ids=["same-slot-twice", "pair-first-used-together", "pair-first-used-apart",
+            "repeated-name"])
+    def test_hand_written_code_matches_reference(self, code):
+        program = bs.Program(code)
+        assert (program.steps, program.names) == reference_decode(code)
+
+
 class TestKernelState:
     """What a run needs besides its program is built once and shared: each
     algebra's successor lists, interned per successor mask, and the bit
@@ -833,3 +938,12 @@ def test_formula_file_parsing():
     text = "# comment\nC(p,q) => C(q,p)\n\np == p  # inline\n"
     out = lg.parse_formula_file(text)
     assert [line for line, _ in out] == [2, 4]
+
+
+def test_formula_file_error_counts_in_the_line_as_written():
+    text = "C(p,q) => C(q,p)\n   p == Q   # bad\n"
+    with pytest.raises(lg.FormulaSyntaxError) as err:
+        lg.parse_formula_file(text)
+    assert str(err.value) == "line 2: unexpected character 'Q' at offset 8"
+    assert err.value.position == 8 == text.splitlines()[1].index("Q")
+    assert err.value.message == "line 2: unexpected character 'Q'"

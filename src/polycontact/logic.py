@@ -291,6 +291,11 @@ class FormulaSyntaxError(ValueError):
         self.message = message
         self.position = position
 
+    def __reduce__(self):
+        # ``args`` holds only the formatted text, so pickle rebuilds the
+        # error from the two arguments ``__init__`` takes
+        return type(self), (self.message, self.position)
+
 
 # Deepest nesting accepted, counted both while parsing (prefix operators,
 # parentheses and right-nested ``=>`` open at once) and as the height of the

@@ -3,17 +3,19 @@
 The carrier is the Boolean algebra of regular closed sets generated by closed
 half-planes: a basic polytope is a regularised intersection of half-planes
 (stored only when its interior is nonempty, with redundant constraints
-dropped), and a polytope is a finite union of basics.  All emptiness and
-redundancy questions reduce to feasibility of small linear systems with
-strict or non-strict inequalities, decided exactly by Fourier-Motzkin
-elimination over scaled integers: each half-plane's integer form
-(``HalfSpace.integer_form``) and bounds compared by cross-multiplying.
-The kernel, ``feasible_ints``, returns its witness as ints.  ``mk_basic``
-and the contact predicates' overlap search (``_common_point``) call it
-and build no point; ``feasible_point``, which builds the ``Fraction``
-point, serves only ``core_point`` and outside callers.  Equality of
-polytopes makes no such test: it compares the faces each one fills
-(below).
+dropped), and a polytope is a finite union of basics.  ``mk_basic``
+decides emptiness and redundancy one line at a time: a half-plane is kept
+when its line carries a facet, a system of strict bounds on one variable
+over the half-planes' integer forms (``HalfSpace.integer_form``), whose
+bounds are compared by cross-multiplying.  Whether two polytopes share a
+point reduces to feasibility of a small linear system with strict or
+non-strict inequalities, decided exactly by Fourier-Motzkin elimination
+over the same integer forms.  The kernel, ``feasible_ints``, returns its
+witness as ints.  The contact predicates' overlap search
+(``_common_point``) calls it and builds no point; ``feasible_point``,
+which builds the ``Fraction`` point, serves only ``core_point`` and
+outside callers.  Equality of polytopes makes no such test: it compares
+the faces each one fills (below).
 
 Contact relations, strongest to weakest:
 
@@ -189,12 +191,6 @@ def core_point(halfspaces: Iterable[HalfSpace]) -> Optional[Point]:
     return feasible_point(_as_con(h, True) for h in halfspaces)
 
 
-def _negated_strict(h: HalfSpace) -> LinCon:
-    """The open complement ``normal.x > offset`` as a strict constraint."""
-    a, b, c = h.integer_form
-    return (-a, -b, -c, True)
-
-
 # ---------------------------------------------------------------------------
 # basic polytopes and polytopes
 # ---------------------------------------------------------------------------
@@ -226,25 +222,38 @@ class BasicPolytope:
 def mk_basic(halfspaces: Iterable[HalfSpace]) -> Optional[BasicPolytope]:
     """Canonical basic polytope of the given half-planes, or None.
 
-    None exactly when the strict system has no solution, i.e. the interior
-    of the intersection is empty (so the regularised intersection is empty).
-    Redundant constraints are removed: h is redundant when the others
-    already force ``normal.x <= offset``.  Every test is a verdict of the
-    integer kernel ``feasible_ints``; no point is built.
+    None exactly when the interior of the intersection is empty (so the
+    regularised intersection is empty).  A half-plane h is kept exactly
+    when it carries a facet: its line meets the open half-planes of all
+    the others in an open interval.  Then the points of that interval are
+    boundary points with interior on h's side, so a kept h proves the
+    interior nonempty; and an intersection with nonempty interior that is
+    not the plane has a facet.  Distinct canonical half-planes share no
+    line with one orientation, and two on one line with opposite
+    orientations leave no interior, so each facet is carried by exactly
+    one half-plane and the kept set is the unique irredundant description,
+    in sorted order.
+
+    Each test is one ``_solve_1d`` on ints.  For h = (a, b, c), its integer
+    form, and s = a**2 + b**2, the point ``((a*c - u*b)/s, (b*c + u*a)/s)``
+    runs along h's line, and each other g = (a2, b2, c2) is the strict
+    constraint ``(a*b2 - b*a2)*u < s*c2 - c*(a*a2 + b*b2)``.  So the pass
+    is O(m**2) for m half-planes and makes no Fourier-Motzkin call.
     """
     current = sorted(set(halfspaces))
     for h in current:
         if h.dim != 2:
             raise DimensionMismatch("mk_basic expects half-planes")
-    if feasible_ints([_as_con(h, True) for h in current]) is None:
+    forms = [h.integer_form for h in current]
+    kept = []
+    for i, (a, b, c) in enumerate(forms):
+        s = a * a + b * b
+        if _solve_1d([(a * b2 - b * a2, s * c2 - c * (a * a2 + b * b2), True)
+                      for a2, b2, c2 in forms[:i] + forms[i + 1:]]) is not None:
+            kept.append(current[i])
+    if current and not kept:
         return None
-    for h in list(current):
-        rest = [g for g in current if g != h]
-        system = [_as_con(g, False) for g in rest]
-        system.append(_negated_strict(h))
-        if feasible_ints(system) is None:
-            current = rest
-    return BasicPolytope(tuple(current))
+    return BasicPolytope(tuple(kept))
 
 
 R2_BASIC = BasicPolytope(())

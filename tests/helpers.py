@@ -7,8 +7,9 @@ walk, the Fourier-Motzkin ``equals`` and brick-based boundary
 representation kept for the face kernel, the ``canonicalize``-based and
 all-pairs line operations kept for the linear sweeps, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
-plane kernel, the ``Fraction``-field identity, order, boundary line and
-side masks kept for those on integer forms, the canonical scaling by
+plane kernel, the integer Fourier-Motzkin ``mk_basic`` kept for the facet
+test, the ``Fraction``-field identity, order, boundary line and side masks
+kept for those on integer forms, the canonical scaling by
 division kept for the unit-lead and negation shortcuts, the ``Fraction``
 witness radii kept for those on integer forms, the subset-by-subset
 ``merge`` on geometric unions kept for the laws decided on the image
@@ -550,6 +551,23 @@ def reference_mk_basic(halfspaces):
         system = [(*g.normal, g.offset, False) for g in rest]
         system.append((-h.normal[0], -h.normal[1], -h.offset, True))
         if reference_feasible_point(system) is None:
+            current = rest
+    return pl.BasicPolytope(tuple(current))
+
+
+def reference_fm_mk_basic(halfspaces):
+    """``plane.mk_basic`` by m + 1 Fourier-Motzkin eliminations on the
+    integer forms: None when the strict system is infeasible, then each h
+    in turn dropped when the kept others force it, i.e. when they and the
+    open complement of h have no common point."""
+    current = sorted(set(halfspaces))
+    if pl.feasible_ints([(*h.integer_form, True) for h in current]) is None:
+        return None
+    for h in list(current):
+        rest = [g for g in current if g != h]
+        system = [(*g.integer_form, False) for g in rest]
+        system.append((*(-v for v in h.integer_form), True))
+        if pl.feasible_ints(system) is None:
             current = rest
     return pl.BasicPolytope(tuple(current))
 

@@ -97,16 +97,16 @@ def test_equals_and_boundary_make_no_fourier_motzkin_call(monkeypatch):
         calls.append(cons)
         return kernel(cons)
 
-    # every Fourier-Motzkin test, mk_basic's and feasible_point's, runs
-    # through the integer kernel
+    # every Fourier-Motzkin test, the overlap search's and feasible_point's,
+    # runs through the integer kernel
     kernel = pl.feasible_ints
     monkeypatch.setattr(pl, "feasible_ints", counted)
     assert [p.equals(q) for p in polys for q in polys] == expected
     for p in polys:
         cu.boundary_representation(p, extra_cuts=[X_AXIS, Y_AXIS])
     assert calls == []
-    # the counter is live: a complement still runs Fourier-Motzkin
-    Q1.complement()
+    # the counter is live: the overlap search still runs Fourier-Motzkin
+    Q1.overlap(Q1)
     assert calls
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import time
 from itertools import product
@@ -947,3 +948,17 @@ def test_formula_file_error_counts_in_the_line_as_written():
     assert str(err.value) == "line 2: unexpected character 'Q' at offset 8"
     assert err.value.position == 8 == text.splitlines()[1].index("Q")
     assert err.value.message == "line 2: unexpected character 'Q'"
+
+
+@pytest.mark.parametrize("parse_text", [
+    lambda: lg.parse("C(p, q"),
+    lambda: lg.parse_formula_file("p == p\n   p == Q   # bad\n"),
+], ids=["parse", "formula_file"])
+def test_syntax_error_survives_pickling(parse_text):
+    # an error raised in a worker process reaches its parent pickled
+    with pytest.raises(lg.FormulaSyntaxError) as err:
+        parse_text()
+    back = pickle.loads(pickle.dumps(err.value))
+    assert type(back) is lg.FormulaSyntaxError
+    assert (str(back), back.message, back.position) == (
+        str(err.value), err.value.message, err.value.position)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
 from helpers import (
-    SC_PAIR_KINDS, reference_feasible_point, reference_mk_basic, reference_sc_witness,
-    reference_sign_masks, sc_pair)
+    SC_PAIR_KINDS, reference_feasible_point, reference_fm_mk_basic, reference_mk_basic,
+    reference_sc_witness, reference_sign_masks, sc_pair)
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -384,15 +385,59 @@ def test_feasible_point_equals_fraction_reference(cons):
         assert (F(p, q), F(r, s)) == point
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(systems())
+@example([])                                                  # the plane
+@example([(1, 0, 0, False)])                                  # one half-plane
+@example([(1, 0, 0, False), (-2, 0, 0, True)])                # opposite, one line
+# a strip of zero width: 1 <= x <= 1, 0 <= y <= 1
+@example([(1, 0, 1, False), (-1, 0, -1, False), (0, 1, 1, False), (0, -1, 0, False)])
+# a triangle, and a line through one corner that misses the rest: on the
+# triangle's side it is redundant, on the far side the interior is empty
+@example([(-1, 0, 0, False), (0, -1, 0, False), (1, 1, 1, False), (1, 0, 1, False)])
+@example([(-1, 0, 0, False), (0, -1, 0, False), (1, 1, 1, False), (-1, 0, -1, False)])
+@example([(1, 0, 0, False), (1, 0, 1, False), (0, 1, 0, False)])  # parallel copy
+@example([(1, 0, 0, False), (0, 1, 0, False), (1, 1, 0, False), (1, -1, 0, False),
+          (-1, -2, 0, False)])                                # a pencil at 0
 def test_mk_basic_equals_fraction_reference(cons):
     halfplanes = [HalfSpace((a, b), c) for a, b, c, _ in cons if a or b]
     got = pl.mk_basic(halfplanes)
-    assert got == reference_mk_basic(halfplanes)
+    assert got == reference_mk_basic(halfplanes) == reference_fm_mk_basic(halfplanes)
     if got is not None:
         assert got.interior_point() == reference_feasible_point(
             [(*h.normal, h.offset, True) for h in got.constraints])
+
+
+def test_mk_basic_equals_fourier_motzkin_on_small_sets():
+    rng = random.Random(25)
+    empty = 0
+    for _ in range(5000):
+        halfplanes = []
+        for _ in range(rng.randint(0, 9)):
+            a, b = 0, 0
+            while not (a or b):
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            q = rng.randint(1, 3)
+            halfplanes.append(HalfSpace((a, b), F(rng.randint(-3 * q, 3 * q), q)))
+        got, want = pl.mk_basic(halfplanes), reference_fm_mk_basic(halfplanes)
+        assert (got and [h.integer_form for h in got.constraints]) == (
+            want and [h.integer_form for h in want.constraints])
+        empty += got is None
+    # both verdicts are common
+    assert 1000 < empty < 4000
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_mk_basic_makes_no_fourier_motzkin_call(cons):
+    halfplanes = [HalfSpace((a, b), c) for a, b, c, _ in cons if a or b]
+
+    def refuse(cons):
+        raise AssertionError("feasible_ints called")
+
+    with mock.patch.object(pl, "feasible_ints", refuse):
+        got = pl.mk_basic(halfplanes)
+    assert got == reference_fm_mk_basic(halfplanes)
 
 
 @settings(max_examples=200, deadline=None)

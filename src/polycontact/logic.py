@@ -30,6 +30,11 @@ starts no token is rejected before parsing begins.  The parser keeps token
 indices, not offsets: a ``FormulaSyntaxError`` gets its character offset
 from a second scan, made only for the error.
 
+Terms and formulas are interned as they are built (``_Node``): structurally
+equal nodes are one object, so ``==`` and ``hash`` are identity.  Like the
+module's other caches, the intern table is not synchronised between
+threads.
+
 Every walker over terms and formulas (evaluation, printing, compilation and
 the child lists behind ``free_variables`` and scheme matching) dispatches on
 ``type(node)``, through a table or an ``is`` chain: a ``match`` over class
@@ -57,6 +62,7 @@ reference evaluator, used on every carrier.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -70,68 +76,57 @@ from .algebra import ContactAlgebra, FiniteContactAlgebra
 # terms and formulas
 # ---------------------------------------------------------------------------
 
+class _Ref(weakref.ref):
+    __slots__ = ("key",)            # the node's key in _INTERNED
+
+    def forget(self) -> None:       # called when the node dies
+        if _INTERNED.get(self.key) is self:     # not taken since by a newer node
+            del _INTERNED[self.key]
+
+
+# every live term and formula, held weakly, by its type and fields
+_INTERNED: dict[tuple, _Ref] = {}
+
+
 class _Node:
-    """Structural ``==`` and ``hash`` for terms and formulas.
+    """A term or formula, interned: a constructor returns the live node of
+    its type and fields if there is one, so ``==`` and ``hash`` are
+    identity.  Like the module's other caches, construction is not
+    synchronised between threads.  Pickling rebuilds a node through its
+    constructor, which interns it."""
 
-    Both are iterative and visit each shared subtree once, because the
-    abbreviations (``<=>`` above all) share subtrees: a chain of n ``<=>``
-    links is a DAG of O(n) nodes but a tree of 2^n.  The hash is cached per
-    node; ``==`` compares each pair of nodes once by identity.
-    """
+    __slots__ = ("__weakref__",)
 
-    _hash = None
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            ref = _INTERNED[key] = _Ref(node, _Ref.forget)
+            ref.key = key
+        return node
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                if node._hash is not None:
-                    stack.pop()
-                    continue
-                fields = [getattr(node, name) for name in node.__match_args__]
-                todo = [v for v in fields if isinstance(v, _Node) and v._hash is None]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                object.__setattr__(node, "_hash", hash((type(node), *map(hash, fields))))
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Node):
-            return NotImplemented
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if not isinstance(a, _Node):
-                if a != b:
-                    return False
-                continue
-            key = (id(a), id(b))
-            if key not in seen:
-                seen.add(key)
-                for name in a.__match_args__:
-                    stack.append((getattr(a, name), getattr(b, name)))
-        return True
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Variable(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Complement(_Node):
     term: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Join(_Node):
     left: "Term"
     right: "Term"
@@ -140,24 +135,24 @@ class Join(_Node):
 Term = Variable | Complement | Join
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Contact(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
@@ -300,7 +295,7 @@ class FormulaSyntaxError(ValueError):
 # Deepest nesting accepted, counted both while parsing (prefix operators,
 # parentheses and right-nested ``=>`` open at once) and as the height of the
 # parse tree, which the parser carries along with every node it builds.
-# Every recursive walk over a formula (evaluation, printing, hashing) then
+# Every recursive walk over a formula (evaluation, printing) then
 # stays far inside Python's default recursion limit.
 MAX_NESTING = 100
 
@@ -573,16 +568,15 @@ _PAIRS = frozenset((Join, Eq, Contact, Or))
 
 
 def compile_formula(f: Formula) -> bs.Program:
-    """The formula as a bit-sliced program over its unique subterms.
+    """The formula as a bit-sliced program over its distinct subterms.
 
-    Iterative, so operator chains compile without recursing; structurally
-    equal subterms (which the abbreviations duplicate) share one slot.  A
-    node stays on the stack until its children have slots: the right child
-    is pushed first, so a right subtree is numbered before the left one.
-    Each node is pushed once, and the stack holds one path from the root.
+    Iterative, so operator chains compile without recursing; nodes are
+    interned, so each node object gets one slot.  A node stays on the stack
+    until its children have slots: the right child is pushed first, so a
+    right subtree is numbered before the left one.  Each node is pushed
+    once, and the stack holds one path from the root.
     """
-    slots: dict[tuple, int] = {}
-    done: dict[int, int] = {}          # id(node) -> slot
+    done: dict[_Node, int] = {}        # node -> slot
     code: list[tuple] = []
     stack = [f]
     while stack:
@@ -592,17 +586,17 @@ def compile_formula(f: Formula) -> bs.Program:
             key = (bs.VAR, node.name)
         elif kind is Complement or kind is Not:
             kid = node.term if kind is Complement else node.body
-            a = done.get(id(kid))
+            a = done.get(kid)
             if a is None:
                 stack.append(kid)
                 continue
             key = (_OPCODES[kind], a)
         elif kind in _PAIRS:
-            b = done.get(id(node.right))
+            b = done.get(node.right)
             if b is None:
                 stack.append(node.right)
                 continue
-            a = done.get(id(node.left))
+            a = done.get(node.left)
             if a is None:
                 stack.append(node.left)
                 continue
@@ -610,11 +604,8 @@ def compile_formula(f: Formula) -> bs.Program:
         else:
             raise TypeError(f"not a term or formula: {node!r}")
         stack.pop()
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(code)
-            code.append(key)
-        done[id(node)] = slot
+        done[node] = len(code)
+        code.append(key)
     return bs.Program(code)
 
 
@@ -646,7 +637,7 @@ def _match(pattern, node, bindings: dict) -> bool:
     kind = type(pattern)
     if kind is MetaTerm or kind is MetaFormula:
         if pattern.name in bindings:
-            return bindings[pattern.name] == node
+            return bindings[pattern.name] is node
         bindings[pattern.name] = node
         return True
     if kind is ZeroPattern:
@@ -665,7 +656,7 @@ def _is_zero_expansion(node) -> bool:
         return False
     left, right = node.term.left, node.term.right
     return (type(left) is Complement and type(right) is Complement
-            and type(right.term) is Complement and left.term == right.term.term)
+            and type(right.term) is Complement and left.term is right.term.term)
 
 
 def _schemes() -> list[tuple[str, object]]:

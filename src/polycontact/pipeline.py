@@ -44,6 +44,9 @@ from .cylinder import CylinderPolytope, format_cylinder, lift, parse_cylinder
 from .intervals import from_segments, segment_masks
 
 Valuation = dict[str, frozenset[str]]
+# the stages a certificate records a verdict for, in the order it lists them
+_STAGES = ("discrete", "untied", "geometric")
+_EXPECTED_VERDICTS = "expected one 'verdict <stage>: true|false' for each of " + ", ".join(_STAGES)
 
 
 class PipelineError(RuntimeError):
@@ -127,7 +130,7 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
             "formula became true under the merged polytope valuation")
     geometric = {name: lift(from_segments(ends, m), dim) for name, m in filled.items()}
 
-    verdicts = {"discrete": False, "untied": False, "geometric": False}
+    verdicts = dict.fromkeys(_STAGES, False)
     cert = CountermodelCertificate(
         formula_text=text, dim=dim,
         discrete_space=space, discrete_valuation=valuation,
@@ -242,7 +245,7 @@ def serialize_certificate(cert: CountermodelCertificate) -> str:
         lines.append(f"var {name}: {format_cylinder(cert.geometric_valuation[name])}")
     lines.append("}")
     lines.append("verdicts {")
-    for stage in ("discrete", "untied", "geometric"):
+    for stage in _STAGES:
         lines.append(f"verdict {stage}: {str(cert.verdicts[stage]).lower()}")
     lines.append("}")
     lines.append("}")
@@ -277,7 +280,10 @@ def parse_certificate(text: str) -> CountermodelCertificate:
             if line.startswith("formula:"):
                 formula_text = line[len("formula:"):].strip()
             elif line.startswith("dim:"):
-                dim = int(line[len("dim:"):].strip())
+                value = line[len("dim:"):].strip()
+                if not (value.isascii() and value.isdigit() and int(value) >= 1):
+                    raise CertificateFormatError(f"dim {value!r} is not a decimal integer >= 1")
+                dim = int(value)
             else:
                 raise CertificateFormatError(f"unexpected line {line!r}")
             continue
@@ -305,15 +311,17 @@ def parse_certificate(text: str) -> CountermodelCertificate:
         elif section == "verdicts":
             if not line.startswith("verdict "):
                 raise CertificateFormatError(f"unexpected line {line!r} in verdicts")
-            head, _, rest = line[len("verdict "):].partition(":")
-            verdicts[head.strip()] = rest.strip() == "true"
+            stage, _, value = map(str.strip, line[len("verdict "):].partition(":"))
+            if stage not in _STAGES or stage in verdicts or value not in ("true", "false"):
+                raise CertificateFormatError(f"bad verdict line {line!r}; {_EXPECTED_VERDICTS}")
+            verdicts[stage] = value == "true"
 
     if formula_text is None or dim is None:
         raise CertificateFormatError("missing formula or dim")
     if "discrete" not in spaces or "untied" not in spaces:
         raise CertificateFormatError("missing a space section")
-    if dim < 1:
-        raise CertificateFormatError("dim must be >= 1")
+    if len(verdicts) < len(_STAGES):
+        raise CertificateFormatError(f"missing a verdict; {_EXPECTED_VERDICTS}")
     odd = next((c for c in (*images.values(), *geometric.values()) if c.ambient_dim != dim), None)
     if odd is not None:
         raise CertificateFormatError(f"a cylinder of dimension {odd.ambient_dim} "

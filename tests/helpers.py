@@ -19,7 +19,8 @@ kept for the precedence-climbing one, the precedence climbing over
 indices, the ``match``-based evaluator and
 tree-height walk kept for the type-dispatched evaluator and the height the
 parser carries, the compiler that pops each node twice kept for the one
-that keeps nodes on its stack, the forward decode of a ``Program`` kept for
+that keeps nodes on its stack, structural equality kept for the identity
+of interned nodes, the forward decode of a ``Program`` kept for
 the backward one, the ``rational``-built interval ends kept
 for the integer tokens of ``parse_intervals``, the seeded plane polytope
 pairs of the strong-contact tests, and random formula text in the concrete
@@ -1023,9 +1024,35 @@ def reference_parse_term(text: str) :
 # ---------------------------------------------------------------------------
 # the ``match``-based walkers, kept as the references for the type-dispatched
 # ones in ``logic``, the separate tree-height walk, kept as the reference
-# for the height the parser carries, and the compiler that pops each node
-# twice, kept as the reference for ``compile_formula``
+# for the height the parser carries, the compiler that pops each node
+# twice, kept as the reference for ``compile_formula``, and structural
+# equality, kept as the reference for the identity of interned nodes
 # ---------------------------------------------------------------------------
+
+def reference_node_equal(a, b) -> bool:
+    """Whether two terms or formulas are equal as trees.  Iterative, and
+    each pair of nodes is compared once, because the abbreviations
+    (``<=>`` above all) share subtrees: a chain of n ``<=>`` links is a DAG
+    of O(n) nodes but a tree of 2^n."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if not isinstance(a, lg._Node):
+            if a != b:
+                return False
+            continue
+        key = (id(a), id(b))
+        if key not in seen:
+            seen.add(key)
+            for name in a.__match_args__:
+                stack.append((getattr(a, name), getattr(b, name)))
+    return True
+
 
 def _reference_children(node) -> tuple:
     match node:

@@ -1,12 +1,13 @@
 import hashlib
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 
 from polycontact.algebra import AuditEntry, AuditReport
-from polycontact.cli import run
+from polycontact.cli import main, run
 from polycontact import adjacency as adj
 from polycontact import pipeline as pp
 from polycontact import plane as pl
@@ -386,8 +387,8 @@ def test_parse_error_exit_2(files, capsys):
     capsys.readouterr()
 
 
-CERT_WITH_ZERO_DENOMINATOR = pp.serialize_certificate(
-    pp.synthesize("C(p,q) => p.q != 0", 2, 1)).replace("{ [1,2] }", "{ [1,2/0] }", 1)
+CERTIFICATE = pp.serialize_certificate(pp.synthesize("C(p,q) => p.q != 0", 2, 1))
+CERT_WITH_ZERO_DENOMINATOR = CERTIFICATE.replace("{ [1,2] }", "{ [1,2/0] }", 1)
 
 
 @pytest.mark.parametrize("name, text, viewport", [
@@ -410,6 +411,31 @@ def test_division_by_zero_input_exit_2(name, text, viewport, files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("verdict geometric: false\n", ""),
+    ("verdict geometric: false", "verdict merged: false"),
+    ("verdict untied: false", "verdict discrete: false"),
+    ("verdict discrete: false", "verdict discrete: maybe"),
+    ("dim: 1", "dim: 1_0"),
+    ("dim: 1", "dim: x"),
+], ids=["missing-verdict", "unknown-verdict", "repeated-verdict", "verdict-maybe", "dim-1_0",
+        "dim-x"])
+def test_render_malformed_certificate_exit_2(old, new, files, capsys, monkeypatch):
+    # through main(): exit 2 and one error line, and no Python message
+    write, tmp_path = files
+    assert CERTIFICATE.count(old) == 1
+    path = write("a.cert", CERTIFICATE.replace(old, new))
+    monkeypatch.setattr(sys, "argv", ["polycontact", "render", path,
+                                      "--svg", str(tmp_path / "a.svg")])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "invalid literal" not in captured.err
 
 
 @pytest.mark.parametrize("name, text, viewport", [

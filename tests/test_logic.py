@@ -1,8 +1,16 @@
+import copy
+import dataclasses
+import gc
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
-from itertools import product
+import weakref
+from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -20,8 +28,9 @@ from polycontact.intervals import random_interval_polytope
 from helpers import (
     batch_true_in_algebra, formula_texts, mutate_formula_text, random_formula_text,
     reference_canonical_mask, reference_compile_formula, reference_decode, reference_evaluate,
-    reference_parse, reference_parse_term, reference_pratt_parse, reference_pratt_parse_term,
-    reference_tokenize, scalar_find_countermodel, scan_connected_spaces)
+    reference_node_equal, reference_parse, reference_parse_term, reference_pratt_parse,
+    reference_pratt_parse_term, reference_tokenize, scalar_find_countermodel,
+    scan_connected_spaces)
 
 TRIANGLE = mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
@@ -210,7 +219,8 @@ class TestParser:
             lg.free_variables(p)
 
     def test_eq_and_hash_linear_on_iff_chain(self):
-        # two separate parses share no nodes; as trees they have 2^20 leaves
+        # two parses of one text are one object; as trees they have 2^20
+        # leaves
         text = " <=> ".join(["p == q"] * 20)
         a, b = lg.parse(text), lg.parse(text)
         c = lg.parse(" <=> ".join(["p == q"] * 19 + ["p == r"]))
@@ -962,3 +972,113 @@ def test_syntax_error_survives_pickling(parse_text):
     assert type(back) is lg.FormulaSyntaxError
     assert (str(back), back.message, back.position) == (
         str(err.value), err.value.message, err.value.position)
+
+
+# ---------------------------------------------------------------------------
+# interning: one node object per distinct term or formula
+# ---------------------------------------------------------------------------
+
+_BUILT_TERMS = st.recursive(
+    st.sampled_from(["p", "q"]).map(lg.Variable),
+    lambda terms: st.one_of(st.builds(lg.Complement, terms), st.builds(lg.Join, terms, terms)),
+    max_leaves=6)
+_BUILT_FORMULAS = st.recursive(
+    st.one_of(st.builds(lg.Eq, _BUILT_TERMS, _BUILT_TERMS),
+              st.builds(lg.Contact, _BUILT_TERMS, _BUILT_TERMS)),
+    lambda formulas: st.one_of(st.builds(lg.Not, formulas), st.builds(lg.Or, formulas, formulas)),
+    max_leaves=4)
+_INSTANCES = [f for _, f in lg.generate_axiom_instances(("p", "q"), 1, 0)]
+
+
+def _subnodes(roots) -> list:
+    """Each node object under the roots, once."""
+    seen, out, stack = set(), [], list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            if type(node) is not lg.Variable:
+                stack.extend(lg._children(node))
+    return out
+
+
+class TestInterning:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(formula_texts(), max_size=3), st.lists(_BUILT_FORMULAS, max_size=3),
+           st.lists(st.sampled_from(_INSTANCES), max_size=3), st.randoms(use_true_random=False))
+    def test_identity_is_structural_equality(self, texts, built, instances, rng):
+        # the parse of a text, the reference parser's tree, the parse of the
+        # printed formula, constructor-built formulas and axiom instances:
+        # two of their nodes are one object exactly when they are equal as
+        # trees
+        roots = [*built, *instances]
+        for text in texts:
+            f = _parsed(text)
+            if f is not None:
+                roots += [f, reference_parse(text), lg.parse(lg.format_formula(f))]
+        nodes = _subnodes(roots)
+        nodes = roots + rng.sample(nodes, min(len(nodes), 40))
+        for a, b in combinations(nodes, 2):
+            assert (a is b) == reference_node_equal(a, b)
+
+    def test_abbreviations_build_one_node(self):
+        p, q = lg.Variable("p"), lg.Variable("q")
+        assert lg.parse("p <= q") is lg.parse("(p + q) == q") is lg.Eq(lg.Join(p, q), q)
+        assert lg.parse_term("0") is lg.zero_term(lg.Variable("a"))
+        assert lg.parse("p == 1 <=> C(p, p . q)") is lg.iff(
+            lg.Eq(p, lg.one_term(p)), lg.Contact(p, lg.meet(p, q)))
+        assert lg.Eq(p, q) is not lg.Contact(p, q) and lg.Eq(p, q) is not lg.Eq(q, p)
+
+    def test_fields_are_checked_and_frozen(self):
+        p = lg.Variable("p")
+        for args in ((p,), (p, p, p)):
+            with pytest.raises(TypeError, match="Join takes 2 fields"):
+                lg.Join(*args)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.name = "q"
+        assert lg.Variable("p") is p
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickling_gives_the_same_node(self, protocol):
+        # a 12-link <=> chain: each link holds both of its operands twice
+        chain = lg.parse(" <=> ".join(["p == q"] * 13))
+        for node in (chain, lg.parse_term("p . 1"), lg.Variable("p")):
+            assert pickle.loads(pickle.dumps(node, protocol)) is node
+            assert copy.copy(node) is node and copy.deepcopy(node) is node
+
+    def test_unpickled_in_a_fresh_interpreter_is_the_parse_there(self):
+        text = " <=> ".join(["C(p, q . r)"] * 6)
+        script = ("import pickle, sys\n"
+                  "from polycontact import logic as lg\n"
+                  "data = sys.stdin.buffer.read()\n"
+                  "first = pickle.loads(data)\n"
+                  "parsed = lg.parse(sys.argv[1])\n"
+                  "print(type(first).__name__, first is parsed is pickle.loads(data))\n")
+        src = str(Path(lg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script, text],
+                              input=pickle.dumps(lg.parse(text)), capture_output=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().split() == ["Not", "True"]
+
+    def test_intern_table_keeps_nothing_alive(self):
+        gc.collect()
+        before = len(lg._INTERNED)
+        # variables no other test uses, so every node of the chain is new
+        chain = lg.parse(" <=> ".join(f"weak{k} == weak{k + 1}" for k in range(13)))
+        assert len(lg._INTERNED) > before + 13
+        del chain
+        gc.collect()
+        assert len(lg._INTERNED) == before
+
+    def test_stale_callback_keeps_a_newer_entry(self):
+        # the callback of a node that died before ``node`` took its key
+        node = lg.Variable("stale")
+        key = (lg.Variable, "stale")
+        ref = lg._INTERNED[key]
+        stale = lg._Ref(lg.Variable("stale2"))
+        stale.key = key
+        stale.forget()
+        assert lg._INTERNED[key] is ref and lg.Variable("stale") is node

@@ -156,6 +156,22 @@ class TestVerifyIsTotal:
         assert {"pmorphism", "valuation-lift"} <= failing
 
 
+CERT_TEXT = pp.serialize_certificate(pp.synthesize(CONTACT_NOT_OVERLAP, 2, 1))
+# an edit of a certificate's verdicts or dim line, and the error it gives
+BAD_VERDICT_OR_DIM = [
+    ("verdict geometric: false\n", "", "missing a verdict"),
+    ("verdict untied: false\n", "", "missing a verdict"),
+    ("verdict geometric: false", "verdict merged: false", "bad verdict line"),
+    ("verdict geometric: false", "verdict discrete: false", "bad verdict line"),
+    ("verdict discrete: false", "verdict discrete: maybe", "bad verdict line"),
+    ("verdict discrete: false", "verdict discrete: False", "bad verdict line"),
+    ("dim: 1", "dim: 1_0", "is not a decimal integer >= 1"),
+    ("dim: 1", "dim: x", "is not a decimal integer >= 1"),
+    ("dim: 1", "dim: \u0661", "is not a decimal integer >= 1"),
+    ("dim: 1", "dim: 1.0", "is not a decimal integer >= 1"),
+]
+
+
 class TestSerialization:
     def test_round_trip_identical_report(self):
         cert = pp.synthesize(TRIANGLE_FORCER, 3, 1)
@@ -179,6 +195,49 @@ class TestSerialization:
         assert old in text
         with pytest.raises(pp.CertificateFormatError):
             pp.parse_certificate(text.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,message", BAD_VERDICT_OR_DIM,
+                             ids=[case[1].strip() or "no-" + case[0].split()[1].rstrip(":")
+                                  for case in BAD_VERDICT_OR_DIM])
+    def test_verdict_and_dim_errors(self, old, new, message):
+        # a certificate without its three verdicts did not serialize again,
+        # and int() read "maybe" as false, "1_0" as 10 and "x" with its own
+        # message
+        assert CERT_TEXT.count(old) == 1
+        with pytest.raises(pp.CertificateFormatError, match=message):
+            pp.parse_certificate(CERT_TEXT.replace(old, new))
+
+
+_ODD_LINES = ["verdict merged: false", "verdict discrete: maybe", "verdict untied: true",
+              "dim: 1_0", "dim: 2", "dim: x", "val r: a", "verdicts {", "}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap", "insert"]),
+                          st.integers(0, 99), st.integers(0, 99), st.sampled_from(_ODD_LINES)),
+                max_size=3))
+def test_every_accepted_certificate_serializes(edits):
+    # a certificate's lines deleted, duplicated, swapped or joined by odd
+    # ones: parse_certificate rejects the text with a ValueError, which the
+    # CLI reports, or accepts a certificate that serializes, and whose text
+    # parses back to the same text
+    lines = CERT_TEXT.splitlines()
+    for kind, i, j, odd in edits:
+        i, j = i % len(lines), j % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(i, odd)
+    try:
+        cert = pp.parse_certificate("\n".join(lines))
+    except ValueError:
+        return
+    text = pp.serialize_certificate(cert)
+    assert pp.serialize_certificate(pp.parse_certificate(text)) == text
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,7 +406,9 @@ def test_each_query_parses_its_formula_once_per_text(monkeypatch):
     assert calls == []
     assert _sha(pp.verify(pp.parse_certificate(text)).text()) == ALL_PASS_REPORT
     assert calls == [DIAMOND_FORCER]
-    assert cert2.formula == cert.formula and cert2.formula is not cert.formula
+    # formulas are interned, so the two parses of one text are one object;
+    # ``calls`` counts the parses
+    assert cert2.formula is cert.formula
 
 
 def test_malformed_formula_line_raises_in_parse_certificate():

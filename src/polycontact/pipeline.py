@@ -10,8 +10,9 @@ stage aborts with the name of the violated identity (it would indicate a
 bug, not a property of the input).  The geometric stage reads one table of
 the images' segments (``intervals.segment_masks``): a variable fills the OR
 of its cells' masks, is checked false on ``algebra.path_algebra`` and is read
-back by ``intervals.from_segments``.  ``verify`` pools the geometric
-valuation into its table, and re-checks falsity over ``CylinderAlgebra``.
+back by ``intervals.from_segments``.  ``verify`` reads the images' checks and
+each variable's union off the one table ``algebra.merge`` builds, and
+re-checks falsity over ``CylinderAlgebra``.
 
 The resulting certificate serialises to a line-oriented text bundle that
 round-trips through ``parse_certificate`` and re-verifies from scratch with
@@ -110,11 +111,6 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
     lifted: Valuation = {
         name: frozenset(x for x in untied.cells if collapse(x) in cells)
         for name, cells in valuation.items()}
-    for name, cells in lifted.items():
-        for x in untied.cells:
-            if (x in cells) != (collapse(x) in valuation[name]):
-                raise PipelineError(
-                    "valuation lift violated the preimage condition")
     if _eval_discrete(parsed, untied, lifted):
         raise PipelineError(
             "formula became true in the untied preimage (truth transfer failed)")
@@ -185,23 +181,24 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     image_ok = set(cert.images) == set(cells)
     report.check("images-cover-cells", holds(image_ok))
     if image_ok:
-        geometric = cert.geometric_valuation
-        ends, masks = segment_masks([*(cert.images[x].base for x in cells),
-                                     *(g.base for g in geometric.values())])
-        mask_of, filled = dict(zip(cells, masks)), dict(zip(geometric, masks[len(cells):]))
+        merged = merge(cert.images, space=cert.untied_space)
+        ends, mask_of = merged.ends, dict(zip(merged.cells, merged.masks))
         report.check("images-cover-line", holds(
-            reduce(or_, masks[:len(cells)], 0) == (2 << len(ends)) - 1))
+            reduce(or_, merged.masks, 0) == (2 << len(ends)) - 1))
         report.check("images-non-overlapping", first_witness(
             combinations(cells, 2), lambda x, y: mask_of[x] & mask_of[y],
             lambda x, y: str((x, y))))
 
-        for entry in merge(cert.images, space=cert.untied_space).report.entries:
+        for entry in merged.report.entries:
             report.check("merging-" + entry.name, None if entry.passed else entry.witness)
 
+        # ``!=``, not ``equals``, which raises on a variable of another dimension
+        geometric = cert.geometric_valuation
         report.check("geometric-valuation-is-merged-union", first_witness(
             cert.untied_valuation.items(),
-            lambda name, cells_: (name not in filled or not cells_ <= cert.images.keys()
-                                  or filled[name] != reduce(or_, map(mask_of.get, cells_), 0)),
+            lambda name, cells_: (name not in geometric or not cells_ <= mask_of.keys()
+                                  or geometric[name] != lift(from_segments(
+                                      ends, reduce(or_, map(mask_of.get, cells_), 0)), cert.dim)),
             lambda name, _: f"variable {name}"))
 
     report.check("geometric-eval-false", falsified(lambda: lg.evaluate(
@@ -258,8 +255,7 @@ def parse_certificate(text: str) -> CountermodelCertificate:
         raise CertificateFormatError("expected 'certificate { ... }'")
     body = lines[1:-1]
 
-    formula_text: Optional[str] = None
-    dim: Optional[int] = None
+    header: dict[str, str] = {}  # "formula" and "dim" -> the text after the colon
     section = None
     spaces: dict[str, AdjacencySpace] = {}
     valuations: dict[str, Valuation] = {"discrete": {}, "untied": {}}
@@ -267,6 +263,11 @@ def parse_certificate(text: str) -> CountermodelCertificate:
     images: dict[str, CylinderPolytope] = {}
     geometric: dict[str, CylinderPolytope] = {}
     verdicts: dict[str, bool] = {}
+
+    def put(table: dict, key: str, value, line: str) -> None:
+        if key in table:  # a repeated line is an error, never an overwrite
+            raise CertificateFormatError(f"repeated line {line!r}")
+        table[key] = value
 
     for line in body:
         if line.endswith("{") and line[:-1].strip() in (
@@ -276,48 +277,42 @@ def parse_certificate(text: str) -> CountermodelCertificate:
         if line == "}":
             section = None
             continue
+        # "<kind> <key>: <rest>", or "<head>: <rest>" outside a section
+        head, _, rest = line.partition(":")
+        key, rest = head.partition(" ")[2].strip(), rest.strip()
         if section is None:
-            if line.startswith("formula:"):
-                formula_text = line[len("formula:"):].strip()
-            elif line.startswith("dim:"):
-                value = line[len("dim:"):].strip()
-                if not (value.isascii() and value.isdigit() and int(value) >= 1):
-                    raise CertificateFormatError(f"dim {value!r} is not a decimal integer >= 1")
-                dim = int(value)
-            else:
+            if not line.startswith(("formula:", "dim:")):
                 raise CertificateFormatError(f"unexpected line {line!r}")
-            continue
-        if section in ("discrete", "untied"):
+            if head == "dim" and not (rest.isascii() and rest.isdigit() and int(rest) >= 1):
+                raise CertificateFormatError(f"dim {rest!r} is not a decimal integer >= 1")
+            put(header, head, rest, line)
+        elif section in ("discrete", "untied"):
             if line.startswith("space:"):
-                spaces[section] = parse_space(line[len("space:"):].strip())
+                put(spaces, section, parse_space(rest), line)
             elif line.startswith("val "):
-                head, _, rest = line[len("val "):].partition(":")
-                valuations[section][head.strip()] = frozenset(rest.split())
+                put(valuations[section], key, frozenset(rest.split()), line)
             elif section == "untied" and line.startswith("map "):
-                head, _, rest = line[len("map "):].partition(":")
-                mapping[head.strip()] = rest.strip()
+                put(mapping, key, rest, line)
             else:
                 raise CertificateFormatError(f"unexpected line {line!r} in {section}")
         elif section == "images":
             if not line.startswith("cell "):
                 raise CertificateFormatError(f"unexpected line {line!r} in images")
-            head, _, rest = line[len("cell "):].partition(":")
-            images[head.strip()] = parse_cylinder(rest.strip())
+            put(images, key, parse_cylinder(rest), line)
         elif section == "geometric":
             if not line.startswith("var "):
                 raise CertificateFormatError(f"unexpected line {line!r} in geometric")
-            head, _, rest = line[len("var "):].partition(":")
-            geometric[head.strip()] = parse_cylinder(rest.strip())
+            put(geometric, key, parse_cylinder(rest), line)
         elif section == "verdicts":
             if not line.startswith("verdict "):
                 raise CertificateFormatError(f"unexpected line {line!r} in verdicts")
-            stage, _, value = map(str.strip, line[len("verdict "):].partition(":"))
-            if stage not in _STAGES or stage in verdicts or value not in ("true", "false"):
+            if key not in _STAGES or key in verdicts or rest not in ("true", "false"):
                 raise CertificateFormatError(f"bad verdict line {line!r}; {_EXPECTED_VERDICTS}")
-            verdicts[stage] = value == "true"
+            verdicts[key] = rest == "true"
 
-    if formula_text is None or dim is None:
+    if header.keys() != {"formula", "dim"}:
         raise CertificateFormatError("missing formula or dim")
+    formula_text, dim = header["formula"], int(header["dim"])
     if "discrete" not in spaces or "untied" not in spaces:
         raise CertificateFormatError("missing a space section")
     if len(verdicts) < len(_STAGES):

@@ -180,21 +180,12 @@ def _partition(draw, n):
             for i in range(n)]
 
 
-class _Touchy(CylinderPolytope):
-    """An image whose own ``contact_sc`` claims contact with everything, as
-    a faulty pairwise kernel would; its pieces are honest."""
-
-    def contact_sc(self, other):
-        return True
-
-
 @st.composite
 def merge_inputs(draw):
     """An image map of 1-7 cells; ``reference_merge`` checks every subset of
     up to 6 cells and seeded samples of 7.  Empty, duplicate and
-    overlapping images and gaps fail bijectivity and complement, and a
-    ``_Touchy`` image fails the contact checks; no map of canonical images
-    can fail join."""
+    overlapping images and gaps fail bijectivity and complement; no map of
+    canonical images can fail join or contact."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         bases = draw(_partition(n))
@@ -208,11 +199,7 @@ def merge_inputs(draw):
                          else draw(st.sampled_from(bases)) if kind == 4
                          else draw(_grid_image()))
     dim = draw(st.integers(1, 3))
-    images = {cell: lift(base, dim) for cell, base in zip("abcdefg", bases)}
-    if draw(st.integers(0, 3)) == 0:
-        cell = "abcdefg"[draw(st.integers(0, n - 1))]
-        images[cell] = _Touchy(images[cell].base, dim)
-    return images
+    return {cell: lift(base, dim) for cell, base in zip("abcdefg", bases)}
 
 
 def _spaces(images):
@@ -371,3 +358,20 @@ def test_merge_reports_pinned():
     assert sum(text.count(" FAIL ") for text in texts) >= 8
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == "8632e64b545b7ec72a6d62eb828f1da5ea17c595241fbb3de381af549d939306"
+
+
+def test_merge_makes_no_contact_call(monkeypatch):
+    # the relation and both contact laws are read off the segment masks;
+    # no pair of images or unions goes through a contact sweep
+    cases = [(_projected(edges), None) for edges in (
+        [("a", "b"), ("b", "c")], [("a", "b"), ("a", "c"), ("a", "d"), ("b", "e")])]
+    cases += list(_tampered_merges())
+    want = [alg.merge(images, space=space).report.text() for images, space in cases]
+
+    def forbidden(self, other):
+        raise AssertionError("pairwise contact call")
+
+    for cls, method in ((CylinderPolytope, "contact_sc"), (CylinderPolytope, "contact_c"),
+                        (iv.IntervalPolytope, "contact_sc"), (iv.IntervalPolytope, "contact_c")):
+        monkeypatch.setattr(cls, method, forbidden)
+    assert [alg.merge(images, space=space).report.text() for images, space in cases] == want

@@ -420,8 +420,17 @@ def test_division_by_zero_input_exit_2(name, text, viewport, files, capsys):
     ("verdict discrete: false", "verdict discrete: maybe"),
     ("dim: 1", "dim: 1_0"),
     ("dim: 1", "dim: x"),
+    ("dim: 1\n", "dim: 1\ndim: 1\n"),
+    ("\nformula:", "\nformula: p == p\nformula:"),
+    ("untied {\nspace: space { cells a b; edges a-b; }\n",
+     "untied {\nspace: space { cells a b; edges a-b; }\nspace: space { cells a; }\n"),
+    ("map a: a\n", "map a: a\nmap a: b\n"),
+    ("}\nuntied {", "val p: b\n}\nuntied {"),
+    ("cell b: cyl n=1 { [1,2] }\n", "cell b: cyl n=1 { [1,2] }\ncell b: cyl n=1 { [1,2] }\n"),
+    ("var q: cyl n=1 { [1,2] }\n", "var q: cyl n=1 { [1,2] }\nvar q: cyl n=1 { empty }\n"),
 ], ids=["missing-verdict", "unknown-verdict", "repeated-verdict", "verdict-maybe", "dim-1_0",
-        "dim-x"])
+        "dim-x", "repeated-dim", "repeated-formula", "repeated-space", "repeated-map",
+        "repeated-val", "repeated-cell", "repeated-var"])
 def test_render_malformed_certificate_exit_2(old, new, files, capsys, monkeypatch):
     # through main(): exit 2 and one error line, and no Python message
     write, tmp_path = files

@@ -172,6 +172,16 @@ BAD_VERDICT_OR_DIM = [
 ]
 
 
+# a line repeated, the n-th line with its prefix followed by a copy or by
+# another line of the same key; each was taken silently, the last one winning
+REPEATED_LINES = [
+    ("formula:", 0, None), ("formula:", 0, "formula: p == p"), ("dim:", 0, None),
+    ("space:", 0, None), ("space:", 1, None), ("val p:", 0, None), ("val q:", 1, "val q: a"),
+    ("map a:", 0, None), ("map b:", 0, "map b: a"), ("cell b:", 0, None),
+    ("var q:", 0, None), ("var q:", 0, "var q: cyl n=1 { [0,1] }"),
+]
+
+
 class TestSerialization:
     def test_round_trip_identical_report(self):
         cert = pp.synthesize(TRIANGLE_FORCER, 3, 1)
@@ -206,6 +216,16 @@ class TestSerialization:
         assert CERT_TEXT.count(old) == 1
         with pytest.raises(pp.CertificateFormatError, match=message):
             pp.parse_certificate(CERT_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize("prefix,nth,new", REPEATED_LINES,
+                             ids=[f"{p.rstrip(':')}-{n}-{'copy' if new is None else 'other'}"
+                                  for p, n, new in REPEATED_LINES])
+    def test_repeated_line_errors(self, prefix, nth, new):
+        lines = CERT_TEXT.splitlines()
+        at = [i for i, line in enumerate(lines) if line.startswith(prefix)][nth]
+        lines.insert(at + 1, lines[at] if new is None else new)
+        with pytest.raises(pp.CertificateFormatError, match="^repeated line '"):
+            pp.parse_certificate("\n".join(lines))
 
 
 _ODD_LINES = ["verdict merged: false", "verdict discrete: maybe", "verdict untied: true",
@@ -381,6 +401,23 @@ def test_merge_makes_no_canonicalize_call(monkeypatch):
     result = merge(cert.images, space=cert.untied_space)
     assert len(result.cells) == 6 and result.report.passed
     assert len(calls) == 1
+
+
+def test_verify_builds_one_segment_table(monkeypatch):
+    # merge builds the images' table, and verify reads its own checks and
+    # each variable's union off it
+    cert = pp.synthesize(DIAMOND_FORCER, 4, 1)
+    segment_masks = iv.segment_masks
+    tables = []
+
+    def counted(polytopes):
+        tables.append(len(polytopes))
+        return segment_masks(polytopes)
+
+    for module in (iv, pp, adj):
+        monkeypatch.setattr(module, "segment_masks", counted)
+    assert _sha(pp.verify(cert).text()) == ALL_PASS_REPORT
+    assert tables == [6]
 
 
 def test_each_query_parses_its_formula_once_per_text(monkeypatch):

@@ -62,6 +62,7 @@ reference evaluator, used on every carrier.
 from __future__ import annotations
 
 import re
+import reprlib
 import weakref
 from dataclasses import dataclass
 from itertools import combinations, islice, product
@@ -86,6 +87,9 @@ class _Ref(weakref.ref):
 
 # every live term and formula, held weakly, by its type and fields
 _INTERNED: dict[tuple, _Ref] = {}
+
+# the longest repr of a node, before "..."
+_REPR_LIMIT = 500
 
 
 class _Node:
@@ -115,18 +119,41 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __repr__(self) -> str:
+        """The dataclass form, ``Eq(left=Variable(name='p'), ...)``, cut
+        after ``_REPR_LIMIT`` characters: spelled out, a shared subtree
+        repeats, so a chain of n ``<=>`` links would print 2^n nodes."""
+        pieces: list[str] = []
+        size = 0
+        stack: list = [self]        # nodes, and text already printed
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                names = item.__match_args__
+                stack.append(")")
+                for i in range(len(names) - 1, -1, -1):
+                    value = getattr(item, names[i])
+                    stack.append(value if isinstance(value, _Node) else repr(value))
+                    stack.append(f"{', ' if i else ''}{names[i]}=")
+                item = f"{type(item).__name__}("
+            pieces.append(item)
+            size += len(item)
+            if size > _REPR_LIMIT:
+                return "".join(pieces)[:_REPR_LIMIT] + "..."
+        return "".join(pieces)
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Variable(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Complement(_Node):
     term: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Join(_Node):
     left: "Term"
     right: "Term"
@@ -135,24 +162,24 @@ class Join(_Node):
 Term = Variable | Complement | Join
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Contact(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
@@ -199,10 +226,18 @@ _CHILDREN = {
 }
 
 
+def _describe(node) -> str:
+    """A node, or whatever stood in for one, in an error message: its
+    type's name and a bounded repr."""
+    if isinstance(node, _Node):
+        return f"{type(node).__name__} node {node!r}"
+    return f"{type(node).__name__} {reprlib.repr(node)}"
+
+
 def _children(node) -> tuple:
     children = _CHILDREN.get(type(node))
     if children is None:
-        raise TypeError(f"not a term or formula: {node!r}")
+        raise TypeError(f"not a term or formula: {_describe(node)}")
     return children(node)
 
 
@@ -214,7 +249,7 @@ def free_variables(f: Formula) -> set[str]:
     links is a DAG of O(n) nodes but a tree of 2^n.
     """
     if type(f) not in _FORMULA_TYPES:
-        raise TypeError(f"not a formula: {f!r}")
+        raise TypeError(f"not a formula: {_describe(f)}")
     names: set[str] = set()
     seen: set[int] = set()
     stack = [f]
@@ -238,7 +273,7 @@ def term_depth(t: Term) -> int:
         return 1 + term_depth(t.term)
     if kind is Join:
         return 1 + max(term_depth(t.left), term_depth(t.right))
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {_describe(t)}")
 
 
 def format_term(t: Term) -> str:
@@ -250,7 +285,7 @@ def format_term(t: Term) -> str:
         return f"-{inner.name}" if type(inner) is Variable else f"-({format_term(inner)})"
     if kind is Join:
         return f"({format_term(t.left)} + {format_term(t.right)})"
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {_describe(t)}")
 
 
 def format_formula(f: Formula) -> str:
@@ -270,7 +305,7 @@ def format_formula(f: Formula) -> str:
         return f"{format_term(f.left)} == {format_term(f.right)}"
     if kind is Contact:
         return f"C({format_term(f.left)}, {format_term(f.right)})"
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a formula: {_describe(f)}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +544,50 @@ class UnboundVariable(LookupError):
 
 
 def term_value(t: Term, algebra: ContactAlgebra, valuation: Mapping[str, object]):
+    return _value(t, algebra, valuation, {})
+
+
+def evaluate(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object]) -> bool:
+    """Truth of the formula under one valuation.
+
+    Each distinct node is evaluated once per call, by identity (nodes are
+    interned), because the abbreviations share subtrees: a chain of n
+    ``<=>`` links is a DAG of O(n) nodes but a tree of 2^n, and a shared
+    term such as ``-(p + q + r)`` is one complement of the carrier.
+    Operands are still evaluated left to right and ``|`` short-circuits,
+    so an unbound variable raises exactly where a walk over the tree would
+    meet it first.
+    """
+    return _truth(f, algebra, valuation, {})
+
+
+# a term value not yet computed in ``_value``
+_UNKNOWN = object()
+
+
+def _value(t: Term, algebra: ContactAlgebra, valuation: Mapping[str, object],
+           known: dict[int, object]):
     kind = type(t)
     if kind is Variable:
         try:
             return valuation[t.name]
         except KeyError:
             raise UnboundVariable(t.name) from None
-    if kind is Complement:
-        return algebra.complement(term_value(t.term, algebra, valuation))
-    if kind is Join:
-        return algebra.join(term_value(t.left, algebra, valuation),
-                            term_value(t.right, algebra, valuation))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def evaluate(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object]) -> bool:
-    """Truth of the formula under one valuation.
-
-    Each ``Not`` and ``Or`` node is evaluated once per call, by identity,
-    because the abbreviations share subtrees: a chain of n ``<=>`` links is
-    a DAG of O(n) nodes but a tree of 2^n.  Operands are still evaluated
-    left to right and ``|`` short-circuits, so an unbound variable raises
-    exactly where a walk over the tree would meet it first.
-    """
-    return _truth(f, algebra, valuation, {})
+    value = known.get(id(t), _UNKNOWN)
+    if value is _UNKNOWN:
+        if kind is Complement:
+            value = algebra.complement(_value(t.term, algebra, valuation, known))
+        elif kind is Join:
+            value = algebra.join(_value(t.left, algebra, valuation, known),
+                                 _value(t.right, algebra, valuation, known))
+        else:
+            raise TypeError(f"not a term: {_describe(t)}")
+        known[id(t)] = value
+    return value
 
 
 def _truth(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object],
-           known: dict[int, bool]) -> bool:
+           known: dict[int, object]) -> bool:
     kind = type(f)
     if kind is Or or kind is Not:
         value = known.get(id(f))
@@ -549,12 +600,12 @@ def _truth(f: Formula, algebra: ContactAlgebra, valuation: Mapping[str, object],
             known[id(f)] = value
         return value
     if kind is Eq:
-        return algebra.equal(term_value(f.left, algebra, valuation),
-                             term_value(f.right, algebra, valuation))
+        return algebra.equal(_value(f.left, algebra, valuation, known),
+                             _value(f.right, algebra, valuation, known))
     if kind is Contact:
-        return algebra.contact(term_value(f.left, algebra, valuation),
-                               term_value(f.right, algebra, valuation))
-    raise TypeError(f"not a formula: {f!r}")
+        return algebra.contact(_value(f.left, algebra, valuation, known),
+                               _value(f.right, algebra, valuation, known))
+    raise TypeError(f"not a formula: {_describe(f)}")
 
 
 def true_in_algebra(f: Formula, algebra: FiniteContactAlgebra) -> bool:
@@ -602,7 +653,7 @@ def compile_formula(f: Formula) -> bs.Program:
                 continue
             key = (_OPCODES[kind], a, b)
         else:
-            raise TypeError(f"not a term or formula: {node!r}")
+            raise TypeError(f"not a term or formula: {_describe(node)}")
         stack.pop()
         done[node] = len(code)
         code.append(key)

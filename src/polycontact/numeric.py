@@ -8,6 +8,13 @@ integer forms below, the crossing parameters of the plane's arrangement walk
 (ints over one common denominator per line), and the integral endpoints of
 line polytopes.
 
+Text becomes a ``Fraction`` through ``rational`` only.  A token that is
+exactly an ASCII integer or ``p/q`` with a nonzero ``q`` is read with
+``int()``, one ``Fraction(p, q)`` built from the ints; every other string
+(underscores, non-ASCII digits, decimals, surrounding spaces, zero
+denominators, exponents) goes through ``Fraction``'s own parser, so the
+language accepted and every error are ``Fraction``'s.
+
 Half-spaces and hyperplanes have one body, the base ``_IntegerIdentity``:
 construction, canonical scaling, integer form, ``dim``, ``value_at``,
 identity, order and ``repr``.  Its class attribute ``_signed`` is the one
@@ -43,6 +50,7 @@ are canonical again.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,6 +65,10 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions."""
 
 
+# the strings ``rational`` reads with int(): an ASCII integer or p/q
+_EXACT_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 class Side(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -66,15 +78,25 @@ class Side(Enum):
 def rational(value) -> Fraction:
     """Coerce ints, strings like ``-3/4`` and Fractions to Fraction.
 
-    A malformed string, zero denominators included, raises ``ValueError``,
-    and so does exponent notation: ``Fraction('1e10000000')`` would spend
-    seconds building a ten-million-digit integer.
+    A string that is exactly an ASCII integer or ``p/q`` with a nonzero
+    ``q`` (``[+-]?[0-9]+(/[0-9]+)?``, nothing around it) is read with
+    ``int()``; every other string goes through ``Fraction``, so the strings
+    accepted, the values and the errors are ``Fraction``'s.  A malformed
+    string, zero denominators included, raises ``ValueError``, and so does
+    exponent notation: ``Fraction('1e10000000')`` would spend seconds
+    building a ten-million-digit integer.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
+        m = _EXACT_TOKEN.fullmatch(value)
+        if m is not None:
+            # int() the numerator first: Fraction's digit-limit error order
+            p, q = m.groups()
+            p = int(p)
+            if q is None:
+                return Fraction(p)
+            q = int(q)
+            if q:
+                return Fraction(p, q)
         text = value.strip()
         if "e" in text or "E" in text:
             raise ValueError(f"exponent notation in {text!r}")
@@ -82,6 +104,10 @@ def rational(value) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -95,27 +95,38 @@ LinCon = tuple[int | Fraction, int | Fraction, int | Fraction, bool]
 # exact feasibility of strict/non-strict systems (Fourier-Motzkin)
 # ---------------------------------------------------------------------------
 
-def _solve_1d(cons: list[tuple[int, int, bool]]) -> Optional[tuple[int, int]]:
+def _solve_1d(cons: Iterable[tuple[int, int, bool]]) -> Optional[tuple[int, int]]:
     """Witness ``(p, q)``, q > 0, for the value ``t = p/q`` satisfying every
     integer constraint ``a*t (<|<=) c``, or None.
 
     Each bound ``c/a`` is kept as a numerator and a positive denominator,
     and bounds are compared by cross-multiplying.  The witness is the
-    midpoint of the tightest bounds, one past the only one, or 0.
+    midpoint of the tightest bounds, one past the only one, or 0.  Bounds
+    only tighten, so the scan stops with None at the first bound that
+    makes the tightest lower and upper bounds cross, or meet with a strict
+    side: no later bound can reopen the interval.
     """
     lo_p = lo_q = hi_p = hi_q = None  # t > / >= lo_p/lo_q, t < / <= hi_p/hi_q
     lo_strict = hi_strict = False
     for a, c, strict in cons:
         if a > 0:
-            if (hi_q is None or c * hi_q < hi_p * a
+            if not (hi_q is None or c * hi_q < hi_p * a
                     or (strict and c * hi_q == hi_p * a)):
-                hi_p, hi_q, hi_strict = c, a, strict
+                continue
+            hi_p, hi_q, hi_strict = c, a, strict
         elif a < 0:
-            if (lo_q is None or c * lo_q < lo_p * a
+            if not (lo_q is None or c * lo_q < lo_p * a
                     or (strict and c * lo_q == lo_p * a)):
-                lo_p, lo_q, lo_strict = -c, -a, strict
+                continue
+            lo_p, lo_q, lo_strict = -c, -a, strict
         elif c < 0 or (c == 0 and strict):
             return None
+        else:
+            continue
+        if lo_q is not None and hi_q is not None:
+            lo, hi = lo_p * hi_q, hi_p * lo_q
+            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+                return None
     if lo_q is None:
         return (0, 1) if hi_q is None else (hi_p - hi_q, hi_q)
     if hi_q is None:
@@ -123,9 +134,7 @@ def _solve_1d(cons: list[tuple[int, int, bool]]) -> Optional[tuple[int, int]]:
     lo, hi = lo_p * hi_q, hi_p * lo_q
     if lo < hi:
         return lo + hi, 2 * lo_q * hi_q
-    if lo == hi and not lo_strict and not hi_strict:
-        return lo_p, lo_q
-    return None
+    return lo_p, lo_q               # lo == hi, both sides non-strict
 
 
 def feasible_ints(cons: Iterable[LinCon]
@@ -238,7 +247,10 @@ def mk_basic(halfspaces: Iterable[HalfSpace]) -> Optional[BasicPolytope]:
     form, and s = a**2 + b**2, the point ``((a*c - u*b)/s, (b*c + u*a)/s)``
     runs along h's line, and each other g = (a2, b2, c2) is the strict
     constraint ``(a*b2 - b*a2)*u < s*c2 - c*(a*a2 + b*b2)``.  So the pass
-    is O(m**2) for m half-planes and makes no Fourier-Motzkin call.
+    is O(m**2) for m half-planes and makes no Fourier-Motzkin call.  A
+    line's bounds are built as its solve reads them, and the solve stops at
+    the first one that empties the interval; but every line is tested: one
+    line without a facet does not show the intersection empty.
     """
     current = sorted(set(halfspaces))
     for h in current:
@@ -248,8 +260,8 @@ def mk_basic(halfspaces: Iterable[HalfSpace]) -> Optional[BasicPolytope]:
     kept = []
     for i, (a, b, c) in enumerate(forms):
         s = a * a + b * b
-        if _solve_1d([(a * b2 - b * a2, s * c2 - c * (a * a2 + b * b2), True)
-                      for a2, b2, c2 in forms[:i] + forms[i + 1:]]) is not None:
+        if _solve_1d((a * b2 - b * a2, s * c2 - c * (a * a2 + b * b2), True)
+                     for j, (a2, b2, c2) in enumerate(forms) if j != i) is not None:
             kept.append(current[i])
     if current and not kept:
         return None

@@ -22,7 +22,10 @@ parser carries, the compiler that pops each node twice kept for the one
 that keeps nodes on its stack, structural equality kept for the identity
 of interned nodes, the forward decode of a ``Program`` kept for
 the backward one, the ``rational``-built interval ends kept
-for the integer tokens of ``parse_intervals``, the seeded plane polytope
+for the integer tokens of ``parse_intervals``, ``rational`` through
+``Fraction`` alone kept for its int reading of exact tokens, the
+one-variable solve that reads every bound kept for the one that stops at
+the first crossing, the seeded plane polytope
 pairs of the strong-contact tests, and random formula text in the concrete
 syntax."""
 
@@ -481,6 +484,50 @@ def reference_parse_intervals(text: str):
             raise iv.IntervalFormatError(f"finite ends must use ']': {chunk.strip()!r}")
         pieces.append((lo, hi))
     return iv.canonicalize(pieces)
+
+
+def reference_rational(value) -> Fraction:
+    """``numeric.rational`` with every string through ``Fraction``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent notation in {text!r}")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+def reference_solve_1d(cons):
+    """``plane._solve_1d`` reading every bound before deciding."""
+    lo_p = lo_q = hi_p = hi_q = None  # t > / >= lo_p/lo_q, t < / <= hi_p/hi_q
+    lo_strict = hi_strict = False
+    for a, c, strict in cons:
+        if a > 0:
+            if (hi_q is None or c * hi_q < hi_p * a
+                    or (strict and c * hi_q == hi_p * a)):
+                hi_p, hi_q, hi_strict = c, a, strict
+        elif a < 0:
+            if (lo_q is None or c * lo_q < lo_p * a
+                    or (strict and c * lo_q == lo_p * a)):
+                lo_p, lo_q, lo_strict = -c, -a, strict
+        elif c < 0 or (c == 0 and strict):
+            return None
+    if lo_q is None:
+        return (0, 1) if hi_q is None else (hi_p - hi_q, hi_q)
+    if hi_q is None:
+        return lo_p + lo_q, lo_q
+    lo, hi = lo_p * hi_q, hi_p * lo_q
+    if lo < hi:
+        return lo + hi, 2 * lo_q * hi_q
+    if lo == hi and not lo_strict and not hi_strict:
+        return lo_p, lo_q
+    return None
 
 
 def _reference_solve_1d(cons):

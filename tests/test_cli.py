@@ -465,6 +465,31 @@ def test_exponent_notation_exit_2(name, text, viewport, files, capsys):
     assert "exponent notation in '1e10000000'" in captured.err
 
 
+def _main(argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["polycontact", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    return exit_.value.code
+
+
+def test_plane_tokens_through_main(files, capsys, monkeypatch):
+    # a 5,000-digit offset is over int()'s digit limit: exit 2, one line
+    write, tmp_path = files
+    path = write("long.poly", "poly { basic { 1 0 <= " + "1" * 5000 + " } }")
+    assert _main(["bool-op", "complement", path], monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a non-ASCII digit is read by Fraction, to the same polytope
+    outs = []
+    for name, three in (("ascii.poly", "3"), ("arabic.poly", "\u0663")):
+        text = f"poly {{ basic {{ 1 0 <= {three}; -1 0 <= 0; 0 1 <= 1/{three}; 0 -1 <= 0 }} }}"
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert _main(["bool-op", "complement", str(tmp_path / name)], monkeypatch) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "basic" in outs[0]
+
+
 @pytest.mark.parametrize("formula", [
     "~" * 3000 + "p == q",
     "(" * 600 + "p == q" + ")" * 600,

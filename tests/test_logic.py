@@ -345,6 +345,33 @@ class TestParser:
         assert outcome(lg.parse_term) == outcome(reference_pratt_parse_term)
 
 
+class _CountingAlgebra(FiniteContactAlgebra):
+    """A power-set algebra that counts its complements and joins."""
+
+    def __init__(self, cells, succ):
+        super().__init__(cells, succ)
+        self.calls = {"complement": 0, "join": 0}
+
+    def complement(self, x):
+        self.calls["complement"] += 1
+        return super().complement(x)
+
+    def join(self, x, y):
+        self.calls["join"] += 1
+        return super().join(x, y)
+
+
+def _distinct(f, kind) -> int:
+    """The number of distinct nodes of one type in a formula."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(lg._children(node))
+    return sum(type(node) is kind for node in seen)
+
+
 class TestEvaluate:
     def test_tautology(self):
         algebra = induced_algebra(TRIANGLE)
@@ -380,6 +407,34 @@ class TestEvaluate:
         # an even number of equal operands folds to true
         assert lg.evaluate(f, algebra, {"p": 1, "q": q})
         assert len(calls) <= 2 * 20
+
+    def test_each_distinct_subterm_computed_once(self):
+        # -(p + q + r) and p.q.r each occur three times; every disjunct is
+        # false, so each is computed and each distinct node once
+        algebra = _CountingAlgebra("ab", [1, 2])
+        f = lg.parse("p.q.r == 0 | C(p.q.r, -(p+q+r)) | -(p+q+r) == p.q.r")
+        assert not lg.evaluate(f, algebra, {"p": 1, "q": 1, "r": 1})
+        assert algebra.calls == {"complement": _distinct(f, lg.Complement),
+                                 "join": _distinct(f, lg.Join)}
+        assert algebra.calls == {"complement": 9, "join": 5}
+        # the walk over the tree computes the shared subterms again
+        tree = _CountingAlgebra("ab", [1, 2])
+        assert not reference_evaluate(f, tree, {"p": 1, "q": 1, "r": 1})
+        assert tree.calls == {"complement": 24, "join": 11}
+
+    @settings(max_examples=200, deadline=None)
+    @given(formula_texts(), st.integers(0, 2 ** 32 - 1))
+    def test_no_subterm_computed_twice(self, text, seed):
+        f = _parsed(text)
+        if f is None:
+            return
+        rng = random.Random(seed)
+        algebra = _CountingAlgebra("abc", [rng.getrandbits(3) for _ in range(3)])
+        valuation = {name: rng.getrandbits(3) for name in VALUATION_NAMES}
+        assert (lg.evaluate(f, algebra, valuation)
+                == reference_evaluate(f, FiniteContactAlgebra("abc", algebra.succ), valuation))
+        assert algebra.calls["complement"] <= _distinct(f, lg.Complement)
+        assert algebra.calls["join"] <= _distinct(f, lg.Join)
 
     def test_leq_respects_expansion(self):
         algebra = IntervalAlgebra()
@@ -1082,3 +1137,36 @@ class TestInterning:
         stale.key = key
         stale.forget()
         assert lg._INTERNED[key] is ref and lg.Variable("stale") is node
+
+
+class TestNodeRepr:
+    """A node prints in its dataclass form, cut at a fixed length, and the
+    errors that show one name its type."""
+
+    def test_small_nodes_print_in_full(self):
+        f = lg.parse("C(p, -q) | p + q == q")
+        assert repr(f) == (
+            "Or(left=Contact(left=Variable(name='p'), right=Complement(term=Variable(name='q'))), "
+            "right=Eq(left=Join(left=Variable(name='p'), right=Variable(name='q')), "
+            "right=Variable(name='q')))")
+
+    def test_iff_chain_repr_is_bounded(self):
+        # spelled out, the 12-link chain is over a million characters
+        f = lg.parse(" <=> ".join(["p == q"] * 13))
+        text = repr(f)
+        assert len(text) < 1000
+        assert text.startswith("Not(body=Or(left=Not(body=Or(") and text.endswith("...")
+
+    def test_type_error_messages_are_bounded_and_name_the_type(self):
+        f = lg.parse(" <=> ".join(["p == q"] * 13))
+        with pytest.raises(TypeError) as info:
+            lg.term_value(f, FiniteContactAlgebra("a", [1]), {})
+        message = str(info.value)
+        assert len(message) < 1000
+        assert message.startswith("not a term: Not node Not(body=")
+        with pytest.raises(TypeError, match=r"^not a formula: Variable node Variable\(name='p'\)$"):
+            lg.free_variables(lg.Variable("p"))
+        with pytest.raises(TypeError, match=r"^not a term or formula: str 'p'$"):
+            lg.compile_formula(lg.Not("p"))
+        with pytest.raises(TypeError, match=r"^not a formula: int 5$"):
+            lg.evaluate(5, FiniteContactAlgebra("a", [1]), {})

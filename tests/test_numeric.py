@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_boundary, reference_canonical, reference_key
+from helpers import reference_boundary, reference_canonical, reference_key, reference_rational
 from polycontact.numeric import (
     DimensionMismatch,
     HalfSpace,
@@ -158,6 +159,65 @@ class TestRationalExactness:
     def test_exponent_notation_rejected(self, text):
         with pytest.raises(ValueError, match="exponent notation"):
             rational(text)
+
+
+def _reading(read, value):
+    """The value read, or the type and message of the error raised."""
+    try:
+        x = read(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), x
+
+
+# strings of each kind that ``rational`` leaves to ``Fraction``, and exact
+# tokens at the edges of the int reading
+_LONG = "1" * 5000
+RATIONAL_CORPUS = [
+    "1_000", "1__0", "_1", "\u0663/\u0664", "\u0663", "+3/4", "-3/4", " 7 ", "7 /8", "7/ 8", "\t-2\n",
+    "1.5", ".5", "5.", "1e5", "3/0", "0/0", "-0/0", "3/-4", "3/+4", "+-3", "--3", "", " ", "/",
+    "3/", "/4", "3//4", "3/4/5", "0", "-0", "+0", "007", "0/7", "12/18", "-12/18",
+    "-5/1", "3\n", "\n3", "1/2 ", "\uff13", _LONG, "-" + _LONG, _LONG + "/7", "7/" + _LONG,
+    _LONG + "/" + _LONG, "0" * 5000 + "/0", "3/" + "0" * 5000, "1" * 4300 + "/" + "3" * 4300,
+]
+
+
+class TestRationalMatchesReference:
+    """``rational``, which reads exact ASCII tokens with ``int()``, against
+    the body that read every string with ``Fraction``: the same value, or
+    an error of the same type with the same message."""
+
+    @pytest.mark.parametrize("text", RATIONAL_CORPUS, ids=range(len(RATIONAL_CORPUS)))
+    def test_corpus(self, text):
+        assert _reading(rational, text) == _reading(reference_rational, text)
+
+    @pytest.mark.parametrize("value", [5, -7, True, F(3, 4), 0.5, None, b"3", [1]])
+    def test_other_types(self, value):
+        assert _reading(rational, value) == _reading(reference_rational, value)
+
+    def test_exact_tokens_read_as_ints(self):
+        # no exact token reaches Fraction's string parser
+        real = F.__new__
+
+        def refuse_strings(cls, numerator=0, denominator=None, **kwargs):
+            assert not isinstance(numerator, str), numerator
+            return real(cls, numerator, denominator, **kwargs)
+
+        with mock.patch.object(F, "__new__", refuse_strings):
+            assert [rational(t) for t in ("12/18", "-3", "+0/5", "007")] == [
+                F(2, 3), F(-3), F(0), F(7)]
+
+    def test_seeded_token_sweep(self):
+        rng = random.Random(28)
+        alphabet = "0123456789+-/_. e"
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            assert _reading(rational, text) == _reading(reference_rational, text), text
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789+-/_. e", max_size=12))
+    def test_text(self, text):
+        assert _reading(rational, text) == _reading(reference_rational, text)
 
 
 class TestSqrtLower:

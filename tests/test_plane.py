@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -10,7 +11,7 @@ from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
 from helpers import (
     SC_PAIR_KINDS, reference_feasible_point, reference_fm_mk_basic, reference_mk_basic,
-    reference_sc_witness, reference_sign_masks, sc_pair)
+    reference_sc_witness, reference_sign_masks, reference_solve_1d, sc_pair)
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -406,6 +407,50 @@ def test_mk_basic_equals_fraction_reference(cons):
     if got is not None:
         assert got.interior_point() == reference_feasible_point(
             [(*h.normal, h.offset, True) for h in got.constraints])
+
+
+def _one_variable_system(rng):
+    """0-9 int constraints ``a*t (<|<=) c`` with small a and c, so that
+    bounds often tie, and a = 0 now and then."""
+    return [(rng.randint(-3, 3), rng.randint(-6, 6), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 9))]
+
+
+def test_solve_1d_equals_full_scan():
+    # the same verdict and witness as the scan that reads every bound
+    rng = random.Random(28)
+    empty = 0
+    for _ in range(20000):
+        cons = _one_variable_system(rng)
+        got = pl._solve_1d(cons)
+        assert got == reference_solve_1d(cons), cons
+        empty += got is None
+    assert 5000 < empty < 15000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-10 ** 6, 10 ** 6), st.booleans()),
+                max_size=12))
+@example([(1, 0, False), (-1, 0, False)])                    # a point, t = 0
+@example([(1, 0, True), (-1, 0, False)])                     # t < 0 and t >= 0
+@example([(2, 1, False), (-4, -2, False), (3, 1, True)])     # t = 1/2, then t < 1/3
+@example([(0, 0, False), (0, 0, True)])                      # 0 <= 0, then 0 < 0
+def test_solve_1d_equals_full_scan_on_drawn_systems(cons):
+    assert pl._solve_1d(cons) == reference_solve_1d(cons)
+
+
+def test_solve_1d_stops_at_first_crossing():
+    # t < 0 and t > 1 cross at the second bound: the rest is not read
+    rest = iter([(1, 5, False)] * 3)
+    assert pl._solve_1d(itertools.chain([(1, 0, True), (-1, -1, True)], rest)) is None
+    assert len(list(rest)) == 3
+    # meeting bounds with a strict side stop it too; non-strict ones do not
+    rest = iter([(1, 5, False)] * 3)
+    assert pl._solve_1d(itertools.chain([(1, 1, False), (-1, -1, True)], rest)) is None
+    assert len(list(rest)) == 3
+    rest = iter([(1, 5, False)] * 3)
+    assert pl._solve_1d(itertools.chain([(1, 1, False), (-1, -1, False)], rest)) == (1, 1)
+    assert list(rest) == []
 
 
 def test_mk_basic_equals_fourier_motzkin_on_small_sets():

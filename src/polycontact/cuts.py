@@ -19,23 +19,27 @@ the sheet's side on every other cut, and its two flanks are bricks.  The
 bricks are the open faces of the arrangement (``plane.faces``), found with
 one Fourier-Motzkin core point each, O(k^2) for k cuts, and no search over
 the 2^k alternatives.  Which bricks a polytope fills is read off their
-sign vectors (``plane.fills``), so its boundary representation needs no
+sign vectors with one compare per part (``plane.flanks`` tests both flanks
+of an edge at once), so its boundary representation needs no
 Fourier-Motzkin call and no point test at all.
 
 The walk yields an edge's ends as ints over a common denominator, and no
-point.  A sheet's ends become ``Fraction`` parameters.  Every point is
-built by ``plane.line_point`` from the carrier's integer form and an int
-parameter ``p/q``, one ``Fraction`` per coordinate: a sheet's inner point
-(``plane.edge_point``) and its ``sheet_points``, whose parameters are read
-off the numerators and denominators of its ends.  Points are built only
-for the sheets returned: ``boundary_representation`` builds them for its
-boundary sheets and corners alone, and it collects the corners from the
-edges' int ends as reduced int triples (``plane.line_point_ints``), so
-each distinct corner becomes ``Fraction``s once.
+point.  A ``Sheet`` is built from the edge's ints and keeps them; its
+``Fraction`` ends, its inner point ``rep`` and its ``other_signs`` are
+derived on first read, so ``boundary_representation`` builds none of them.
+Every point is built by ``plane.line_point`` from the carrier's integer
+form and an int parameter ``p/q``, one ``Fraction`` per coordinate: a
+sheet's ``rep`` (``plane.edge_point``) and its ``sheet_points``, whose
+parameters are read off its int ends and denominator.
+``boundary_representation`` collects the corners from the edges' int ends
+as reduced int triples (``plane.line_point_ints``), sorts them on ints over
+one common denominator (``sorted_corners``), and builds each distinct
+corner's ``Fraction``s once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -47,7 +51,7 @@ from .plane import (
     core_point,
     edge_point,
     faces,
-    fills,
+    flanks,
     line_point,
     line_point_ints,
     sign_masks,
@@ -113,7 +117,9 @@ def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
     return tuple(bricks)
 
 
-@dataclass(frozen=True)
+_UNSET = object()
+
+
 class Sheet:
     """Maximal open piece of a cut between consecutive system vertices.
 
@@ -121,50 +127,115 @@ class Sheet:
     for an unbounded end); ``rep`` is an interior point of the piece;
     ``other_signs`` records, for each other cut, the side the whole sheet
     lies in (strictly, since sheets avoid all vertices).
+
+    A sheet is built from an edge ``(mu, lo, hi, den, above)`` of
+    ``arrangement_edges(cuts)``, ints, and keeps them: ``lo``, ``hi``,
+    ``rep`` and ``other_signs`` are derived on first read, so a sheet that
+    is only collected, or whose points are read by ``sheet_points``, builds
+    no ``Fraction`` and no tuple of signs.  Equality, hash and ``repr`` are
+    those of the record of the five fields; two sheets of one cut system
+    are compared on their carriers and int ends alone.
     """
 
-    carrier: Hyperplane
-    lo: Fraction | None
-    hi: Fraction | None
-    rep: Point
-    other_signs: tuple[tuple[Hyperplane, int], ...]
+    __slots__ = ("_mu", "_cuts", "_lo", "_hi", "_den", "_above",
+                 "_lo_param", "_hi_param", "_rep", "_other_signs", "_hash")
 
+    def __init__(self, cuts: tuple[Hyperplane, ...], mu: Hyperplane,
+                 lo: Optional[int], hi: Optional[int], den: int, above: int):
+        self._mu = mu
+        self._cuts = cuts
+        self._lo = lo
+        self._hi = hi
+        self._den = den
+        self._above = above
+        self._lo_param = self._hi_param = self._rep = self._other_signs = _UNSET
+        self._hash = None
 
-def _param(end: Optional[int], den: int) -> Optional[Fraction]:
-    return None if end is None else Fraction(end, den)
+    @property
+    def carrier(self) -> Hyperplane:
+        return self._mu
 
+    @property
+    def lo(self) -> Optional[Fraction]:
+        if self._lo_param is _UNSET:
+            self._lo_param = None if self._lo is None else Fraction(self._lo, self._den)
+        return self._lo_param
 
-def _sheet(cuts: tuple[Hyperplane, ...], mu: Hyperplane, lo: Optional[int],
-           hi: Optional[int], den: int, above: int) -> Sheet:
-    """The sheet of an edge yielded by ``arrangement_edges(cuts)``."""
-    signs = tuple((nu, -1 if above >> j & 1 else 1)
-                  for j, nu in enumerate(cuts) if nu is not mu)
-    return Sheet(mu, _param(lo, den), _param(hi, den), edge_point(mu, lo, hi, den), signs)
+    @property
+    def hi(self) -> Optional[Fraction]:
+        if self._hi_param is _UNSET:
+            self._hi_param = None if self._hi is None else Fraction(self._hi, self._den)
+        return self._hi_param
+
+    @property
+    def rep(self) -> Point:
+        if self._rep is _UNSET:
+            self._rep = edge_point(self._mu, self._lo, self._hi, self._den)
+        return self._rep
+
+    @property
+    def other_signs(self) -> tuple[tuple[Hyperplane, int], ...]:
+        if self._other_signs is _UNSET:
+            above, mu = self._above, self._mu
+            self._other_signs = tuple((nu, -1 if above >> j & 1 else 1)
+                                      for j, nu in enumerate(self._cuts) if nu is not mu)
+        return self._other_signs
+
+    def _fields(self) -> tuple:
+        return self.carrier, self.lo, self.hi, self.rep, self.other_signs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Sheet:
+            return NotImplemented
+        if self._cuts is other._cuts or self._cuts == other._cuts:
+            # one cut system gives a carrier's edges one denominator, and
+            # the carrier and the ends fix the edge, its rep and its signs
+            return self._mu == other._mu and self._lo == other._lo and self._hi == other._hi
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._fields())
+        return self._hash
+
+    def __repr__(self) -> str:
+        carrier, lo, hi, rep, other_signs = self._fields()
+        return (f"Sheet(carrier={carrier!r}, lo={lo!r}, hi={hi!r}, rep={rep!r}, "
+                f"other_signs={other_signs!r})")
 
 
 def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
-    return tuple(_sheet(cs.cuts, *edge) for edge in arrangement_edges(cs.cuts))
+    return tuple(Sheet(cs.cuts, *edge) for edge in arrangement_edges(cs.cuts))
 
 
 def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
     """A few interior points of the sheet (for uniformity checks): at
     parameters 0, 1, ... on an uncrossed cut, 1, 2, ... past a single end,
-    and spaced evenly between two ends."""
-    lo, hi = sheet.lo, sheet.hi
+    and spaced evenly between two ends.  The parameters are read off the
+    sheet's int ends over its denominator; no end ``Fraction`` is built."""
+    lo, hi, den = sheet._lo, sheet._hi, sheet._den
     if lo is None and hi is None:
         ts = [(k, 1) for k in range(count)]
     elif lo is None:
-        p, q = hi.numerator, hi.denominator
-        ts = [(p - (k + 1) * q, q) for k in range(count)]
+        ts = [(hi - (k + 1) * den, den) for k in range(count)]
     elif hi is None:
-        p, q = lo.numerator, lo.denominator
-        ts = [(p + (k + 1) * q, q) for k in range(count)]
+        ts = [(lo + (k + 1) * den, den) for k in range(count)]
     else:
         # lo + (hi - lo) * (k + 1) / (count + 1), over one denominator
-        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-        q = lo.denominator * hi.denominator * (count + 1)
-        ts = [(a * (count + 1) + (b - a) * (k + 1), q) for k in range(count)]
+        q = den * (count + 1)
+        ts = [(lo * (count + 1) + (hi - lo) * (k + 1), q) for k in range(count)]
     return tuple(line_point(sheet.carrier, p, q) for p, q in ts)
+
+
+def sorted_corners(triples: Iterable[tuple[int, int, int]]) -> tuple[Point, ...]:
+    """The points ``(x/d, y/d)`` of int triples (d nonzero), sorted as
+    ``Fraction`` pairs: the sort is on ints, every coordinate put over the
+    lcm of the denominators, and each point's ``Fraction``s are built once,
+    in order."""
+    triples = list(triples)
+    lcm = math.lcm(*(d for _, _, d in triples))
+    keyed = sorted((x * (lcm // d), y * (lcm // d), x, y, d) for x, y, d in triples)
+    return tuple((Fraction(x, d), Fraction(y, d)) for _, _, x, y, d in keyed)
 
 
 @dataclass(frozen=True)
@@ -181,7 +252,7 @@ def boundary_representation(poly: PlanePolytope,
 
     One walk over the edges of the cut arrangement: a sheet belongs to the
     boundary iff the polytope fills exactly one of its two flanking faces
-    (``plane.fills`` on their sign vectors).  The corner points are the
+    (``plane.flanks`` on their sign vectors).  The corner points are the
     system vertices on the boundary, and they are the finite ends of the
     boundary sheets, sorted: a vertex is on the boundary exactly when its
     incident faces are mixed, some filled and some not; the faces around
@@ -192,16 +263,17 @@ def boundary_representation(poly: PlanePolytope,
     boundary and yield empty parts.
     """
     cs = CutSystem.for_polytope(poly, extra_cuts)
-    masks = sign_masks(poly, {cut: j for j, cut in enumerate(cs.cuts)})
-    own_bit = {id(cut): 1 << j for j, cut in enumerate(cs.cuts)}
+    cuts = cs.cuts
+    masks = sign_masks(poly, {cut: j for j, cut in enumerate(cuts)})
+    own_bit = {id(cut): 1 << j for j, cut in enumerate(cuts)}
     boundary, corners = [], set()
-    for edge in arrangement_edges(cs.cuts):
+    for edge in arrangement_edges(cuts):
         mu, lo, hi, den, above = edge
-        if fills(masks, above | own_bit[id(mu)]) != fills(masks, above):
-            boundary.append(_sheet(cs.cuts, *edge))
+        plus, minus = flanks(masks, above, own_bit[id(mu)])
+        if plus != minus:
+            boundary.append(Sheet(cuts, *edge))
             # each corner once, as reduced ints, before any Fraction
             for end in (lo, hi):
                 if end is not None:
                     corners.add(line_point_ints(mu, end, den))
-    points = sorted((Fraction(x, d), Fraction(y, d)) for x, y, d in corners)
-    return BoundaryRepresentation(cs, tuple(boundary), tuple(points))
+    return BoundaryRepresentation(cs, tuple(boundary), sorted_corners(corners))

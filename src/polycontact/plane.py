@@ -29,20 +29,23 @@ Contact relations, strongest to weakest:
 Face membership has one kernel.  When every constraint line of a polytope
 is a line of an arrangement, each open face of the arrangement lies inside
 the polytope or misses it, and which is read off the face's sign vector
-(``sign_masks``, ``fills``).  ``arrangement_edges`` walks the edges of the
-arrangement carrying their sign vectors as bitmasks, so the open faces
-(``faces``) and the two flanks of each edge are known with no point probe
-and no Fourier-Motzkin call.  The walk is on integers: each line's
-crossings are ints over one common denominator, and an edge's ends are
-two of them.  It builds no point; ``edge_point`` builds the exact point
-inside an edge for the callers that need one, the facet edge of
-``contact_sc``/``sc_witness`` and the sheets of ``cuts``.  Such points
-come from ``line_point``: the point at an int parameter ``p/q`` of a line,
-computed on the line's integer form with one ``Fraction`` per coordinate;
-``line_point_ints`` gives it as reduced ints, on which ``cuts``
-deduplicates the corners of a boundary.
-``equals``, the facet search of strong contact and the boundary machinery
-of ``cuts`` are tests on these sign vectors.  Half-planes and lines are
+with one compare per part: ``sign_masks`` gives each part the bits of its
+lines (``care``) and the sides it needs (``need``), and the part fills the
+face with sign vector ``f`` exactly when ``f & care == need`` (``fills``).
+``arrangement_edges`` walks the edges of the arrangement carrying their
+sign vectors as bitmasks, so the open faces (``faces``) and the two flanks
+of each edge are known with no point probe and no Fourier-Motzkin call.
+``flanks`` tests both flanks of an edge in one pass over the parts; it is
+the one test of ``equals``, of the facet search of strong contact and of
+the boundary of ``cuts``.  The walk is on integers: each line's crossings
+are ints over one common denominator, and an edge's ends are two of them.
+It builds no point; ``edge_point`` builds the exact point inside an edge
+for the callers that need one, the facet edge of
+``contact_sc``/``sc_witness`` and a sheet's ``rep`` in ``cuts``.  Such
+points come from ``line_point``: the point at an int parameter ``p/q`` of a
+line, computed on the line's integer form with one ``Fraction`` per
+coordinate; ``line_point_ints`` gives it as reduced ints, on which ``cuts``
+deduplicates the corners of a boundary.  Half-planes and lines are
 compared, hashed and sorted on their integer forms (``numeric``), so
 ``mk_basic``, ``constraint_lines`` and the pooling of two polytopes' lines
 sort and deduplicate on ints, and ``sign_masks`` reads a half-plane's side
@@ -316,10 +319,20 @@ class PlanePolytope:
 
         Each polytope is the closure of the faces it fills, and regular
         closed sets are equal exactly when they agree on a dense open set,
-        so the test is exact; it makes no Fourier-Motzkin call.
+        so the test is exact; it makes no Fourier-Motzkin call.  Every face
+        flanks an edge of the arrangement (``faces``), so the walk compares
+        the ``flanks`` of each edge and stops at the first that differ; with
+        no line, the one face is the plane.
         """
         lines, p_masks, q_masks = _pooled(self, other)
-        return all(fills(p_masks, f) == fills(q_masks, f) for f in faces(lines))
+        if not lines:
+            return fills(p_masks, 0) == fills(q_masks, 0)
+        own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
+        for mu, _, _, _, above in arrangement_edges(lines):
+            bit = own_bit[id(mu)]
+            if flanks(p_masks, above, bit) != flanks(q_masks, above, bit):
+                return False
+        return True
 
     def contact_c(self, other: "PlanePolytope") -> bool:
         return contact_c(self, other)
@@ -518,8 +531,10 @@ def faces(lines: Sequence[Hyperplane]) -> set[int]:
 
 def sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
                ) -> list[tuple[int, int]]:
-    """Per part, ``(need_pos, need_neg)``: the bits of the indexed lines the
-    part's interior lies on the positive, and on the negative, side of.
+    """Per part, ``(care, need)``: ``care`` has the bits of the indexed lines
+    that carry one of the part's half-planes, and ``need`` those of them the
+    part's interior lies on the positive side of.  So the part fills the open
+    face with sign vector ``f`` exactly when ``f & care == need``.
 
     A half-plane whose lead coefficient is 1, as its boundary's is, is the
     negative side of that line; one whose lead is -1 is the positive side.
@@ -527,23 +542,47 @@ def sign_masks(poly: PlanePolytope, index: dict[Hyperplane, int]
     """
     masks = []
     for part in poly.parts:
-        need_pos = need_neg = 0
+        care = need = 0
         for h in part.constraints:
             bit = 1 << index[h.boundary()]
+            care |= bit
             a, b, _ = h.integer_form
-            if (a or b) > 0:
-                need_neg |= bit
-            else:
-                need_pos |= bit
-        masks.append((need_pos, need_neg))
+            if (a or b) < 0:
+                need |= bit
+        masks.append((care, need))
     return masks
 
 
 def fills(masks: list[tuple[int, int]], face: int) -> bool:
     """Whether the polytope with these part masks contains the open face
     with sign vector ``face`` (bit set: positive side)."""
-    return any(face & need_pos == need_pos and not face & need_neg
-               for need_pos, need_neg in masks)
+    return any(face & care == need for care, need in masks)
+
+
+def flanks(masks: list[tuple[int, int]], above: int, bit: int) -> tuple[bool, bool]:
+    """``(fills(masks, above | bit), fills(masks, above))``: whether the
+    polytope fills each flank of an edge of ``arrangement_edges``, ``above``
+    its sign vector and ``bit`` its own line's bit.
+
+    One compare per part: with ``r = above & care ^ need``, the part fills
+    the flank ``above`` when r is 0, and the flank ``above | bit`` when r is
+    ``bit & care``, so a part that does not care about the edge's line
+    fills both flanks or neither.
+    """
+    plus = minus = False
+    for care, need in masks:
+        r = above & care ^ need
+        if not r:
+            minus = True
+            if not bit & care:
+                plus = True
+        elif r == bit:
+            plus = True
+        else:
+            continue
+        if plus and minus:
+            break
+    return plus, minus
 
 
 def _pooled(p: PlanePolytope, q: PlanePolytope):
@@ -572,7 +611,7 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope,
     (``_common_point``), its walls the parts' half-planes.  Otherwise the
     facet search walks the edges of the arrangement of the pooled
     constraint lines (``arrangement_edges``) and reads which polytope fills
-    each flank off its sign vector (``fills``).  An edge on ``mu`` is a
+    each flank off its sign vector (``flanks``).  An edge on ``mu`` is a
     shared crossing facet when one polytope fills its flank
     ``above | bit(mu)`` and the other its flank ``above``; the point is
     that of the first such edge in walk order (``edge_point``, the one
@@ -592,9 +631,12 @@ def _sc_analysis(p: PlanePolytope, q: PlanePolytope,
     if stats is not None:
         edges = _counted(edges, stats)
     for mu, lo, hi, den, above in edges:
-        plus = above | own_bit[id(mu)]
-        if ((fills(p_masks, plus) and fills(q_masks, above))
-                or (fills(p_masks, above) and fills(q_masks, plus))):
+        bit = own_bit[id(mu)]
+        p_plus, p_minus = flanks(p_masks, above, bit)
+        if not (p_plus or p_minus):
+            continue
+        q_plus, q_minus = flanks(q_masks, above, bit)
+        if (p_plus and q_minus) or (p_minus and q_plus):
             return (edge_point(mu, lo, hi, den),
                     [nu.integer_form for nu in lines if nu is not mu], mu)
     return None

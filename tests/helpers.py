@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
@@ -417,6 +418,26 @@ def reference_sheet_points(sheet, count=3):
     return tuple(pl.point_on(base, direction, t) for t in ts)
 
 
+@dataclass(frozen=True)
+class EagerSheet:
+    """``cuts.Sheet`` as a plain frozen record: every field built from the
+    edge at once."""
+
+    carrier: Hyperplane
+    lo: Optional[Fraction]
+    hi: Optional[Fraction]
+    rep: tuple[Fraction, Fraction]
+    other_signs: tuple[tuple[Hyperplane, int], ...]
+
+
+def eager_sheet(cuts, mu, lo, hi, den, above):
+    """The ``EagerSheet`` of an edge of ``plane.arrangement_edges(cuts)``."""
+    signs = tuple((nu, -1 if above >> j & 1 else 1)
+                  for j, nu in enumerate(cuts) if nu is not mu)
+    ends = (None if end is None else Fraction(end, den) for end in (lo, hi))
+    return EagerSheet(mu, *ends, pl.edge_point(mu, lo, hi, den), signs)
+
+
 def reference_walk_boundary_representation(poly, extra_cuts=()):
     """``cuts.boundary_representation`` with the own bits keyed by line and
     each corner built by ``point_on`` at a sheet's ``Fraction`` end."""
@@ -427,7 +448,7 @@ def reference_walk_boundary_representation(poly, extra_cuts=()):
     for edge in pl.arrangement_edges(cs.cuts):
         mu, _, _, _, above = edge
         if pl.fills(masks, above | 1 << index[mu]) != pl.fills(masks, above):
-            sheet = cu._sheet(cs.cuts, *edge)
+            sheet = cu.Sheet(cs.cuts, *edge)
             boundary.append(sheet)
             base, direction = pl.line_param(mu)
             corners.update(pl.point_on(base, direction, t)
@@ -735,6 +756,30 @@ def sc_pair(rng, kind):
     else:
         b = translated(a, Fraction(rng.choice((-11, 11))), Fraction(rng.randint(-11, 11)))
     return a, b
+
+
+def facet_pair_sc(p, q):
+    """Strong contact by pairs of parts: overlap (a common interior point),
+    or a part a of p with a half-plane h and a part b of q with ``flip(h)``
+    whose other constraints leave an open interval of h's line, found by
+    one ``_solve_1d`` on the line as in ``plane.mk_basic``.  Then a and b
+    lie on opposite sides of that segment, a shared crossing facet."""
+    if pl._common_point(p, q, True) is not None:
+        return True
+    for a in p.parts:
+        for b in q.parts:
+            for h in a.constraints:
+                opposite = flip(h)
+                if opposite not in b.constraints:
+                    continue
+                A, B, C = h.integer_form
+                s = A * A + B * B
+                others = [g.integer_form for g in a.constraints + b.constraints
+                          if g != h and g != opposite]
+                if pl._solve_1d((A * b2 - B * a2, s * c2 - C * (A * a2 + B * b2), True)
+                                for a2, b2, c2 in others) is not None:
+                    return True
+    return False
 
 
 def reference_sign_masks(poly, index):

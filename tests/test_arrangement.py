@@ -10,10 +10,11 @@ denominators near 10^6.  ``plane.line_point``, which builds every such
 point from a line's integer form, is compared with ``point_on`` at the
 ``Fraction`` parameter on vertical, horizontal and general lines.
 
-``plane.arrangement_edges`` carries each edge's sign vector as a bitmask;
-the facet search, ``PlanePolytope.equals``, ``cuts.sheets``,
-``cuts.brick_decomposition`` and ``cuts.boundary_representation`` read
-their answers off it.  Each is checked against the point-probing or
+``plane.arrangement_edges`` carries each edge's sign vector as a bitmask,
+and ``plane.flanks`` tests both flanks of an edge with one compare per
+part, checked equal to ``plane.fills`` on each flank.  The facet search,
+``PlanePolytope.equals``, ``cuts.sheets``, ``cuts.brick_decomposition``
+and ``cuts.boundary_representation`` read their answers off them.  Each is checked against the point-probing or
 Fourier-Motzkin reference it replaced (``tests/helpers.py``) on random cut
 systems of 1-9 lines with parallel families (normals in {-2..2}^2) and
 pencils of concurrent lines, and on random polytopes with translated,
@@ -271,6 +272,20 @@ def test_bricks_and_sheets_match_references(lines):
     assert cu.brick_decomposition(cs) == exhaustive_brick_decomposition(cs)
     for sheet in cu.sheets(cs):
         assert sheet.other_signs == evaluated_other_signs(cs, sheet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), line_lists())
+def test_flanks_equal_fills_on_every_edge(data, lines):
+    # masks of one polytope over the lines, and of two pooled (their union)
+    index = {line: j for j, line in enumerate(lines)}
+    p, q = data.draw(polytope_over(lines)), data.draw(polytope_over(lines))
+    p_masks, q_masks = pl.sign_masks(p, index), pl.sign_masks(q, index)
+    for masks in (p_masks, q_masks, p_masks + q_masks):
+        for mu, _, _, _, above in pl.arrangement_edges(lines):
+            bit = 1 << index[mu]
+            assert pl.flanks(masks, above, bit) == (pl.fills(masks, above | bit),
+                                                    pl.fills(masks, above))
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,8 +14,9 @@ from polycontact.algebra import FiniteContactAlgebra, PlaneAlgebra, audit_axioms
 from polycontact.numeric import HalfSpace, Hyperplane
 from polycontact.plane import _as_con, feasible_point
 from helpers import (
-    demorgan_equals, flank_signs, polytope_brick_signs, reference_boundary_representation,
-    reference_sheet_points, reference_walk_boundary_representation)
+    demorgan_equals, eager_sheet, flank_signs, polytope_brick_signs,
+    reference_boundary_representation, reference_sheet_points,
+    reference_walk_boundary_representation)
 
 X_AXIS = Hyperplane((F(0), F(1)), F(0))
 Y_AXIS = Hyperplane((F(1), F(0)), F(0))
@@ -266,13 +267,85 @@ def test_boundary_path_matches_fraction_references():
             assert rep == reference_walk_boundary_representation(poly, extra)
             assert rep == reference_boundary_representation(poly, extra)
             assert all(type(v) is F for corner in rep.corner_points for v in corner)
-            for sheet in rep.boundary_sheets:
+            for sheet in rep.boundary_sheets + cu.sheets(cs):
                 for count in (1, 3, 4):
                     points = cu.sheet_points(sheet, count)
                     assert points == reference_sheet_points(sheet, count)
                     assert all(type(v) is F for point in points for v in point)
             compared += len(rep.corner_points)
     assert compared > 500
+
+
+def assert_sheets_are_eager_records(cuts, sheets, edges):
+    """Each sheet compares, hashes and prints as the eager record of its
+    edge, and two sheets are equal exactly when their records are."""
+    records = [eager_sheet(cuts, *edge) for edge in edges]
+    for sheet, record in zip(sheets, records, strict=True):
+        assert repr(sheet) == "Sheet" + repr(record)[len("EagerSheet"):]
+        assert hash(sheet) == hash(record)
+        assert (sheet.carrier, sheet.lo, sheet.hi, sheet.rep, sheet.other_signs) == (
+            record.carrier, record.lo, record.hi, record.rep, record.other_signs)
+    return records
+
+
+def test_sheets_compare_hash_and_repr_as_eager_records():
+    # the sheets of one system, of an equal system built apart, of the
+    # system with one more cut, of its cuts with the first moved last
+    # (whose sheets on that cut equal the first system's), and a
+    # polytope's boundary sheets
+    rng = random.Random(23)
+    for _ in range(25):
+        poly, unused = polytope_with_cuts(rng)
+        cs = cu.CutSystem.for_polytope(poly)
+        same = cu.CutSystem.of(list(cs.cuts))
+        wider = cu.CutSystem.of(list(cs.cuts) + unused[:1])
+        moved = cu.CutSystem(cs.cuts[1:] + cs.cuts[:1])
+        assert same.cuts is not cs.cuts
+        sheets, records = [], []
+        for system in (cs, same, wider, moved):
+            got = cu.sheets(system)
+            sheets += got
+            records += assert_sheets_are_eager_records(
+                system.cuts, got, pl.arrangement_edges(system.cuts))
+        rep = cu.boundary_representation(poly)
+        index = {cut: j for j, cut in enumerate(cs.cuts)}
+        masks = pl.sign_masks(poly, index)
+        boundary = [(mu, *ends, above) for mu, *ends, above in pl.arrangement_edges(cs.cuts)
+                    if pl.fills(masks, above | 1 << index[mu]) != pl.fills(masks, above)]
+        sheets += rep.boundary_sheets
+        records += assert_sheets_are_eager_records(cs.cuts, rep.boundary_sheets, boundary)
+        for s, r in zip(sheets, records):
+            assert [s == t for t in sheets] == [r == u for u in records]
+        assert len(set(sheets)) == len(set(records))
+
+
+def test_boundary_representation_builds_no_edge_point(monkeypatch):
+    # a sheet's rep is derived on first read, and nothing on the boundary
+    # path reads it
+    def refuse(*edge):
+        raise AssertionError("edge_point called")
+
+    monkeypatch.setattr(pl, "edge_point", refuse)
+    monkeypatch.setattr(cu, "edge_point", refuse)
+    rng = random.Random(19)
+    for _ in range(30):
+        poly, unused = polytope_with_cuts(rng)
+        for extra in ([], unused):
+            rep = cu.boundary_representation(poly, extra)
+            assert rep == reference_walk_boundary_representation(poly, extra)
+            assert rep == reference_boundary_representation(poly, extra)
+
+
+triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                    st.integers(-12, 12).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(triples, max_size=12))
+def test_sorted_corners_equal_fraction_sort(points):
+    got = cu.sorted_corners(points)
+    assert got == tuple(sorted((F(x, d), F(y, d)) for x, y, d in points))
+    assert all(type(v) is F for point in got for v in point)
 
 
 def sheet_graph(cs):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
 from helpers import (
-    SC_PAIR_KINDS, reference_feasible_point, reference_fm_mk_basic, reference_mk_basic,
-    reference_sc_witness, reference_sign_masks, reference_solve_1d, sc_pair)
+    SC_PAIR_KINDS, facet_pair_sc, mirrored, reference_feasible_point, reference_fm_mk_basic,
+    reference_mk_basic, reference_sc_witness, reference_sign_masks, reference_solve_1d, sc_pair)
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -495,7 +495,9 @@ def test_sign_masks_equal_fraction_reference(parts):
         for cons in parts))
     lines = poly.constraint_lines()
     index = {line: j for j, line in enumerate(lines)}
-    assert pl.sign_masks(poly, index) == reference_sign_masks(poly, index)
+    # sign_masks gives (care, need), the reference (need_pos, need_neg)
+    assert pl.sign_masks(poly, index) == [
+        (need_pos | need_neg, need_pos) for need_pos, need_neg in reference_sign_masks(poly, index)]
 
 
 def test_sc_explanation_matches_the_verdicts():
@@ -585,3 +587,56 @@ def test_sc_witness_on_axis_walls_and_fractional_centres():
         assert pl.sc_witness_valid(a, b, *got)
         denominators.update(v.denominator for v in got[0])
     assert max(denominators) > 1
+
+
+# ---------------------------------------------------------------------------
+# strong contact against the facet criterion on pairs of parts
+# ---------------------------------------------------------------------------
+
+def assert_sc_is_facet_pair_criterion(pairs):
+    """``contact_sc`` equals ``facet_pair_sc`` on every pair; returns how
+    many verdicts were shared facets, SC without overlap."""
+    facets = 0
+    for a, b in pairs:
+        sc = pl.contact_sc(a, b)
+        assert sc == facet_pair_sc(a, b), (pl.format_plane(a), pl.format_plane(b))
+        facets += sc and not pl.overlap(a, b)
+    return facets
+
+
+@pytest.mark.parametrize("kind", SC_PAIR_KINDS)
+def test_contact_sc_is_facet_pair_criterion_on_sc_pairs(kind):
+    pairs = [sc_pair(random.Random(seed), kind) for seed in range(400)]
+    facets = assert_sc_is_facet_pair_criterion(pairs)
+    # corner and mirrored copies share facets; far copies never touch
+    assert facets == 0 if kind == "far" else facets > 0
+    if kind != "random":
+        # a bounded polytope shares its facets with its complement, and
+        # overlaps itself
+        bounded = [a for a, _ in pairs]
+        assert assert_sc_is_facet_pair_criterion(
+            (a, b) for a in bounded for b in (a.complement(), a)) == len(bounded)
+
+
+def test_contact_sc_is_facet_pair_criterion_on_random_pairs():
+    rng = random.Random(29)
+    pairs = []
+    for i in range(1500):
+        bounded = i % 2 == 1
+        pairs.append((pl.random_plane_polytope(rng, bounded=bounded),
+                      pl.random_plane_polytope(rng, bounded=bounded)))
+    assert assert_sc_is_facet_pair_criterion(pairs) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from(("random", "mirrored", "complement")))
+def test_contact_sc_is_facet_pair_criterion_on_drawn_pairs(seed, bounded, kind):
+    rng = random.Random(seed)
+    a = pl.random_plane_polytope(rng, bounded=bounded)
+    if kind == "random":
+        b = pl.random_plane_polytope(rng, bounded=bounded)
+    elif kind == "mirrored":
+        b = mirrored(a, rng)
+    else:
+        b = pl.random_plane_polytope(rng, bounded=bounded).complement()
+    assert_sc_is_facet_pair_criterion([(a, b), (b, a)])

@@ -133,12 +133,12 @@ class Sheet:
     ``rep`` and ``other_signs`` are derived on first read, so a sheet that
     is only collected, or whose points are read by ``sheet_points``, builds
     no ``Fraction`` and no tuple of signs.  Equality, hash and ``repr`` are
-    those of the record of the five fields; two sheets of one cut system
-    are compared on their carriers and int ends alone.
+    those of the record of the five fields, and a copy or a pickle is
+    rebuilt from the ints.
     """
 
     __slots__ = ("_mu", "_cuts", "_lo", "_hi", "_den", "_above",
-                 "_lo_param", "_hi_param", "_rep", "_other_signs", "_hash")
+                 "_lo_param", "_hi_param", "_rep", "_other_signs")
 
     def __init__(self, cuts: tuple[Hyperplane, ...], mu: Hyperplane,
                  lo: Optional[int], hi: Optional[int], den: int, above: int):
@@ -149,7 +149,6 @@ class Sheet:
         self._den = den
         self._above = above
         self._lo_param = self._hi_param = self._rep = self._other_signs = _UNSET
-        self._hash = None
 
     @property
     def carrier(self) -> Hyperplane:
@@ -187,16 +186,14 @@ class Sheet:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Sheet:
             return NotImplemented
-        if self._cuts is other._cuts or self._cuts == other._cuts:
-            # one cut system gives a carrier's edges one denominator, and
-            # the carrier and the ends fix the edge, its rep and its signs
-            return self._mu == other._mu and self._lo == other._lo and self._hi == other._hi
         return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._fields())
-        return self._hash
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # the lazy fields' sentinel is not kept by a copy
+        return Sheet, (self._cuts, self._mu, self._lo, self._hi, self._den, self._above)
 
     def __repr__(self) -> str:
         carrier, lo, hi, rep, other_signs = self._fields()

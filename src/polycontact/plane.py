@@ -36,8 +36,8 @@ face with sign vector ``f`` exactly when ``f & care == need`` (``fills``).
 sign vectors as bitmasks, so the open faces (``faces``) and the two flanks
 of each edge are known with no point probe and no Fourier-Motzkin call.
 ``flanks`` tests both flanks of an edge in one pass over the parts; it is
-the one test of ``equals``, of the facet search of strong contact and of
-the boundary of ``cuts``.  The walk is on integers: each line's crossings
+the one test of the facet search of strong contact and of the boundary of
+``cuts``, and ``equals`` compares ``fills`` on each face.  The walk is on integers: each line's crossings
 are ints over one common denominator, and an edge's ends are two of them.
 It builds no point; ``edge_point`` builds the exact point inside an edge
 for the callers that need one, the facet edge of
@@ -319,20 +319,10 @@ class PlanePolytope:
 
         Each polytope is the closure of the faces it fills, and regular
         closed sets are equal exactly when they agree on a dense open set,
-        so the test is exact; it makes no Fourier-Motzkin call.  Every face
-        flanks an edge of the arrangement (``faces``), so the walk compares
-        the ``flanks`` of each edge and stops at the first that differ; with
-        no line, the one face is the plane.
+        so the test is exact; it makes no Fourier-Motzkin call.
         """
         lines, p_masks, q_masks = _pooled(self, other)
-        if not lines:
-            return fills(p_masks, 0) == fills(q_masks, 0)
-        own_bit = {id(line): 1 << j for j, line in enumerate(lines)}
-        for mu, _, _, _, above in arrangement_edges(lines):
-            bit = own_bit[id(mu)]
-            if flanks(p_masks, above, bit) != flanks(q_masks, above, bit):
-                return False
-        return True
+        return all(fills(p_masks, f) == fills(q_masks, f) for f in faces(lines))
 
     def contact_c(self, other: "PlanePolytope") -> bool:
         return contact_c(self, other)

@@ -1,5 +1,7 @@
 import ast
+import copy
 import inspect
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -321,19 +323,39 @@ def test_sheets_compare_hash_and_repr_as_eager_records():
 
 def test_boundary_representation_builds_no_edge_point(monkeypatch):
     # a sheet's rep is derived on first read, and nothing on the boundary
-    # path reads it
+    # path reads it; the comparison reads it, after edge_point is restored
     def refuse(*edge):
         raise AssertionError("edge_point called")
 
-    monkeypatch.setattr(pl, "edge_point", refuse)
-    monkeypatch.setattr(cu, "edge_point", refuse)
     rng = random.Random(19)
-    for _ in range(30):
-        poly, unused = polytope_with_cuts(rng)
-        for extra in ([], unused):
-            rep = cu.boundary_representation(poly, extra)
-            assert rep == reference_walk_boundary_representation(poly, extra)
-            assert rep == reference_boundary_representation(poly, extra)
+    cases = [polytope_with_cuts(rng) for _ in range(30)]
+    with monkeypatch.context() as patched:
+        patched.setattr(pl, "edge_point", refuse)
+        patched.setattr(cu, "edge_point", refuse)
+        reps = [cu.boundary_representation(poly, extra)
+                for poly, unused in cases for extra in ([], unused)]
+    expected = [(poly, extra) for poly, unused in cases for extra in ([], unused)]
+    for rep, (poly, extra) in zip(reps, expected, strict=True):
+        assert rep == reference_walk_boundary_representation(poly, extra)
+        assert rep == reference_boundary_representation(poly, extra)
+
+
+def test_unread_sheets_copy_and_pickle_with_their_fields():
+    # a copy of a sheet none of whose lazy fields was read derives them
+    # as the original does
+    rng = random.Random(29)
+    for _ in range(10):
+        poly, _ = polytope_with_cuts(rng)
+        cs = cu.CutSystem.for_polytope(poly)
+        for make in (copy.copy, copy.deepcopy,
+                     lambda s: pickle.loads(pickle.dumps(s))):
+            unread = cu.sheets(cs)
+            copies = [make(sheet) for sheet in unread]
+            for sheet, twin in zip(cu.sheets(cs), copies, strict=True):
+                assert (twin.carrier, twin.lo, twin.hi, twin.rep, twin.other_signs) == (
+                    sheet.carrier, sheet.lo, sheet.hi, sheet.rep, sheet.other_signs)
+                assert twin == sheet and hash(twin) == hash(sheet)
+                assert repr(twin) == repr(sheet)
 
 
 triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40),

@@ -37,8 +37,19 @@ class CliParseError(ValueError):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a leading byte-order mark is dropped, so it cannot hide a file's
+    # leading keyword
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
+
+
+def _parse_file(path: str, parse: Callable[[str], object]):
+    """``parse`` of the text of the file ``path``; a parse error, or text
+    that is not UTF-8, names the file."""
+    try:
+        return parse(_read(path))
+    except ValueError as exc:
+        raise CliParseError(f"{path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -101,14 +112,15 @@ def _format_of(text: str) -> _Format:
     return _FORMATS.get(_head(text), _FORMATS[None])
 
 
+def _region(text: str):
+    """(format, region) of a region file's text."""
+    fmt = _format_of(text)
+    return fmt, fmt.parse(text)
+
+
 def _load_geometry(path: str):
     """(format, region) of a region file."""
-    text = _read(path)
-    fmt = _format_of(text)
-    try:
-        return fmt, fmt.parse(text)
-    except ValueError as exc:
-        raise CliParseError(f"{path}: {exc}") from exc
+    return _parse_file(path, _region)
 
 
 def _load_like(fmt: _Format, path: str):
@@ -199,7 +211,7 @@ def _cmd_audit(args) -> int:
     if args.target in _CARRIERS:
         algebra = _CARRIERS[args.target](args)
     else:
-        space = adj.parse_space(_read(args.target))
+        space = _parse_file(args.target, adj.parse_space)
         algebra = alg.induced_algebra(space)
     pool = alg.audit_pool(algebra, args.samples, args.seed)
     report = alg.audit_axioms(algebra, seed=args.seed, pool=pool)
@@ -210,7 +222,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_untie(args) -> int:
-    space = adj.parse_space(_read(args.graph))
+    space = _parse_file(args.graph, adj.parse_space)
     untied, collapse = adj.untie(space)
     print(adj.format_space(untied))
     for src, dst in collapse.pairs:
@@ -221,7 +233,7 @@ def _cmd_untie(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    space = adj.parse_space(_read(args.graph))
+    space = _parse_file(args.graph, adj.parse_space)
     if not adj.is_connected(space) or not adj.is_acyclic(space):
         raise CliParseError("graph must be connected and acyclic; run untie first")
     root = min(space.cells)
@@ -250,7 +262,7 @@ def _parse_valuation(pairs: list[str]) -> dict[str, frozenset[str]]:
 
 def _cmd_eval(args) -> int:
     formula = lg.parse(args.formula)
-    space = adj.parse_space(_read(args.space))
+    space = _parse_file(args.space, adj.parse_space)
     algebra = alg.induced_algebra(space)
     if args.val:
         valuation = _parse_valuation(args.val)
@@ -273,10 +285,7 @@ def _print_countermodel(space, valuation) -> None:
 def _cmd_countermodel(args) -> int:
     if args.file:
         # one formula per line, '#' comments; exit 1 when any line fails
-        try:
-            formulas = lg.parse_formula_file(_read(args.file))
-        except lg.FormulaSyntaxError as exc:
-            raise CliParseError(f"{args.file}: {exc}") from exc
+        formulas = _parse_file(args.file, lg.parse_formula_file)
         any_found = False
         for lineno, formula in formulas:
             found = lg.find_countermodel(formula, args.bound)
@@ -318,17 +327,20 @@ def _cmd_synthesize(args) -> int:
     return EXIT_FOUND if report.passed else EXIT_INTERNAL
 
 
-def _cmd_render(args) -> int:
-    text = _read(args.file)
+def _drawable(text: str):
+    """The drawing function and the labelled regions of a certificate or
+    region file's text."""
     if _head(text) == "certificate":
         cert = pp.parse_certificate(text)
-        items = [(cert.geometric_valuation[name], name)
-                 for name in sorted(cert.geometric_valuation)]
-        svg = _draw_line(items, args.viewport)
-    else:
-        fmt = _format_of(text)
-        svg = fmt.draw([(fmt.parse(text), "")], args.viewport)
-    _write(args.svg, svg)
+        return _draw_line, [(cert.geometric_valuation[name], name)
+                            for name in sorted(cert.geometric_valuation)]
+    fmt, region = _region(text)
+    return fmt.draw, [(region, "")]
+
+
+def _cmd_render(args) -> int:
+    draw, items = _parse_file(args.file, _drawable)
+    _write(args.svg, draw(items, args.viewport))
     print(f"svg written to {args.svg}")
     return EXIT_OK
 

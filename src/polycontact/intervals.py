@@ -9,16 +9,21 @@ values denote the same regular closed set iff they are equal tuples.  Every
 ``canonicalize`` stores a finite endpoint as an ``int`` when it is integral
 and as a ``Fraction`` (denominator above 1) otherwise.  The operations reuse
 endpoint objects, or add and subtract them, and never divide them, so the
-sweeps over projected images and certificates compare plain integers.  No
-decision depends on the type: ``3 == Fraction(3)``, and the two hash alike.
+tables and scans over projected images and certificates compare plain
+integers.  No decision depends on the type: ``3 == Fraction(3)``, and the
+two hash alike.
 
-The operations (``union``, ``reg_meet``, ``contact_c`` and what is built on
-them) are linear sweeps over two canonical piece tuples, with no sort and no
-re-validation of endpoints.  ``canonicalize`` is for raw input only: parsed
-text, projected pieces and the random generator.  ``segment_masks`` turns
-polytopes over shared breakpoints into bitmasks of elementary segments, on
-which Boolean operations and contact are integer operations; its inverse
-``from_segments`` reuses the table's endpoints, with no sort or ``canonicalize``.
+Pieces are merged in one place: the table of elementary segments.  Its
+breakpoints are the sorted distinct finite endpoints of some pieces, and a
+piece fills a run of the segments between them, so a set of pieces is a
+bitmask; ``from_segments`` reads each run of set bits back as one piece
+between the table's own endpoint objects.  ``canonicalize`` (raw input only:
+parsed text, projected pieces and the random generator) and ``union`` are
+both that table read back, and ``segment_masks`` is the table of canonical
+polytopes, on which Boolean operations and contact are integer operations.
+``complement``, ``reg_meet`` and ``contact_c`` merge nothing: they stay
+single scans over canonical piece tuples, with no sort and no re-validation
+of endpoints.
 
 Only finite unions are representable.  Regular closed sets built from
 infinitely many segments (for instance the closure of an infinite union of
@@ -37,7 +42,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .numeric import rational
 
@@ -45,10 +50,6 @@ from .numeric import rational
 End = int | Fraction
 # a piece is (lo, hi); None means -inf / +inf respectively
 Piece = tuple[End | None, End | None]
-
-
-def _lo_key(lo: End | None) -> tuple[int, End]:
-    return (0, 0) if lo is None else (1, lo)
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,9 @@ class IntervalPolytope:
         return IntervalPolytope(tuple(out))
 
     def union(self, other: "IntervalPolytope") -> "IntervalPolytope":
-        """Both piece tuples in order of left end, coalesced: no sort."""
-        if not other.pieces:
-            return self
-        if not self.pieces:
-            return other
-        return IntervalPolytope(tuple(_coalesce(_by_left_end(self.pieces, other.pieces))))
+        """The OR of both operands' segment masks, read back as pieces."""
+        ends, (a, b) = _segment_table((self.pieces, other.pieces))
+        return from_segments(ends, a | b)
 
     def reg_meet(self, other: "IntervalPolytope") -> "IntervalPolytope":
         """Regularised intersection; touching-point intersections vanish."""
@@ -180,10 +178,12 @@ def _positive_length(lo: End | None, hi: End | None) -> bool:
 
 
 def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
-    """Merge overlapping or touching pieces, drop single points, sort.
+    """The canonical polytope of raw pieces in any order: the segment table
+    of the pieces, read back by ``from_segments``.
 
-    Accepts pieces with ``lo == hi`` (they disappear: a point is not
-    regular closed); rejects ``lo > hi``.
+    A piece with ``lo == hi`` fills no segment and disappears (a point is
+    not regular closed), and overlapping or touching pieces fill one run of
+    segments and become one piece.  Rejects ``lo > hi``.
     """
     pieces = []
     for lo, hi in raw:
@@ -192,9 +192,8 @@ def canonicalize(raw: Iterable[Piece]) -> IntervalPolytope:
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"piece with lo > hi: [{lo}, {hi}]")
         pieces.append((lo, hi))
-    pieces.sort(key=lambda p: _lo_key(p[0]))
-    kept = tuple(p for p in _coalesce(pieces) if _positive_length(*p))
-    return IntervalPolytope(kept)
+    ends, (mask,) = _segment_table((pieces,))
+    return from_segments(ends, mask)
 
 
 def _end(value) -> End:
@@ -205,44 +204,10 @@ def _end(value) -> End:
     return x.numerator if x.denominator == 1 else x
 
 
-def _coalesce(pieces: Iterable[Piece]) -> list[Piece]:
-    """Merge the pieces of a list sorted by left end where they overlap or
-    merely touch (closed pieces)."""
-    merged: list[Piece] = []
-    for lo, hi in pieces:
-        if merged:
-            plo, phi = merged[-1]
-            if phi is None or lo is None or lo <= phi:
-                merged[-1] = (plo, _max_hi_merge(phi, hi))
-                continue
-        merged.append((lo, hi))
-    return merged
-
-
-def _by_left_end(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> Iterator[Piece]:
-    """The pieces of two canonical tuples, in order of left end."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        alo, blo = a[i][0], b[j][0]
-        if alo is None or (blo is not None and alo <= blo):
-            yield a[i]
-            i += 1
-        else:
-            yield b[j]
-            j += 1
-    yield from a[i:]
-    yield from b[j:]
-
-
-def _max_hi_merge(a: End | None, b: End | None) -> End | None:
-    if a is None or b is None:
-        return None
-    return max(a, b)
-
-
 def segment_masks(polytopes: Sequence[IntervalPolytope]) -> tuple[tuple[End, ...], list[int]]:
     """The pooled breakpoints of the polytopes, and per polytope the bitmask
-    of the elementary segments it fills.
+    of the elementary segments it fills: the table on which ``canonicalize``
+    and ``union`` merge pieces.
 
     The sorted distinct finite endpoints ``b[0] < ... < b[m-1]`` split the
     line into the open segments ``(b[k-1], b[k])`` for k = 0..m, with
@@ -253,16 +218,27 @@ def segment_masks(polytopes: Sequence[IntervalPolytope]) -> tuple[tuple[End, ...
     bits, ``equals`` is ``==``, and two polytopes are in contact exactly
     when a segment of one is, or neighbours, a segment of the other.
     """
-    ends = tuple(sorted({x for p in polytopes for piece in p.pieces
+    return _segment_table([p.pieces for p in polytopes])
+
+
+def _segment_table(piece_lists: Sequence[Sequence[Piece]]) -> tuple[tuple[End, ...], list[int]]:
+    """The sorted distinct finite endpoints of the pieces, and per list the
+    OR of the runs of segments its pieces fill.
+
+    This is where pieces are merged: overlapping or touching pieces fill
+    one run, a piece ``(x, x)`` fills none, and the order of the pieces
+    does not matter.
+    """
+    ends = tuple(sorted({x for pieces in piece_lists for piece in pieces
                          for x in piece if x is not None}))
     index = {x: k for k, x in enumerate(ends)}
     masks = []
-    for p in polytopes:
+    for pieces in piece_lists:
         mask = 0
-        for lo, hi in p.pieces:
+        for lo, hi in pieces:
             first = 0 if lo is None else index[lo] + 1
             last = len(ends) if hi is None else index[hi]
-            mask |= (2 << last) - (1 << first)  # bits first..last
+            mask |= (2 << last) - (1 << first)  # bits first..last; none when lo == hi
         masks.append(mask)
     return ends, masks
 

@@ -141,7 +141,9 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
 
     Total on any certificate that parses: a stage whose valuation leaves a
     variable of the formula unbound, or names a cell outside its space,
-    fails with the variable or the cell as witness.
+    fails with the variable or the cell as witness.  A stage whose verdict
+    line records ``true`` fails its ``<stage>-eval-false`` entry with that
+    verdict as witness.
     """
     report = AuditReport()
 
@@ -149,7 +151,10 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
         # a check with nothing to show fails with an empty witness
         return None if ok else ""
 
-    def falsified(evaluate_stage) -> Optional[str]:
+    def falsified(stage: str, evaluate_stage) -> Optional[str]:
+        # the formula is false at every stage, so a recorded true is wrong
+        if cert.verdicts.get(stage):
+            return f"recorded verdict {stage}: true"
         try:
             return holds(not evaluate_stage())
         except (lg.UnboundVariable, UnknownCell) as exc:
@@ -160,7 +165,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     formula = cert.formula
     report.check("formula-matches", None)
 
-    report.check("discrete-eval-false", falsified(lambda: _eval_discrete(
+    report.check("discrete-eval-false", falsified("discrete", lambda: _eval_discrete(
         formula, cert.discrete_space, cert.discrete_valuation)))
 
     report.check("pmorphism", holds(
@@ -174,7 +179,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
                                 or (x in cells) != (collapse[x] in discrete[name])),
         lambda name, _, x: f"at {(name, x)}"))
 
-    report.check("untied-eval-false", falsified(lambda: _eval_discrete(
+    report.check("untied-eval-false", falsified("untied", lambda: _eval_discrete(
         formula, cert.untied_space, cert.untied_valuation)))
 
     cells = cert.untied_space.cells
@@ -201,7 +206,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
                                       ends, reduce(or_, map(mask_of.get, cells_), 0)), cert.dim)),
             lambda name, _: f"variable {name}"))
 
-    report.check("geometric-eval-false", falsified(lambda: lg.evaluate(
+    report.check("geometric-eval-false", falsified("geometric", lambda: lg.evaluate(
         formula, CylinderAlgebra(cert.dim), cert.geometric_valuation)))
 
     return report

@@ -4,8 +4,9 @@ the labelled-graph scan kept as the reference for the augmentation
 enumeration, the canonical form over every block relabelling kept for the
 branch and bound, the point-probing plane references kept for the sign-vector
 walk, the Fourier-Motzkin ``equals`` and brick-based boundary
-representation kept for the face kernel, the ``canonicalize``-based and
-all-pairs line operations kept for the linear sweeps, the ``Fraction``
+representation kept for the face kernel, the sort-and-coalesce
+``canonicalize`` and the line operations built on it and on all pairs of
+pieces kept for the segment table and the scans, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
 plane kernel, the integer Fourier-Motzkin ``mk_basic`` kept for the facet
 test, the ``Fraction``-field identity, order, boundary line and side masks
@@ -456,9 +457,39 @@ def reference_walk_boundary_representation(poly, extra_cuts=()):
     return cu.BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))
 
 
+def _reference_lo_key(lo):
+    return (0, 0) if lo is None else (1, lo)
+
+
+def _reference_max_hi(a, b):
+    return None if a is None or b is None else max(a, b)
+
+
+def reference_canonicalize(raw):
+    """``intervals.canonicalize`` by sorting the pieces on their left ends
+    and coalescing the ones that overlap or touch, then dropping points."""
+    pieces = []
+    for lo, hi in raw:
+        lo = None if lo is None else iv._end(lo)
+        hi = None if hi is None else iv._end(hi)
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"piece with lo > hi: [{lo}, {hi}]")
+        pieces.append((lo, hi))
+    pieces.sort(key=lambda p: _reference_lo_key(p[0]))
+    merged = []
+    for lo, hi in pieces:
+        if merged:
+            plo, phi = merged[-1]
+            if phi is None or lo is None or lo <= phi:
+                merged[-1] = (plo, _reference_max_hi(phi, hi))
+                continue
+        merged.append((lo, hi))
+    return iv.IntervalPolytope(tuple(p for p in merged if iv._positive_length(*p)))
+
+
 def reference_union(p, q):
     """``IntervalPolytope.union`` by re-sorting and re-merging all pieces."""
-    return iv.canonicalize(p.pieces + q.pieces)
+    return reference_canonicalize(p.pieces + q.pieces)
 
 
 def reference_reg_meet(p, q):
@@ -469,7 +500,7 @@ def reference_reg_meet(p, q):
             lo, hi = iv._max_lo(a[0], b[0]), iv._min_hi(a[1], b[1])
             if lo is None or hi is None or lo < hi:
                 out.append((lo, hi))
-    return iv.canonicalize(out)
+    return reference_canonicalize(out)
 
 
 def reference_contact_c(p, q):
@@ -485,7 +516,7 @@ def reference_contact_c(p, q):
 def reference_parse_intervals(text: str):
     """``parse_intervals`` with every finite end built by ``rational``, so
     an integer token passes through a ``Fraction`` on its way to
-    ``canonicalize``."""
+    ``reference_canonicalize``."""
     body = text.strip()
     if body == "empty":
         return iv.EMPTY
@@ -504,7 +535,7 @@ def reference_parse_intervals(text: str):
         if (hi is None) != (close_b == ")"):
             raise iv.IntervalFormatError(f"finite ends must use ']': {chunk.strip()!r}")
         pieces.append((lo, hi))
-    return iv.canonicalize(pieces)
+    return reference_canonicalize(pieces)
 
 
 def reference_rational(value) -> Fraction:

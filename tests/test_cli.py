@@ -735,3 +735,73 @@ def test_bool_op_stdout_pinned(files, capsys):
     # empty and multi-part meets, and multi-part complements, are covered
     assert sizes["meet", 0] and sum(n for (op, k), n in sizes.items() if op == "meet" and k > 1)
     assert sum(n for (op, k), n in sizes.items() if op == "complement" and k > 1)
+
+
+# ---------------------------------------------------------------------------
+# input files: a leading byte-order mark, and parse errors naming the file
+# ---------------------------------------------------------------------------
+
+GRAPH = "space { cells a b c; edges a-b b-c; }"
+FORMULAS = "x == x\nC(p,q) => p.q != 0\n"
+
+# a command that reads a file of each kind, the file as FILE and an SVG
+# output as SVG
+READERS = [
+    ("a.iv", REGIONS["interval"][0], ["bool-op", "complement", "FILE"]),
+    ("a.cyl", REGIONS["cyl"][0], ["bool-op", "complement", "FILE"]),
+    ("a.poly", REGIONS["poly"][0], ["bool-op", "complement", "FILE"]),
+    ("a.poly", REGIONS["poly"][0], ["render", "FILE", "--svg", "SVG"]),
+    ("a.cert", CERTIFICATE, ["render", "FILE", "--svg", "SVG"]),
+    ("a.graph", GRAPH, ["untie", "FILE"]),
+    ("a.graph", GRAPH, ["project", "FILE"]),
+    ("a.graph", GRAPH, ["eval", "C(p,q)", "FILE", "--val", "p=a", "--val", "q=b"]),
+    ("a.graph", GRAPH, ["audit", "FILE", "--samples", "5"]),
+    ("f.txt", FORMULAS, ["countermodel", "--file", "FILE", "--bound", "2"]),
+]
+
+
+@pytest.mark.parametrize("name, text, argv", READERS,
+                         ids=[f"{argv[0]}-{name}" for name, _, argv in READERS])
+def test_byte_order_mark_is_dropped(name, text, argv, tmp_path, capsys):
+    # a mark before a poly, cyl or certificate keyword made the file read
+    # as an interval list
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path, svg = tmp_path / name, tmp_path / "out.svg"
+        path.write_bytes(bom + text.encode("utf-8"))
+        code = run([str(path) if a == "FILE" else str(svg) if a == "SVG" else a for a in argv])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs.append((code, captured.out, svg.read_bytes() if svg.exists() else None))
+        svg.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
+# a command and its malformed input file
+MALFORMED = [
+    (["bool-op", "complement", "FILE"], "bad.iv", "[1,0]"),
+    (["sc-check", "FILE", "FILE"], "bad.poly", "poly { basic { nonsense } }"),
+    (["c-check", "FILE", "FILE"], "bad.cyl", "cyl n=2 { [0,1/0] }"),
+    (["render", "FILE", "--svg", "SVG"], "bad.iv", "[1,0]"),
+    (["render", "FILE", "--svg", "SVG"], "bad.cert",
+     CERTIFICATE.replace("verdict discrete: false", "verdict discrete: maybe")),
+    (["untie", "FILE"], "bad.graph", "space { cells a; edges a-z; }"),
+    (["project", "FILE"], "bad.graph", "space { nonsense }"),
+    (["eval", "C(p,q)", "FILE"], "bad.graph", "space { cells a; edges a-z; }"),
+    (["audit", "FILE"], "bad.graph", "space { cells a; edges a-z; }"),
+    (["countermodel", "--file", "FILE", "--bound", "2"], "bad.txt", "p == Q\n"),
+]
+
+
+@pytest.mark.parametrize("argv, name, text", MALFORMED,
+                         ids=[f"{argv[0]}-{name}" for argv, name, _ in MALFORMED])
+def test_parse_error_names_the_file(argv, name, text, files, capsys):
+    write, tmp_path = files
+    path = write(name, text)
+    code = run([path if a == "FILE" else str(tmp_path / "out.svg") if a == "SVG" else a
+                for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    if name == "bad.iv":
+        assert captured.err == f"error: {path}: piece with lo > hi: [1, 0]\n"

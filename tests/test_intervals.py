@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycontact import intervals as iv
-from helpers import (reference_contact_c, reference_parse_intervals, reference_reg_meet,
-                     reference_union)
+from helpers import (reference_canonicalize, reference_contact_c, reference_parse_intervals,
+                     reference_reg_meet, reference_union)
 from sc_oracle import interval_sc_oracle
 
 P = iv.parse_intervals
@@ -164,10 +164,11 @@ def test_sweeps_match_references(x, y):
 
 
 def _from_segments(mask, ends):
-    """The closure of the elementary segments in ``mask``, by ``canonicalize``."""
+    """The closure of the elementary segments in ``mask``, by sorting and
+    coalescing (``reference_canonicalize``)."""
     bounds = (None, *ends, None)
-    return iv.canonicalize((bounds[k], bounds[k + 1])
-                           for k in range(len(ends) + 1) if mask >> k & 1)
+    return reference_canonicalize((bounds[k], bounds[k + 1])
+                                  for k in range(len(ends) + 1) if mask >> k & 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,6 +231,54 @@ def test_canonicalize_stores_integral_ends_as_int():
     _assert_exact(iv.canonicalize([(False, True)]))
     with pytest.raises(TypeError):
         iv.canonicalize([(0.5, 1)])
+
+
+# raw ends: ints, integral Fractions such as 4/2, and halves and thirds, on
+# a small range so that pieces often share an end, touch or overlap
+raw_ends = st.one_of(st.integers(-4, 4),
+                     st.builds(F, st.integers(-12, 12), st.integers(1, 3)))
+
+
+@st.composite
+def raw_pieces(draw):
+    """Unsorted raw pieces: points, touching and overlapping pieces, rays
+    and the whole line, and now and then a reversed piece."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["piece", "piece", "piece", "point", "below", "above",
+                                     "all", "reversed"]))
+        a, b = sorted([draw(raw_ends), draw(raw_ends)])
+        pieces.append({"piece": (a, b), "point": (a, a), "below": (None, b),
+                       "above": (a, None), "all": (None, None),
+                       "reversed": (b, a)}[kind])
+    return pieces
+
+
+def _typed_pieces(p):
+    return [(type(x), x) for piece in p.pieces for x in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_pieces())
+@example([(2, 3), (F(0), F(1)), (1, F(4, 2))])
+@example([(F(1, 2), F(1, 2)), (None, 0), (0, None)])
+@example([(0, 1), (3, 4), (6, 6), (1, 3), (5, 7)])
+@example([(1, 0)])
+@example([])
+def test_canonicalize_matches_reference(raw):
+    # the segment table against sorting and coalescing, ends compared with
+    # their types: the same pieces or the same lo > hi message
+    try:
+        want = reference_canonicalize(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            iv.canonicalize(raw)
+        assert str(got.value) == str(exc) and str(exc).startswith("piece with lo > hi: [")
+        return
+    got = iv.canonicalize(raw)
+    assert got == want
+    assert _typed_pieces(got) == _typed_pieces(want)
+    _assert_exact(got)
 
 
 @st.composite

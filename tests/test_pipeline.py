@@ -148,6 +148,16 @@ class TestVerifyIsTotal:
         failing = {e.name: e.witness for e in report.entries if not e.passed}
         assert failing[entry] == "unknown cell 'z'"
 
+    @pytest.mark.parametrize("stage", ["discrete", "untied", "geometric"])
+    def test_recorded_true_verdict_fails_its_stage(self, stage):
+        # every entry passed while a verdict line said the formula was true
+        text = pp.serialize_certificate(pp.synthesize(CONTACT_NOT_OVERLAP, 2, 1))
+        old = f"verdict {stage}: false"
+        assert text.count(old) == 1
+        report = pp.verify(pp.parse_certificate(text.replace(old, f"verdict {stage}: true")))
+        failing = {e.name: e.witness for e in report.entries if not e.passed}
+        assert failing == {f"{stage}-eval-false": f"recorded verdict {stage}: true"}
+
     def test_untied_section_without_map_lines(self):
         text = pp.serialize_certificate(pp.synthesize(TRIANGLE_FORCER, 3, 1))
         lines = [line for line in text.splitlines() if not line.startswith("map ")]

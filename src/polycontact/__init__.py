@@ -5,7 +5,7 @@ Subpackages by concern:
 * :mod:`polycontact.numeric`   - exact rationals, points, half-spaces, lines
 * :mod:`polycontact.intervals` - polytopes on the line
 * :mod:`polycontact.plane`     - plane polytopes and the SC decision
-* :mod:`polycontact.cuts`      - cut systems, bricks, sheets, boundaries
+* :mod:`polycontact.cuts`      - sheets, boundary representations
 * :mod:`polycontact.cylinder`  - cylinders over line polytopes
 * :mod:`polycontact.adjacency` - adjacency spaces, untying, projection
 * :mod:`polycontact.algebra`   - contact algebras, audits, merging

@@ -223,7 +223,10 @@ def _cmd_audit(args) -> int:
 
 def _cmd_untie(args) -> int:
     space = _parse_file(args.graph, adj.parse_space)
-    untied, collapse = adj.untie(space)
+    try:
+        untied, collapse = adj.untie(space)
+    except ValueError as exc:  # a disconnected graph
+        raise CliParseError(f"{args.graph}: {exc}") from exc
     print(adj.format_space(untied))
     for src, dst in collapse.pairs:
         print(f"map {src}: {dst}")
@@ -235,7 +238,8 @@ def _cmd_untie(args) -> int:
 def _cmd_project(args) -> int:
     space = _parse_file(args.graph, adj.parse_space)
     if not adj.is_connected(space) or not adj.is_acyclic(space):
-        raise CliParseError("graph must be connected and acyclic; run untie first")
+        raise CliParseError(
+            f"{args.graph}: graph must be connected and acyclic; run untie first")
     root = min(space.cells)
     walk = adj.arrangement(space, adj.numeration(space, root))
     images = adj.project(space, walk, args.dim)

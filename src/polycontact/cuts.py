@@ -1,27 +1,28 @@
-"""Cut systems in the plane: bricks, cores, sheets, boundary representation.
+"""Sheets and the boundary representation of a plane polytope.
 
-A cut system is a finite set of lines.  Choosing one closed side per cut
-gives an alternative; the intersection of an alternative with nonempty
-interior is a brick, and its interior is the brick's core.  Cores of
-distinct bricks are disjoint and jointly cover the plane minus the cuts.
+A cut system is a finite set of lines, passed around as a tuple of
+distinct lines (sorted, when it is built here).  Choosing one closed side
+per cut gives an alternative; an alternative with nonempty interior is a
+brick, and its interior, the brick's core, is an open face of the cut
+arrangement.  So the bricks are the sign vectors of ``plane.faces``, one
+bit per cut, set for the cut's positive side.  Cores of distinct bricks
+are disjoint and jointly cover the plane minus the cuts.
 
 On each cut, the intersection points with the other cuts (the vertices of
 the system) split the line into relatively open pieces called sheets.  Each
-sheet has two flanking bricks: the bricks obtained by keeping the sheet's side
-choices on every other cut and adjoining either side of its own carrier.
-A polytope whose constraint lines all belong to the system is a union of
-bricks, and its boundary decomposes as a union of sheets plus a subset of
-the vertices.
+sheet has two flanking faces: the faces obtained by keeping the sheet's
+side on every other cut and adjoining either side of its own carrier.  A
+polytope whose constraint lines all belong to the system is a union of
+closed faces, and its boundary decomposes as a union of sheets plus a
+subset of the vertices.
 
-Everything here is read off one walk over the edges of the cut arrangement
-(``plane.arrangement_edges``): an edge is a sheet, its sign vector gives
-the sheet's side on every other cut, and its two flanks are bricks.  The
-bricks are the open faces of the arrangement (``plane.faces``), found with
-one Fourier-Motzkin core point each, O(k^2) for k cuts, and no search over
-the 2^k alternatives.  Which bricks a polytope fills is read off their
-sign vectors with one compare per part (``plane.flanks`` tests both flanks
-of an edge at once), so its boundary representation needs no
-Fourier-Motzkin call and no point test at all.
+Sheets and boundaries are read off one walk over the edges of the cut
+arrangement (``plane.arrangement_edges``): an edge is a sheet, its sign
+vector gives the sheet's side on every other cut, and its two flanks are
+faces.  Which faces a polytope fills is read off their sign vectors with
+one compare per part (``plane.flanks`` tests both flanks of an edge at
+once), so its boundary representation needs no Fourier-Motzkin call and
+no point test at all.
 
 The walk yields an edge's ends as ints over a common denominator, and no
 point.  A ``Sheet`` is built from the edge's ints and keeps them; its
@@ -44,77 +45,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .numeric import HalfSpace, Hyperplane, LineRelation, Point, intersect_lines
+from .numeric import Hyperplane, Point
 from .plane import (
     PlanePolytope,
     arrangement_edges,
-    core_point,
     edge_point,
-    faces,
     flanks,
     line_point,
     line_point_ints,
     sign_masks,
 )
-
-
-@dataclass(frozen=True)
-class CutSystem:
-    cuts: tuple[Hyperplane, ...]
-
-    @staticmethod
-    def of(cuts: Iterable[Hyperplane]) -> "CutSystem":
-        return CutSystem(tuple(sorted(set(cuts))))
-
-    @staticmethod
-    def for_polytope(poly: PlanePolytope,
-                     extra: Iterable[Hyperplane] = ()) -> "CutSystem":
-        lines, extra = poly.constraint_lines(), list(extra)
-        # constraint_lines is already sorted and distinct
-        return CutSystem.of(lines + extra) if extra else CutSystem(tuple(lines))
-
-    def vertices(self) -> tuple[Point, ...]:
-        pts = set()
-        for i in range(len(self.cuts)):
-            for j in range(i + 1, len(self.cuts)):
-                kind, v = intersect_lines(self.cuts[i], self.cuts[j])
-                if kind is LineRelation.POINT:
-                    pts.add(v)
-        return tuple(sorted(pts))
-
-
-@dataclass(frozen=True)
-class Brick:
-    """An alternative with nonempty core, as one sign per cut."""
-
-    signs: tuple[int, ...]
-    constraints: tuple[HalfSpace, ...]
-    core_point: Point
-
-    def contains(self, p: Point) -> bool:
-        return all(h.value_at(p) <= 0 for h in self.constraints)
-
-
-def brick_decomposition(cs: CutSystem) -> tuple[Brick, ...]:
-    """All alternatives whose strict system is feasible; cores are disjoint.
-
-    Every brick's core is an open face of the cut arrangement
-    (``plane.faces``); the bricks are sorted into
-    ``itertools.product((1, -1), ...)`` order.  A core point is found by
-    Fourier-Motzkin once per brick, O(k^2) calls for k cuts instead of one
-    per each of the 2^k alternatives.
-    """
-    if not cs.cuts:
-        raise ValueError("brick decomposition needs at least one cut")
-    # a set bit is the positive side of its cut, sign -1
-    alternatives = {tuple(-1 if face >> j & 1 else 1 for j in range(len(cs.cuts)))
-                    for face in faces(cs.cuts)}
-    sides = [cut.sides() for cut in cs.cuts]
-    bricks = []
-    for signs in sorted(alternatives, reverse=True):
-        cons = tuple(pair[0 if s > 0 else 1] for pair, s in zip(sides, signs))
-        bricks.append(Brick(signs, cons, core_point(cons)))
-    return tuple(bricks)
 
 
 _UNSET = object()
@@ -201,8 +141,10 @@ class Sheet:
                 f"other_signs={other_signs!r})")
 
 
-def sheets(cs: CutSystem) -> tuple[Sheet, ...]:
-    return tuple(Sheet(cs.cuts, *edge) for edge in arrangement_edges(cs.cuts))
+def sheets(cuts: tuple[Hyperplane, ...]) -> tuple[Sheet, ...]:
+    """The sheets of the cut system ``cuts``, a tuple of distinct lines, in
+    the order of ``arrangement_edges``; ``other_signs`` follows ``cuts``."""
+    return tuple(Sheet(cuts, *edge) for edge in arrangement_edges(cuts))
 
 
 def sheet_points(sheet: Sheet, count: int = 3) -> tuple[Point, ...]:
@@ -237,7 +179,7 @@ def sorted_corners(triples: Iterable[tuple[int, int, int]]) -> tuple[Point, ...]
 
 @dataclass(frozen=True)
 class BoundaryRepresentation:
-    cut_system: CutSystem
+    cuts: tuple[Hyperplane, ...]
     boundary_sheets: tuple[Sheet, ...]
     corner_points: tuple[Point, ...]
 
@@ -259,8 +201,9 @@ def boundary_representation(poly: PlanePolytope,
     of each of its ends.  Degenerate inputs (empty, whole plane) have empty
     boundary and yield empty parts.
     """
-    cs = CutSystem.for_polytope(poly, extra_cuts)
-    cuts = cs.cuts
+    lines, extra = poly.constraint_lines(), list(extra_cuts)
+    # constraint_lines is already sorted and distinct
+    cuts = tuple(sorted(set(lines + extra))) if extra else tuple(lines)
     masks = sign_masks(poly, {cut: j for j, cut in enumerate(cuts)})
     own_bit = {id(cut): 1 << j for j, cut in enumerate(cuts)}
     boundary, corners = [], set()
@@ -273,4 +216,4 @@ def boundary_representation(poly: PlanePolytope,
             for end in (lo, hi):
                 if end is not None:
                     corners.add(line_point_ints(mu, end, den))
-    return BoundaryRepresentation(cs, tuple(boundary), sorted_corners(corners))
+    return BoundaryRepresentation(cuts, tuple(boundary), sorted_corners(corners))

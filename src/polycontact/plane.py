@@ -12,10 +12,8 @@ point reduces to feasibility of a small linear system with strict or
 non-strict inequalities, decided exactly by Fourier-Motzkin elimination
 over the same integer forms.  The kernel, ``feasible_ints``, returns its
 witness as ints.  The contact predicates' overlap search
-(``_common_point``) calls it and builds no point; ``feasible_point``,
-which builds the ``Fraction`` point, serves only ``core_point`` and
-outside callers.  Equality of polytopes makes no such test: it compares
-the faces each one fills (below).
+(``_common_point``) calls it and builds no point.  Equality of polytopes
+makes no such test: it compares the faces each one fills (below).
 
 Contact relations, strongest to weakest:
 
@@ -142,7 +140,7 @@ def _solve_1d(cons: Iterable[tuple[int, int, bool]]) -> Optional[tuple[int, int]
 
 def feasible_ints(cons: Iterable[LinCon]
                   ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    """The witness of ``feasible_point`` as ints ``((p, q), (r, s))``, the
+    """A point satisfying every constraint as ints ``((p, q), (r, s))``, the
     point ``(p/q, r/s)`` with q, s > 0, or None: the Fourier-Motzkin kernel,
     which builds no ``Fraction``.
 
@@ -183,24 +181,8 @@ def feasible_ints(cons: Iterable[LinCon]
     return x, y
 
 
-def feasible_point(cons: Iterable[LinCon]) -> Optional[Point]:
-    """A rational point satisfying every constraint, or None: the witness
-    of ``feasible_ints`` as ``Fraction``s."""
-    witness = feasible_ints(cons)
-    if witness is None:
-        return None
-    x, y = witness
-    return Fraction(*x), Fraction(*y)
-
-
 def _as_con(h: HalfSpace, strict: bool) -> LinCon:
     return (*h.integer_form, strict)
-
-
-def core_point(halfspaces: Iterable[HalfSpace]) -> Optional[Point]:
-    """A rational point in the interior of the intersection of closed
-    half-planes, or None when that interior is empty."""
-    return feasible_point(_as_con(h, True) for h in halfspaces)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +202,6 @@ class BasicPolytope:
 
     def contains(self, p: Point) -> bool:
         return all(h.value_at(p) <= 0 for h in self.constraints)
-
-    def interior_point(self) -> Point:
-        pt = core_point(self.constraints)
-        if pt is None:  # excluded by the mk_basic invariant
-            raise ValueError("basic polytope lost its interior")
-        return pt
 
     def __repr__(self) -> str:
         return f"BasicPolytope({len(self.constraints)} constraints)"

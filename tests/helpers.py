@@ -3,8 +3,9 @@ scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
 enumeration, the canonical form over every block relabelling kept for the
 branch and bound, the point-probing plane references kept for the sign-vector
-walk, the Fourier-Motzkin ``equals`` and brick-based boundary
-representation kept for the face kernel, the sort-and-coalesce
+walk, the Fourier-Motzkin ``equals``, the faces found by one Fourier-Motzkin
+call per alternative and the boundary representation read off face
+points kept for the face kernel, the sort-and-coalesce
 ``canonicalize`` and the line operations built on it and on all pairs of
 pieces kept for the segment table and the scans, the ``Fraction``
 Fourier-Motzkin elimination and arrangement walk kept for the integer
@@ -51,8 +52,8 @@ from polycontact import logic as lg
 from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
-from polycontact.numeric import (HalfSpace, Hyperplane, flip, intersect_lines, rational,
-                                 sqrt_lower)
+from polycontact.numeric import (HalfSpace, Hyperplane, LineRelation, flip, intersect_lines,
+                                 rational, sqrt_lower)
 from polycontact.logic import (
     MAX_NESTING, Complement, Contact, Eq, FormulaSyntaxError, Join, Not, Or, UnboundVariable,
     Variable, conj, evaluate, free_variables, iff, implies, meet, one_term, zero_term)
@@ -341,23 +342,53 @@ def probe_sc_analysis(p, q):
     return None
 
 
-def exhaustive_brick_decomposition(cs):
-    """``cuts.brick_decomposition`` by one Fourier-Motzkin call for each of
-    the 2^k alternatives, in ``itertools.product`` order."""
-    bricks = []
-    for signs in product((1, -1), repeat=len(cs.cuts)):
-        cons = tuple(cut.sides()[0 if s > 0 else 1] for cut, s in zip(cs.cuts, signs))
-        core = pl.core_point(cons)
-        if core is not None:
-            bricks.append(cu.Brick(signs, cons, core))
-    return tuple(bricks)
+def cut_system(lines):
+    """A cut system as ``cuts.boundary_representation`` builds it: the
+    distinct lines, sorted."""
+    return tuple(sorted(set(lines)))
 
 
-def evaluated_other_signs(cs, sheet):
+def vertices(cuts):
+    """The vertices of a cut system: the points where two of its lines
+    cross, sorted."""
+    points = set()
+    for mu, nu in combinations(cuts, 2):
+        kind, v = intersect_lines(mu, nu)
+        if kind is LineRelation.POINT:
+            points.add(v)
+    return tuple(sorted(points))
+
+
+def witness_point(cons):
+    """The witness of ``plane.feasible_ints`` read as a ``Fraction`` point,
+    or None when the system is infeasible."""
+    witness = pl.feasible_ints(cons)
+    return None if witness is None else (Fraction(*witness[0]), Fraction(*witness[1]))
+
+
+def face_constraints(cuts, face):
+    """The closed half-planes of the alternative with sign vector ``face``:
+    bit j set picks the positive side of ``cuts[j]``."""
+    return tuple(cut.sides()[face >> j & 1] for j, cut in enumerate(cuts))
+
+
+def face_point(cuts, face):
+    """A point of the open face with sign vector ``face``, or None when
+    that face is empty: the witness of its strict system."""
+    return witness_point([(*h.integer_form, True) for h in face_constraints(cuts, face)])
+
+
+def exhaustive_faces(cuts):
+    """``plane.faces`` by one Fourier-Motzkin call for each of the 2^k
+    alternatives: the sign vectors whose strict system is feasible."""
+    return {face for face in range(1 << len(cuts)) if face_point(cuts, face) is not None}
+
+
+def evaluated_other_signs(cuts, sheet):
     """A sheet's ``other_signs`` from the sign of every other cut at its
     representative point."""
     return tuple((nu, 1 if nu.value_at(sheet.rep) < 0 else -1)
-                 for nu in cs.cuts if nu != sheet.carrier)
+                 for nu in cuts if nu != sheet.carrier)
 
 
 def demorgan_equals(p, q):
@@ -367,41 +398,39 @@ def demorgan_equals(p, q):
             and q.reg_meet(p.complement()).is_empty())
 
 
-def flank_signs(sheet, cs):
-    """Sign vectors of the two bricks flanking a sheet, aligned with the
-    order of ``cs.cuts``: the carrier's positive-sign side, then its other."""
+def flank_faces(sheet, cuts):
+    """The sign vectors of the two faces flanking a sheet, read off its
+    ``other_signs``: the carrier's negative side, then its positive side."""
     chosen = dict(sheet.other_signs)
-    plus = tuple(1 if cut == sheet.carrier else chosen[cut] for cut in cs.cuts)
-    minus = tuple(-1 if cut == sheet.carrier else chosen[cut] for cut in cs.cuts)
-    return plus, minus
+    below = sum(1 << j for j, cut in enumerate(cuts)
+                if cut != sheet.carrier and chosen[cut] < 0)
+    return below, below | 1 << cuts.index(sheet.carrier)
 
 
-def polytope_brick_signs(poly, cs, decomposition):
-    """The unique set of bricks whose union is the polytope.
+def polytope_faces(poly, cuts):
+    """The unique set of faces whose closures' union is the polytope.
 
     Every constraint line of the polytope must be a cut of the system; then
-    each core lies wholly inside or outside the polytope, and membership of
-    the core point decides the brick."""
-    assert set(poly.constraint_lines()) <= set(cs.cuts)
-    return frozenset(b.signs for b in decomposition if poly.contains(b.core_point))
+    each face lies wholly inside or outside the polytope, and membership of
+    a point of the face decides it."""
+    assert set(poly.constraint_lines()) <= set(cuts)
+    return frozenset(face for face in pl.faces(cuts) if poly.contains(face_point(cuts, face)))
 
 
 def reference_boundary_representation(poly, extra_cuts=()):
-    """``cuts.boundary_representation`` from the bricks: a sheet is in the
-    boundary when exactly one of its flanking bricks has its core point in
-    the polytope, and a corner is a system vertex that passes
+    """``cuts.boundary_representation`` from face points: a sheet is in the
+    boundary when the polytope holds the point of exactly one of its
+    flanking faces, and a corner is a system vertex that passes
     ``plane.point_on_boundary``."""
-    cs = cu.CutSystem.for_polytope(poly, extra_cuts)
-    if not cs.cuts:
-        return cu.BoundaryRepresentation(cs, (), ())
-    brickset = polytope_brick_signs(poly, cs, cu.brick_decomposition(cs))
+    cuts = cut_system(list(poly.constraint_lines()) + list(extra_cuts))
+    filled = polytope_faces(poly, cuts)
     in_boundary = []
-    for sheet in cu.sheets(cs):
-        plus, minus = flank_signs(sheet, cs)
-        if (plus in brickset) != (minus in brickset):
+    for sheet in cu.sheets(cuts):
+        below, above = flank_faces(sheet, cuts)
+        if (below in filled) != (above in filled):
             in_boundary.append(sheet)
-    corners = tuple(v for v in cs.vertices() if pl.point_on_boundary(poly, v))
-    return cu.BoundaryRepresentation(cs, tuple(in_boundary), corners)
+    corners = tuple(v for v in vertices(cuts) if pl.point_on_boundary(poly, v))
+    return cu.BoundaryRepresentation(cuts, tuple(in_boundary), corners)
 
 
 def reference_sheet_points(sheet, count=3):
@@ -442,19 +471,19 @@ def eager_sheet(cuts, mu, lo, hi, den, above):
 def reference_walk_boundary_representation(poly, extra_cuts=()):
     """``cuts.boundary_representation`` with the own bits keyed by line and
     each corner built by ``point_on`` at a sheet's ``Fraction`` end."""
-    cs = cu.CutSystem.of(list(poly.constraint_lines()) + list(extra_cuts))
-    index = {cut: j for j, cut in enumerate(cs.cuts)}
+    cuts = cut_system(list(poly.constraint_lines()) + list(extra_cuts))
+    index = {cut: j for j, cut in enumerate(cuts)}
     masks = pl.sign_masks(poly, index)
     boundary, corners = [], set()
-    for edge in pl.arrangement_edges(cs.cuts):
+    for edge in pl.arrangement_edges(cuts):
         mu, _, _, _, above = edge
         if pl.fills(masks, above | 1 << index[mu]) != pl.fills(masks, above):
-            sheet = cu.Sheet(cs.cuts, *edge)
+            sheet = cu.Sheet(cuts, *edge)
             boundary.append(sheet)
             base, direction = pl.line_param(mu)
             corners.update(pl.point_on(base, direction, t)
                            for t in (sheet.lo, sheet.hi) if t is not None)
-    return cu.BoundaryRepresentation(cs, tuple(boundary), tuple(sorted(corners)))
+    return cu.BoundaryRepresentation(cuts, tuple(boundary), tuple(sorted(corners)))
 
 
 def _reference_lo_key(lo):
@@ -612,9 +641,9 @@ def _reference_solve_1d(cons):
 
 
 def reference_feasible_point(cons):
-    """``plane.feasible_point`` by Fourier-Motzkin over ``Fraction``: y is
-    eliminated pairwise, the x-system solved by dividing out each bound,
-    and y back-substituted."""
+    """The witness of ``plane.feasible_ints`` as a point, by Fourier-Motzkin
+    over ``Fraction``: y is eliminated pairwise, the x-system solved by
+    dividing out each bound, and y back-substituted."""
     cons = [tuple(Fraction(v) for v in con[:3]) + (con[3],) for con in cons]
     x_cons, uppers, lowers = [], [], []
     for a, b, c, strict in cons:

@@ -13,8 +13,8 @@ point from a line's integer form, is compared with ``point_on`` at the
 ``plane.arrangement_edges`` carries each edge's sign vector as a bitmask,
 and ``plane.flanks`` tests both flanks of an edge with one compare per
 part, checked equal to ``plane.fills`` on each flank.  The facet search,
-``PlanePolytope.equals``, ``cuts.sheets``, ``cuts.brick_decomposition``
-and ``cuts.boundary_representation`` read their answers off them.  Each is checked against the point-probing or
+``PlanePolytope.equals``, ``plane.faces``, ``cuts.sheets`` and
+``cuts.boundary_representation`` read their answers off them.  Each is checked against the point-probing or
 Fourier-Motzkin reference it replaced (``tests/helpers.py``) on random cut
 systems of 1-9 lines with parallel families (normals in {-2..2}^2) and
 pencils of concurrent lines, and on random polytopes with translated,
@@ -33,7 +33,7 @@ from polycontact import cuts as cu
 from polycontact import plane as pl
 from polycontact.numeric import HalfSpace, Hyperplane
 from helpers import (
-    demorgan_equals, evaluated_other_signs, exhaustive_brick_decomposition, mirrored,
+    cut_system, demorgan_equals, evaluated_other_signs, exhaustive_faces, mirrored,
     probe_sc_analysis, reference_arrangement_edges, reference_boundary_representation,
     translated)
 
@@ -268,10 +268,11 @@ def test_above_is_the_sign_vector_at_rep(lines):
 @example(PARALLEL_FAMILY)
 @example(PENCIL)
 def test_bricks_and_sheets_match_references(lines):
-    cs = cu.CutSystem.of(lines)
-    assert cu.brick_decomposition(cs) == exhaustive_brick_decomposition(cs)
-    for sheet in cu.sheets(cs):
-        assert sheet.other_signs == evaluated_other_signs(cs, sheet)
+    # the bricks are the faces: the alternatives whose strict system is feasible
+    cuts = cut_system(lines)
+    assert pl.faces(cuts) == exhaustive_faces(cuts)
+    for sheet in cu.sheets(cuts):
+        assert sheet.other_signs == evaluated_other_signs(cuts, sheet)
 
 
 @settings(max_examples=150, deadline=None)

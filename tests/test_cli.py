@@ -805,3 +805,23 @@ def test_parse_error_names_the_file(argv, name, text, files, capsys):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
     if name == "bad.iv":
         assert captured.err == f"error: {path}: piece with lo > hi: [1, 0]\n"
+
+
+# a command and a graph that parses but has a shape the command rejects
+SHAPE_ERRORS = [
+    (["project", "FILE"], TRIANGLE, "graph must be connected and acyclic; run untie first"),
+    (["project", "FILE"], "space { cells a b; }",
+     "graph must be connected and acyclic; run untie first"),
+    (["untie", "FILE"], "space { cells a b; }", "untying is defined for connected spaces"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", SHAPE_ERRORS,
+                         ids=["project-cycle", "project-disconnected", "untie-disconnected"])
+def test_graph_shape_error_names_the_file(argv, text, message, files, capsys):
+    write, _ = files
+    path = write("shape.graph", text)
+    assert run([path if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"

@@ -14,11 +14,10 @@ from polycontact import cuts as cu
 from polycontact import plane as pl
 from polycontact.algebra import FiniteContactAlgebra, PlaneAlgebra, audit_axioms
 from polycontact.numeric import HalfSpace, Hyperplane
-from polycontact.plane import _as_con, feasible_point
 from helpers import (
-    demorgan_equals, eager_sheet, flank_signs, polytope_brick_signs,
-    reference_boundary_representation, reference_sheet_points,
-    reference_walk_boundary_representation)
+    cut_system, demorgan_equals, eager_sheet, exhaustive_faces, face_constraints, face_point,
+    flank_faces, polytope_faces, reference_boundary_representation, reference_sheet_points,
+    reference_walk_boundary_representation, vertices)
 
 X_AXIS = Hyperplane((F(0), F(1)), F(0))
 Y_AXIS = Hyperplane((F(1), F(0)), F(0))
@@ -29,15 +28,14 @@ Q1 = pl.PlanePolytope.from_constraint_sets(
 
 
 class TestBricks:
+    """The bricks of a cut system are the open faces of its arrangement,
+    named by their sign vectors (``plane.faces``)."""
+
     def test_axes_give_four_quadrants(self):
-        cs = cu.CutSystem.of([X_AXIS, Y_AXIS])
-        bricks = cu.brick_decomposition(cs)
-        assert len(bricks) == 4
+        assert len(pl.faces(cut_system([X_AXIS, Y_AXIS]))) == 4
 
     def test_parallel_cuts_give_three_slabs(self):
-        cs = cu.CutSystem.of([Y_AXIS, X_ONE])
-        bricks = cu.brick_decomposition(cs)
-        assert len(bricks) == 3
+        assert len(pl.faces(cut_system([Y_AXIS, X_ONE]))) == 3
 
     def test_cores_pairwise_disjoint(self):
         rng = random.Random(14)
@@ -48,45 +46,31 @@ class TestBricks:
                 if not (a or b):
                     a = 1
                 lines.append(Hyperplane((F(a), F(b)), F(rng.randint(-3, 3))))
-            cs = cu.CutSystem.of(lines)
-            bricks = cu.brick_decomposition(cs)
-            for b1, b2 in combinations(bricks, 2):
-                combined = [_as_con(h, True)
-                            for h in b1.constraints + b2.constraints]
-                assert feasible_point(combined) is None
+            cuts = cut_system(lines)
+            for f1, f2 in combinations(sorted(pl.faces(cuts)), 2):
+                combined = [(*h.integer_form, True)
+                            for h in face_constraints(cuts, f1) + face_constraints(cuts, f2)]
+                assert pl.feasible_ints(combined) is None
 
-    def test_needs_cuts(self):
-        with pytest.raises(ValueError):
-            cu.brick_decomposition(cu.CutSystem.of([]))
+    def test_no_cuts_leave_one_face(self):
+        assert pl.faces(()) == exhaustive_faces(()) == {0}
 
-    @staticmethod
-    def _core_point_calls(monkeypatch, cs):
-        calls = []
-
-        def counted(halfspaces):
-            calls.append(halfspaces)
-            return pl.core_point(halfspaces)
-
-        monkeypatch.setattr(cu, "core_point", counted)
-        bricks = cu.brick_decomposition(cs)
-        return len(calls), bricks
-
-    def test_one_core_point_call_per_brick_in_general_position(self, monkeypatch):
+    def test_parabola_tangents_give_211_faces(self):
         # tangents y = a*x - a^2 of a parabola: no two parallel, no three
         # concurrent, so 20 lines cut the plane into 1 + 20 + 190 faces
-        cs = cu.CutSystem.of(Hyperplane((F(-a), F(1)), F(-a * a)) for a in range(20))
-        calls, bricks = self._core_point_calls(monkeypatch, cs)
-        assert len(bricks) == 211
-        assert calls == 211
+        cuts = cut_system(Hyperplane((F(-a), F(1)), F(-a * a)) for a in range(20))
+        faces = pl.faces(cuts)
+        assert len(faces) == 211
+        assert all(face_point(cuts, face) is not None for face in faces)
 
-    def test_one_core_point_call_per_brick_degenerate(self, monkeypatch):
+    def test_pencil_crossed_by_parallels_gives_18_faces(self):
         # a pencil of three lines through the origin (6 faces), crossed at
         # three points each by three parallel lines (4 more faces each)
         parallel = [Hyperplane((F(1), F(0)), F(c)) for c in (-1, 1, 2)]
         pencil = [X_AXIS, Hyperplane((F(1), F(1)), F(0)), Hyperplane((F(1), F(-1)), F(0))]
-        cs = cu.CutSystem.of(parallel + pencil)
-        calls, bricks = self._core_point_calls(monkeypatch, cs)
-        assert calls == len(bricks) == 18
+        cuts = cut_system(parallel + pencil)
+        assert len(pl.faces(cuts)) == 18
+        assert pl.faces(cuts) == exhaustive_faces(cuts)
 
 
 def test_equals_and_boundary_make_no_fourier_motzkin_call(monkeypatch):
@@ -100,8 +84,7 @@ def test_equals_and_boundary_make_no_fourier_motzkin_call(monkeypatch):
         calls.append(cons)
         return kernel(cons)
 
-    # every Fourier-Motzkin test, the overlap search's and feasible_point's,
-    # runs through the integer kernel
+    # every Fourier-Motzkin test runs through the integer kernel
     kernel = pl.feasible_ints
     monkeypatch.setattr(pl, "feasible_ints", counted)
     assert [p.equals(q) for p in polys for q in polys] == expected
@@ -121,35 +104,33 @@ def test_cuts_imports_no_private_plane_name():
 
 class TestSheets:
     def test_axes_sheets(self):
-        cs = cu.CutSystem.of([X_AXIS, Y_AXIS])
-        sheets = cu.sheets(cs)
+        sheets = cu.sheets(cut_system([X_AXIS, Y_AXIS]))
         # each axis splits at the origin into two open rays
         assert len(sheets) == 4
         assert all((s.lo is None) != (s.hi is None) for s in sheets)
 
     def test_uncrossed_cut_is_one_sheet(self):
-        cs = cu.CutSystem.of([X_AXIS])
-        sheets = cu.sheets(cs)
+        sheets = cu.sheets(cut_system([X_AXIS]))
         assert len(sheets) == 1 and sheets[0].lo is None and sheets[0].hi is None
 
     def test_sheet_in_boundary_of_both_flanks(self):
-        cs = cu.CutSystem.of([X_AXIS, Y_AXIS, X_ONE])
-        decomposition = {b.signs: b for b in cu.brick_decomposition(cs)}
-        for sheet in cu.sheets(cs):
-            plus, minus = flank_signs(sheet, cs)
-            assert plus in decomposition and minus in decomposition
-            for signs in (plus, minus):
-                brick = decomposition[signs]
+        cuts = cut_system([X_AXIS, Y_AXIS, X_ONE])
+        faces = pl.faces(cuts)
+        for sheet in cu.sheets(cuts):
+            flanks = flank_faces(sheet, cuts)
+            assert set(flanks) <= faces
+            for face in flanks:
+                constraints = face_constraints(cuts, face)
                 for point in cu.sheet_points(sheet):
-                    assert brick.contains(point)
-                    assert not all(h.value_at(point) < 0 for h in brick.constraints)
+                    assert all(h.value_at(point) <= 0 for h in constraints)
+                    assert not all(h.value_at(point) < 0 for h in constraints)
 
     def test_sheets_avoid_vertices(self):
-        cs = cu.CutSystem.of([X_AXIS, Y_AXIS, X_ONE])
-        vertices = set(cs.vertices())
-        for sheet in cu.sheets(cs):
+        cuts = cut_system([X_AXIS, Y_AXIS, X_ONE])
+        crossings = set(vertices(cuts))
+        for sheet in cu.sheets(cuts):
             for point in cu.sheet_points(sheet):
-                assert point not in vertices
+                assert point not in crossings
 
 
 class TestBoundaryRepresentation:
@@ -165,8 +146,7 @@ class TestBoundaryRepresentation:
 
     def test_negative_axis_sheet_disjoint_from_quadrant(self):
         rep = cu.boundary_representation(Q1)
-        cs = rep.cut_system
-        for sheet in cu.sheets(cs):
+        for sheet in cu.sheets(rep.cuts):
             on_boundary = sheet in rep.boundary_sheets
             for point in cu.sheet_points(sheet):
                 assert pl.point_on_boundary(Q1, point) == on_boundary
@@ -177,7 +157,7 @@ class TestBoundaryRepresentation:
         upper = pl.PlanePolytope.from_constraint_sets(
             [[HalfSpace((F(0), F(-1)), F(0))]])
         rep = cu.boundary_representation(upper, extra_cuts=[Y_AXIS])
-        # both x-axis sheets are boundary (flanking bricks on opposite sides)
+        # both x-axis sheets are boundary (flanking faces on opposite sides)
         on_x_axis = [s for s in rep.boundary_sheets if s.carrier == X_AXIS]
         assert len(on_x_axis) == 2
         assert all(s.carrier == X_AXIS for s in rep.boundary_sheets)
@@ -189,21 +169,17 @@ class TestBoundaryRepresentation:
     def test_entirety_dichotomy_random(self):
         # a sheet is never split: it lies wholly in the boundary, wholly in
         # the interior, or misses the polytope, according to how many of
-        # its flanking bricks are bricks of the polytope (2, 1, or 0)
+        # its flanking faces the polytope fills (2, 1, or 0)
         rng = random.Random(25)
         for _ in range(10):
             poly = pl.random_plane_polytope(rng, max_parts=2, max_cons=3,
                                             span=3, max_den=2)
             if poly.is_empty() or poly.equals(pl.R2):
                 continue
-            cs = cu.CutSystem.for_polytope(poly)
-            if not cs.cuts:
-                continue
-            decomposition = cu.brick_decomposition(cs)
-            brickset = polytope_brick_signs(poly, cs, decomposition)
-            for sheet in cu.sheets(cs):
-                plus, minus = flank_signs(sheet, cs)
-                inside = (plus in brickset) + (minus in brickset)
+            cuts = tuple(poly.constraint_lines())
+            filled = polytope_faces(poly, cuts)
+            for sheet in cu.sheets(cuts):
+                inside = sum(face in filled for face in flank_faces(sheet, cuts))
                 expected = {2: "interior", 1: "boundary", 0: "outside"}[inside]
                 for pt in cu.sheet_points(sheet):
                     if pl.point_in_interior(poly, pt):
@@ -222,13 +198,12 @@ class TestBoundaryRepresentation:
             if poly.is_empty() or poly.equals(pl.R2):
                 continue
             rep = cu.boundary_representation(poly)
-            cs = rep.cut_system
             in_s = set(rep.boundary_sheets)
-            for sheet in cu.sheets(cs):
+            for sheet in cu.sheets(rep.cuts):
                 for pt in cu.sheet_points(sheet):
                     assert pl.point_on_boundary(poly, pt) == (sheet in in_s)
             corners = set(rep.corner_points)
-            for v in cs.vertices():
+            for v in vertices(rep.cuts):
                 assert pl.point_on_boundary(poly, v) == (v in corners)
 
 
@@ -263,13 +238,12 @@ def test_boundary_path_matches_fraction_references():
         poly, unused = polytope_with_cuts(rng)
         for extra in ([], unused, unused[::-1] + poly.constraint_lines()[:2]):
             rep = cu.boundary_representation(poly, extra)
-            cs = rep.cut_system
-            assert 3 <= len(cs.cuts) <= 8
-            assert cs == cu.CutSystem.of(list(poly.constraint_lines()) + extra)
+            assert 3 <= len(rep.cuts) <= 8
+            assert rep.cuts == cut_system(list(poly.constraint_lines()) + extra)
             assert rep == reference_walk_boundary_representation(poly, extra)
             assert rep == reference_boundary_representation(poly, extra)
             assert all(type(v) is F for corner in rep.corner_points for v in corner)
-            for sheet in rep.boundary_sheets + cu.sheets(cs):
+            for sheet in rep.boundary_sheets + cu.sheets(rep.cuts):
                 for count in (1, 3, 4):
                     points = cu.sheet_points(sheet, count)
                     assert points == reference_sheet_points(sheet, count)
@@ -298,24 +272,24 @@ def test_sheets_compare_hash_and_repr_as_eager_records():
     rng = random.Random(23)
     for _ in range(25):
         poly, unused = polytope_with_cuts(rng)
-        cs = cu.CutSystem.for_polytope(poly)
-        same = cu.CutSystem.of(list(cs.cuts))
-        wider = cu.CutSystem.of(list(cs.cuts) + unused[:1])
-        moved = cu.CutSystem(cs.cuts[1:] + cs.cuts[:1])
-        assert same.cuts is not cs.cuts
+        cuts = tuple(poly.constraint_lines())
+        same = cut_system(cuts)
+        wider = cut_system(cuts + tuple(unused[:1]))
+        moved = cuts[1:] + cuts[:1]
+        assert same is not cuts
         sheets, records = [], []
-        for system in (cs, same, wider, moved):
+        for system in (cuts, same, wider, moved):
             got = cu.sheets(system)
             sheets += got
             records += assert_sheets_are_eager_records(
-                system.cuts, got, pl.arrangement_edges(system.cuts))
+                system, got, pl.arrangement_edges(system))
         rep = cu.boundary_representation(poly)
-        index = {cut: j for j, cut in enumerate(cs.cuts)}
+        index = {cut: j for j, cut in enumerate(cuts)}
         masks = pl.sign_masks(poly, index)
-        boundary = [(mu, *ends, above) for mu, *ends, above in pl.arrangement_edges(cs.cuts)
+        boundary = [(mu, *ends, above) for mu, *ends, above in pl.arrangement_edges(cuts)
                     if pl.fills(masks, above | 1 << index[mu]) != pl.fills(masks, above)]
         sheets += rep.boundary_sheets
-        records += assert_sheets_are_eager_records(cs.cuts, rep.boundary_sheets, boundary)
+        records += assert_sheets_are_eager_records(cuts, rep.boundary_sheets, boundary)
         for s, r in zip(sheets, records):
             assert [s == t for t in sheets] == [r == u for u in records]
         assert len(set(sheets)) == len(set(records))
@@ -346,12 +320,12 @@ def test_unread_sheets_copy_and_pickle_with_their_fields():
     rng = random.Random(29)
     for _ in range(10):
         poly, _ = polytope_with_cuts(rng)
-        cs = cu.CutSystem.for_polytope(poly)
+        cuts = tuple(poly.constraint_lines())
         for make in (copy.copy, copy.deepcopy,
                      lambda s: pickle.loads(pickle.dumps(s))):
-            unread = cu.sheets(cs)
+            unread = cu.sheets(cuts)
             copies = [make(sheet) for sheet in unread]
-            for sheet, twin in zip(cu.sheets(cs), copies, strict=True):
+            for sheet, twin in zip(cu.sheets(cuts), copies, strict=True):
                 assert (twin.carrier, twin.lo, twin.hi, twin.rep, twin.other_signs) == (
                     sheet.carrier, sheet.lo, sheet.hi, sheet.rep, sheet.other_signs)
                 assert twin == sheet and hash(twin) == hash(sheet)
@@ -370,24 +344,27 @@ def test_sorted_corners_equal_fraction_sort(points):
     assert all(type(v) is F for point in got for v in point)
 
 
-def sheet_graph(cs):
-    """The bricks of a cut system and the contact algebra of its sheet
-    graph: one cell per brick, two bricks in contact when they are equal or
-    flank a common sheet."""
-    bricks = cu.brick_decomposition(cs)
-    index = {b.signs: i for i, b in enumerate(bricks)}
-    succ = [1 << i for i in range(len(bricks))]
-    for sheet in cu.sheets(cs):
-        i, j = (index[signs] for signs in flank_signs(sheet, cs))
+def sheet_graph(cuts):
+    """The bricks of a cut system, as the half-planes of each face, and the
+    contact algebra of its sheet graph: one cell per brick, two bricks in
+    contact when they are equal or flank a common sheet.  The faces are in
+    ``itertools.product((1, -1), ...)`` order of their signs, the order
+    of the Fourier-Motzkin enumeration of the alternatives."""
+    faces = sorted(pl.faces(cuts), key=lambda face: [face >> j & 1 for j in range(len(cuts))])
+    index = {face: i for i, face in enumerate(faces)}
+    succ = [1 << i for i in range(len(faces))]
+    for sheet in cu.sheets(cuts):
+        i, j = (index[face] for face in flank_faces(sheet, cuts))
         succ[i] |= 1 << j
         succ[j] |= 1 << i
-    return bricks, FiniteContactAlgebra([str(b.signs) for b in bricks], succ)
+    bricks = [face_constraints(cuts, face) for face in faces]
+    return bricks, FiniteContactAlgebra([str(face) for face in faces], succ)
 
 
 def brick_union(bricks, mask):
     """The union of the bricks whose bits are set in the mask."""
     return pl.PlanePolytope.from_constraint_sets(
-        b.constraints for i, b in enumerate(bricks) if mask >> i & 1)
+        brick for i, brick in enumerate(bricks) if mask >> i & 1)
 
 
 def brick_unions(bricks):
@@ -409,7 +386,7 @@ class TestSheetGraph:
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_contact_sc_is_sheet_graph_contact(self, name):
         cuts, count = self.SYSTEMS[name]
-        bricks, graph = sheet_graph(cu.CutSystem.of(cuts))
+        bricks, graph = sheet_graph(cut_system(cuts))
         assert len(bricks) == count
         unions = brick_unions(bricks)
         mismatches = [(a, b) for a in range(len(unions)) for b in range(len(unions))
@@ -419,7 +396,7 @@ class TestSheetGraph:
     def test_two_cut_subalgebra_passes_exhaustive_audit(self):
         cuts, _ = self.SYSTEMS["two-cuts"]
         algebra = PlaneAlgebra()
-        unions = brick_unions(cu.brick_decomposition(cu.CutSystem.of(cuts)))
+        unions = brick_unions(sheet_graph(cut_system(cuts))[0])
         algebra.elements = lambda: unions
         report = audit_axioms(algebra)
         assert len(unions) == 16 and report.passed, report.text()
@@ -440,7 +417,7 @@ PAIRS_PER_SYSTEM = 40
 def test_contact_sc_is_sheet_graph_contact_on_random_systems(cuts, rng):
     # strong contact on sampled pairs of brick unions of a random 3-5-cut
     # system; half the pairs are disjoint, so their verdict is a facet or none
-    bricks, graph = sheet_graph(cu.CutSystem.of(cuts))
+    bricks, graph = sheet_graph(cut_system(cuts))
     full = (1 << len(bricks)) - 1
     for i in range(PAIRS_PER_SYSTEM):
         a = rng.randint(0, full)

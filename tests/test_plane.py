@@ -11,7 +11,8 @@ from polycontact import plane as pl
 from polycontact.numeric import HalfSpace
 from helpers import (
     SC_PAIR_KINDS, facet_pair_sc, mirrored, reference_feasible_point, reference_fm_mk_basic,
-    reference_mk_basic, reference_sc_witness, reference_sign_masks, reference_solve_1d, sc_pair)
+    reference_mk_basic, reference_sc_witness, reference_sign_masks, reference_solve_1d, sc_pair,
+    witness_point)
 from sc_oracle import OracleInfeasible, plane_sc_oracle
 
 P = pl.parse_plane
@@ -281,15 +282,15 @@ def test_feasible_verdict_invariant_under_reformulation():
                 b = 1
             cons.append((F(a), F(b), F(rng.randint(-5, 5), rng.randint(1, 3)),
                          rng.random() < 0.5))
-        verdict = pl.feasible_point(cons) is not None
+        verdict = pl.feasible_ints(cons) is not None
         shuffled = cons[:]
         rng.shuffle(shuffled)
-        assert (pl.feasible_point(shuffled) is not None) == verdict
+        assert (pl.feasible_ints(shuffled) is not None) == verdict
         swapped = [(b, a, c, s) for a, b, c, s in cons]
-        assert (pl.feasible_point(swapped) is not None) == verdict
+        assert (pl.feasible_ints(swapped) is not None) == verdict
         scale = F(rng.randint(1, 9), rng.randint(1, 9))
         scaled = [(a * scale, b * scale, c * scale, s) for a, b, c, s in cons]
-        assert (pl.feasible_point(scaled) is not None) == verdict
+        assert (pl.feasible_ints(scaled) is not None) == verdict
 
 
 def test_feasible_point_satisfies_system():
@@ -302,7 +303,7 @@ def test_feasible_point_satisfies_system():
                 a = 1
             cons.append((F(a), F(b), F(rng.randint(-6, 6), rng.randint(1, 3)),
                          rng.random() < 0.5))
-        point = pl.feasible_point(cons)
+        point = witness_point(cons)
         if point is not None:
             x, y = point
             for a, b, c, strict in cons:
@@ -374,11 +375,10 @@ def systems(draw):
 @example([(F(1, 999983), F(-2, 3), F(5, 1000000), True), (-2, F(1, 7), 1, False)])
 @example([(F(1, 3), 0, F(1, 7), False), (0, F(-2, 5), 1, True)])
 def test_feasible_point_equals_fraction_reference(cons):
-    point = pl.feasible_point(cons)
-    assert point == reference_feasible_point(cons)
-    assert point is None or all(type(v) is F for v in point)
-    # the kernel's verdict and int witness, which feasible_point only wraps
+    # the kernel's verdict, and its witness as ints and read as Fractions
     witness = pl.feasible_ints(cons)
+    point = witness_point(cons)
+    assert point == reference_feasible_point(cons)
     assert (witness is None) == (point is None)
     if witness is not None:
         (p, q), (r, s) = witness
@@ -405,8 +405,10 @@ def test_mk_basic_equals_fraction_reference(cons):
     got = pl.mk_basic(halfplanes)
     assert got == reference_mk_basic(halfplanes) == reference_fm_mk_basic(halfplanes)
     if got is not None:
-        assert got.interior_point() == reference_feasible_point(
-            [(*h.normal, h.offset, True) for h in got.constraints])
+        # a point of the interior, which mk_basic keeps nonempty
+        interior = [(*h.integer_form, True) for h in got.constraints]
+        assert witness_point(interior) == reference_feasible_point(
+            [(*h.normal, h.offset, True) for h in got.constraints]) is not None
 
 
 def _one_variable_system(rng):
@@ -523,26 +525,6 @@ def test_sc_explanation_matches_the_verdicts():
         else:
             assert line is None and point is None and walked == total
     assert reasons == {"overlap", "facet", "none"}
-
-
-def test_contact_predicates_build_no_fraction_point(monkeypatch):
-    # the overlap search answers on feasible_ints' witness; the strong-
-    # contact record builds its one centre itself
-    pairs = [sc_pair(random.Random(seed), kind)
-             for seed in range(6) for kind in SC_PAIR_KINDS]
-
-    def answers():
-        return [(pl.contact_c(a, b), pl.overlap(a, b), pl.contact_sc(a, b),
-                 pl.sc_witness(a, b), pl.sc_explanation(a, b)) for a, b in pairs]
-
-    want = answers()
-
-    def refuse(cons):
-        raise AssertionError("feasible_point called")
-
-    monkeypatch.setattr(pl, "feasible_point", refuse)
-    assert answers() == want
-    assert {explanation[0] for *_, explanation in want} == {"overlap", "facet", "none"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 An adjacency space is a finite set of cells with a reflexive symmetric
 relation.  Loops are implicit (every cell is adjacent to itself); only the
-non-loop edges are stored, as unordered pairs.
+non-loop edges are stored, as unordered pairs.  Each space builds its
+sorted neighbour lists once, on first use, and every walk over a space
+reads them.
 
 The three stages used by countermodel synthesis live here:
 
-* ``untie``       - repeatedly break simple cycles by duplicating a cell
-  until the space is acyclic, returning the acyclic space together with the
-  collapsing map back to the original, which is a p-morphism;
+* ``untie``       - repeatedly break the shortest simple cycle, the least
+  of those, by duplicating a cell until the space is acyclic, returning the
+  acyclic space together with the collapsing map back to the original,
+  which is a p-morphism.  Each break finds its cycle with a breadth-first
+  search from every start (Itai & Rodeh) and one depth-first search bounded
+  by the distances it found, so a break costs O(V(V + E)) plus the bounded
+  search, and no break lists all cycles;
 * ``numeration``  - number the cells of an acyclic connected space so that
   breadth-first levels from a root are respected; every non-root cell then
   has a unique lower-numbered neighbour;
@@ -28,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cylinder import CylinderPolytope
-from .intervals import canonicalize, segment_masks
+from .intervals import IntervalPolytope, segment_masks
 
 Edge = tuple[str, str]
 
@@ -45,9 +51,18 @@ class AdjacencySpace:
     def adjacent(self, x: str, y: str) -> bool:
         return x == y or _edge(x, y) in self.edges
 
+    @cached_property
+    def _neighbour_lists(self) -> Mapping[str, tuple[str, ...]]:
+        lists: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            lists.setdefault(a, []).append(b)
+            lists.setdefault(b, []).append(a)
+        return {x: tuple(sorted(ys)) for x, ys in lists.items()}
+
     def neighbours(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(b if a == x else a
-                            for a, b in self.edges if x in (a, b)))
+        """The cells adjacent to ``x`` other than ``x``, ascending; the
+        lists of all cells are built on the first call and kept."""
+        return self._neighbour_lists.get(x, ())
 
     def __repr__(self) -> str:
         return f"AdjacencySpace({len(self.cells)} cells, {len(self.edges)} edges)"
@@ -114,12 +129,10 @@ def simple_cycles(space: AdjacencySpace) -> list[tuple[str, ...]]:
     lexicographically among cycles of one length.
     """
     cycles = []
-    cells = space.cells
-    neighbours = {x: space.neighbours(x) for x in cells}
 
     def extend(start: str, path: list[str], on_path: set[str]):
         x = path[-1]
-        for y in neighbours[x]:
+        for y in space.neighbours(x):
             if y == start and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(tuple(path))
@@ -130,7 +143,7 @@ def simple_cycles(space: AdjacencySpace) -> list[tuple[str, ...]]:
                 on_path.remove(y)
                 path.pop()
 
-    for start in cells:
+    for start in space.cells:
         extend(start, [start], {start})
     return sorted(cycles, key=lambda c: (len(c), c))
 
@@ -200,24 +213,85 @@ def check_pmorphism(f: PMorphism | Mapping[str, str],
     return True
 
 
+def _least_shortest_cycle(space: AdjacencySpace) -> Optional[tuple[str, ...]]:
+    """The first cycle of ``simple_cycles(space)``, or None when there is none.
+
+    A breadth-first search from each start s over the cells >= s (Itai &
+    Rodeh, "Finding a minimum circuit in a graph", 1978) reads a closed walk
+    of length d(x) + d(y) + 1 off each edge {x, y} outside its tree; every
+    such walk holds a cycle, and a cycle through s is no shorter than the
+    least walk, so the least walk over all starts is the girth g.  Then, from
+    each start whose least walk is g, in order, a depth-first search in
+    sorted order over the cells > s steps only to a cell y within g - k of
+    s when y would take position k, so every path it extends to g cells
+    closes a cycle, and the first is the least g-cycle through s.  It is
+    canonical (its second cell is below its last): the reversal of a g-cycle
+    is one too, and the search meets the orientation with the smaller
+    second cell first.
+    """
+    nbrs = space.neighbours
+    girth, searched = None, []
+    for s in space.cells:
+        if len(nbrs(s)) < 2:  # a leaf is on no cycle
+            continue
+        dist, frontier, shortest = {s: 0}, [s], None
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in nbrs(x):
+                    if y < s:
+                        continue
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+                    elif dist[y] >= dist[x]:  # not the edge to a cell a level up
+                        walk = dist[x] + dist[y] + 1
+                        if shortest is None or walk < shortest:
+                            shortest = walk
+            frontier = nxt
+        if shortest is not None:
+            searched.append((s, dist, shortest))
+            if girth is None or shortest < girth:
+                girth = shortest
+    for s, dist, shortest in searched:
+        if shortest != girth:
+            continue
+        path, on_path, stack = [s], {s}, [iter(nbrs(s))]
+        while stack:
+            for y in stack[-1]:
+                if y <= s or y in on_path or dist[y] > girth - len(path):
+                    continue
+                if len(path) + 1 == girth:  # dist[y] <= 1: y closes the cycle
+                    return (*path, y)
+                path.append(y)
+                on_path.add(y)
+                stack.append(iter(nbrs(y)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return None
+
+
 def untie(space: AdjacencySpace) -> tuple[AdjacencySpace, PMorphism]:
     """Untied (acyclic) version of a connected space plus the collapsing map.
 
     Deterministic choices: the shortest simple cycle, the lexicographically
     least of those (the first in ``simple_cycles``' ``(len, cycle)``
     order), its least cell, and that cell's least neighbour on the cycle.
-    The returned map composes the per-step collapses a' -> a and is a
-    p-morphism onto the input.
+    Each break finds that cycle without listing cycles: a breadth-first
+    search from every start over the cells above it gives the girth, and a
+    depth-first search bounded by those distances finds the least cycle of
+    that length (``_least_shortest_cycle``).  A break costs O(V(V + E))
+    plus the bounded search on the current space, and there are E - V + 1
+    breaks.  The returned map composes the per-step collapses a' -> a and
+    is a p-morphism onto the input.
     """
     if not is_connected(space):
         raise ValueError("untying is defined for connected spaces")
     current = space
     to_original = {x: x for x in space.cells}
-    while True:
-        cycles = simple_cycles(current)
-        if not cycles:
-            break
-        cycle = cycles[0]
+    while (cycle := _least_shortest_cycle(current)) is not None:
         a = min(cycle)
         b = min(_cycle_neighbours(cycle, a))
         broken = break_cycle(current, cycle, a, b)
@@ -277,7 +351,10 @@ def numeration(space: AdjacencySpace, root: str) -> Numeration:
 
 def unique_parent(space: AdjacencySpace, num: Numeration, cell: str) -> str:
     """The unique lower-numbered neighbour of a non-root cell."""
-    numbering = num.numbering()
+    return _parent(space, num.numbering(), cell)
+
+
+def _parent(space: AdjacencySpace, numbering: Mapping[str, int], cell: str) -> str:
     below = [y for y in space.neighbours(cell) if numbering[y] < numbering[cell]]
     if len(below) != 1:
         raise ValueError(f"cell {cell!r} has {len(below)} lower-numbered neighbours")
@@ -294,9 +371,10 @@ def arrangement(space: AdjacencySpace, num: Numeration) -> tuple[str, ...]:
     _require_tree(space)
     if sorted(num.order) != list(space.cells):
         raise ValueError("numeration does not list the cells of the space")
+    numbering = num.numbering()
     walk = [num.root]
     for cell in num.order[1:]:
-        parent = unique_parent(space, num, cell)
+        parent = _parent(space, numbering, cell)
         i = walk.index(parent)
         walk[i:i + 1] = [parent, cell, parent]
     return tuple(walk)
@@ -311,12 +389,17 @@ def project(space: AdjacencySpace, walk: Sequence[str], n: int = 1
     the images are regular closed, pairwise non-overlapping, and cover
     everything.  Adjacency coincides with strong contact of the images;
     this is re-checked on their segment masks before returning.
+
+    The pieces are written canonical: no cell occurs twice in a row, so a
+    cell's unit intervals never touch, and the walk starts and ends at the
+    root, so the rays join the root's first and last pieces.
     """
     _require_tree(space)
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     length = 2 * len(space.cells) - 1
-    if len(walk) != length or set(walk) != set(space.cells):
+    if (len(walk) != length or set(walk) != set(space.cells)
+            or any(x == y for x, y in zip(walk, walk[1:]))):
         raise ValueError("walk is not an arrangement of the space")
     root = walk[0]
     if walk[-1] != root:
@@ -324,9 +407,11 @@ def project(space: AdjacencySpace, walk: Sequence[str], n: int = 1
     pieces: dict[str, list] = {x: [] for x in space.cells}
     for k, cell in enumerate(walk):
         pieces[cell].append((k, k + 1))
-    pieces[root].append((None, 0))
-    pieces[root].append((length, None))
-    images = {x: CylinderPolytope(canonicalize(ps), n) for x, ps in pieces.items()}
+    rooted = pieces[root]
+    rooted[0] = (None, rooted[0][1])
+    rooted[-1] = (rooted[-1][0], None)
+    images = {x: CylinderPolytope(IntervalPolytope.from_canonical(tuple(ps)), n)
+              for x, ps in pieces.items()}
     _check_projection(space, images)
     return images
 

@@ -4,7 +4,10 @@ A value is a sorted tuple of maximal closed pieces ``(lo, hi)`` where ``None``
 stands for an unbounded end.  Canonical form means pieces are pairwise
 separated by gaps of positive length and no piece is a single point, so two
 values denote the same regular closed set iff they are equal tuples.  Every
-``IntervalPolytope`` is canonical: construction rejects any other tuple.
+``IntervalPolytope`` is canonical: construction rejects any other tuple,
+except through ``IntervalPolytope.from_canonical``, which takes pieces that
+are canonical by construction (a segment table read back, and the images
+``adjacency.project`` writes) without the check.
 
 ``canonicalize`` stores a finite endpoint as an ``int`` when it is integral
 and as a ``Fraction`` (denominator above 1) otherwise.  The operations reuse
@@ -18,7 +21,7 @@ breakpoints are the sorted distinct finite endpoints of some pieces, and a
 piece fills a run of the segments between them, so a set of pieces is a
 bitmask; ``from_segments`` reads each run of set bits back as one piece
 between the table's own endpoint objects.  ``canonicalize`` (raw input only:
-parsed text, projected pieces and the random generator) and ``union`` are
+parsed text and the random generator) and ``union`` are
 both that table read back, and ``segment_masks`` is the table of canonical
 polytopes, on which Boolean operations and contact are integer operations.
 ``complement``, ``reg_meet`` and ``contact_c`` merge nothing: they stay
@@ -67,6 +70,15 @@ class IntervalPolytope:
         for a, b in zip(ends, ends[1:]):
             if a is None or b is None or a >= b:
                 raise ValueError(f"pieces not canonical: {self.pieces}")
+
+    @classmethod
+    def from_canonical(cls, pieces: tuple[Piece, ...]) -> "IntervalPolytope":
+        """The polytope of pieces that are canonical by construction, such
+        as a segment table read back, built without the check of
+        ``__post_init__``; the caller guarantees the form."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "pieces", pieces)
+        return out
 
     # -- predicates ----------------------------------------------------
 
@@ -246,7 +258,10 @@ def _segment_table(piece_lists: Sequence[Sequence[Piece]]) -> tuple[tuple[End, .
 def from_segments(ends: Sequence[End], mask: int) -> IntervalPolytope:
     """The polytope filling the segments of ``mask`` over the breakpoints
     ``ends``: the inverse of ``segment_masks``, each run of set bits one
-    piece between the table's own endpoint objects."""
+    piece between the table's own endpoint objects.  The pieces are
+    canonical by construction (distinct runs are separated by a clear bit,
+    and a run spans at least one segment), so the result skips the check
+    of ``IntervalPolytope.__post_init__``."""
     bounds = (None, *ends, None)
     pieces = []
     while mask:
@@ -254,7 +269,7 @@ def from_segments(ends: Sequence[End], mask: int) -> IntervalPolytope:
         above = (mask + low) & ~mask  # the clear bit just above the lowest run
         pieces.append((bounds[low.bit_length() - 1], bounds[above.bit_length() - 1]))
         mask ^= above - low
-    return IntervalPolytope(tuple(pieces))
+    return IntervalPolytope.from_canonical(tuple(pieces))
 
 
 def contact_witness(p: IntervalPolytope, q: IntervalPolytope) -> tuple[End, End] | None:

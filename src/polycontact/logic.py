@@ -66,7 +66,7 @@ import reprlib
 import weakref
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ItemsView, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import bitslice as bs
 from .adjacency import AdjacencySpace, mk_space
@@ -932,8 +932,9 @@ def _canonical_mask(mask: int, n: int, pairs: list[tuple[int, int]]) -> int:
 
 
 _MASK_CACHE: dict[int, list[int]] = {1: [0]}
-# n -> the connected spaces on n cells, each with its contact algebra
-_SPACE_CACHE: dict[int, list[tuple[AdjacencySpace, FiniteContactAlgebra]]] = {}
+# n -> the connected spaces on n cells, in search order, each keyed to its
+# contact algebra
+_SPACE_CACHE: dict[int, dict[AdjacencySpace, FiniteContactAlgebra]] = {}
 
 
 def _connected_masks(n: int) -> list[int]:
@@ -963,14 +964,14 @@ def _connected_masks(n: int) -> list[int]:
     return _MASK_CACHE[n]
 
 
-def _spaces_with_cells(n: int) -> list[tuple[AdjacencySpace, FiniteContactAlgebra]]:
+def _spaces_with_cells(n: int) -> ItemsView[AdjacencySpace, FiniteContactAlgebra]:
     """Each connected space on n cells with its contact algebra (what
     ``algebra.induced_algebra`` builds), both read off the canonical mask
     once: a cell's successor mask is its own bit and its neighbours' bits."""
     if n not in _SPACE_CACHE:
         cells = _CELL_NAMES[:n]
         pairs = _pair_bits(n)
-        entries = []
+        entries = {}
         for mask in _connected_masks(n):
             edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
             succ = [1 << i for i in range(n)]
@@ -978,9 +979,17 @@ def _spaces_with_cells(n: int) -> list[tuple[AdjacencySpace, FiniteContactAlgebr
                 succ[i] |= 1 << j
                 succ[j] |= 1 << i
             space = mk_space(cells, [(cells[i], cells[j]) for i, j in edges])
-            entries.append((space, FiniteContactAlgebra(space.cells, succ)))
+            entries[space] = FiniteContactAlgebra(space.cells, succ)
         _SPACE_CACHE[n] = entries
-    return _SPACE_CACHE[n]
+    return _SPACE_CACHE[n].items()
+
+
+def search_algebra(space: AdjacencySpace) -> FiniteContactAlgebra:
+    """The contact algebra the search holds for a space it has enumerated,
+    such as one ``find_countermodel`` returned: ``algebra.induced_algebra``
+    of the space, built once with it.  Raises ``KeyError`` for a space the
+    enumeration has not yielded."""
+    return _SPACE_CACHE[len(space.cells)][space]
 
 
 def enumerate_connected_spaces(max_cells: int) -> Iterator[AdjacencySpace]:

@@ -7,10 +7,13 @@ onto cylinders over the line, and merge cell sets into polytopes, so the
 formula is falsified by an explicit geometric valuation.  Falsity is
 re-checked at the discrete, untied and geometric stages; a failure at any
 stage aborts with the name of the violated identity (it would indicate a
-bug, not a property of the input).  The geometric stage reads one table of
-the images' segments (``intervals.segment_masks``): a variable fills the OR
-of its cells' masks, is checked false on ``algebra.path_algebra`` and is read
-back by ``intervals.from_segments``.  ``verify`` reads the images' checks and
+bug, not a property of the input).  The discrete stage is re-checked on the
+algebra the search holds for the space it found (``logic.search_algebra``);
+``verify`` builds its own algebras from the certificate's spaces.  The
+geometric stage reads one table of the images' segments
+(``intervals.segment_masks``): a variable fills the OR of its cells' masks,
+is checked false on ``algebra.path_algebra`` and is read back by
+``intervals.from_segments``.  ``verify`` reads the images' checks and
 each variable's union off the one table ``algebra.merge`` builds, and
 re-checks falsity over ``CylinderAlgebra``.
 
@@ -39,8 +42,8 @@ from .adjacency import (
     project,
     untie,
 )
-from .algebra import (AuditReport, CylinderAlgebra, UnknownCell, first_witness,
-                      induced_algebra, merge, path_algebra)
+from .algebra import (AuditReport, CylinderAlgebra, FiniteContactAlgebra, UnknownCell,
+                      first_witness, induced_algebra, merge, path_algebra)
 from .cylinder import CylinderPolytope, format_cylinder, lift, parse_cylinder
 from .intervals import from_segments, segment_masks
 
@@ -80,9 +83,8 @@ class CountermodelCertificate:
         return lg.parse(self.formula_text)
 
 
-def _eval_discrete(formula: lg.Formula, space: AdjacencySpace,
+def _eval_discrete(formula: lg.Formula, algebra: FiniteContactAlgebra,
                    valuation: Valuation) -> bool:
-    algebra = induced_algebra(space)
     masks = {name: algebra.element_of(cells) for name, cells in valuation.items()}
     return lg.evaluate(formula, algebra, masks)
 
@@ -102,7 +104,7 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
     if found is None:
         return None
     space, valuation = found
-    if _eval_discrete(parsed, space, valuation):
+    if _eval_discrete(parsed, lg.search_algebra(space), valuation):
         raise PipelineError("discrete countermodel re-evaluated to true")
 
     untied, collapse = untie(space)
@@ -111,7 +113,7 @@ def synthesize(formula: lg.Formula | str, max_cells: int, dim: int = 1
     lifted: Valuation = {
         name: frozenset(x for x in untied.cells if collapse(x) in cells)
         for name, cells in valuation.items()}
-    if _eval_discrete(parsed, untied, lifted):
+    if _eval_discrete(parsed, induced_algebra(untied), lifted):
         raise PipelineError(
             "formula became true in the untied preimage (truth transfer failed)")
 
@@ -166,7 +168,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
     report.check("formula-matches", None)
 
     report.check("discrete-eval-false", falsified("discrete", lambda: _eval_discrete(
-        formula, cert.discrete_space, cert.discrete_valuation)))
+        formula, induced_algebra(cert.discrete_space), cert.discrete_valuation)))
 
     report.check("pmorphism", holds(
         check_pmorphism(cert.collapse, cert.untied_space, cert.discrete_space)))
@@ -180,7 +182,7 @@ def verify(cert: CountermodelCertificate) -> AuditReport:
         lambda name, _, x: f"at {(name, x)}"))
 
     report.check("untied-eval-false", falsified("untied", lambda: _eval_discrete(
-        formula, cert.untied_space, cert.untied_valuation)))
+        formula, induced_algebra(cert.untied_space), cert.untied_valuation)))
 
     cells = cert.untied_space.cells
     image_ok = set(cert.images) == set(cells)

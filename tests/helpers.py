@@ -1,9 +1,11 @@
 """Shared test machinery: tree enumeration, batched Kripke evaluation, the
 scalar countermodel search kept as the reference for the bit-sliced one,
 the labelled-graph scan kept as the reference for the augmentation
-enumeration, the canonical form over every block relabelling kept for the
-branch and bound, the point-probing plane references kept for the sign-vector
-walk, the Fourier-Motzkin ``equals``, the faces found by one Fourier-Motzkin
+enumeration, the ``untie`` loop that lists every simple cycle after each
+break kept for the breadth-first girth search, the canonical form over
+every block relabelling kept for the branch and bound, the point-probing
+plane references kept for the sign-vector walk, the Fourier-Motzkin
+``equals``, the faces found by one Fourier-Motzkin
 call per alternative and the boundary representation read off face
 points kept for the face kernel, the sort-and-coalesce
 ``canonicalize`` and the line operations built on it and on all pairs of
@@ -49,7 +51,8 @@ from polycontact import cuts as cu
 from polycontact import intervals as iv
 from polycontact import plane as pl
 from polycontact import logic as lg
-from polycontact.adjacency import AdjacencySpace, is_connected, mk_space
+from polycontact.adjacency import (AdjacencySpace, PMorphism, break_cycle, is_connected,
+                                   mk_space, simple_cycles)
 from polycontact.algebra import FiniteContactAlgebra, induced_algebra
 from polycontact.cylinder import lift
 from polycontact.numeric import (HalfSpace, Hyperplane, LineRelation, flip, intersect_lines,
@@ -193,6 +196,28 @@ def scan_connected_spaces(n: int) -> list[AdjacencySpace]:
         if is_connected(space) and reference_canonical_mask(mask, n, pairs) == mask:
             out.append(space)
     return out
+
+
+def reference_untie(space: AdjacencySpace):
+    """``adjacency.untie`` by listing every simple cycle after each break:
+    the untied space, the collapsing map, and the ``(cycle, a, b)`` of each
+    ``break_cycle`` call in order.  The first cycle of ``simple_cycles`` is
+    broken at its least cell, next to that cell's least neighbour on it."""
+    if not is_connected(space):
+        raise ValueError("untying is defined for connected spaces")
+    current, breaks = space, []
+    to_original = {x: x for x in space.cells}
+    while cycles := simple_cycles(current):
+        cycle = cycles[0]
+        a = min(cycle)
+        i = cycle.index(a)
+        b = min(cycle[i - 1], cycle[(i + 1) % len(cycle)])
+        broken = break_cycle(current, cycle, a, b)
+        breaks.append((cycle, a, b))
+        fresh, = set(broken.cells) - set(current.cells)
+        to_original[fresh] = to_original[a]
+        current = broken
+    return current, PMorphism.of(to_original), breaks
 
 
 def batch_true_in_algebra(formula, algebra: FiniteContactAlgebra) -> bool:

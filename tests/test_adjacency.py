@@ -1,10 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from polycontact import adjacency as adj
+from polycontact import logic as lg
 from polycontact.cylinder import lift
-from polycontact.intervals import parse_intervals
+from polycontact.intervals import canonicalize, parse_intervals
+
+from helpers import reference_untie
 
 TRIANGLE = adj.mk_space("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 PATH3 = adj.mk_space("abc", [("a", "b"), ("b", "c")])
@@ -184,6 +188,45 @@ class TestUntie:
         with pytest.raises(ValueError):
             adj.untie(adj.mk_space("ab", []))
 
+    # names that sort on both sides of the primed copies untie makes: "'" sorts
+    # before every letter and digit, so "a" < "a'" < "a''" < "a'b" < "a0" < "aa"
+    PRIMED_NAMES = ("a", "a'", "a''", "a'b", "a0", "aa", "b", "b'", "ba", "c", "c''", "z")
+
+    def test_matches_reference_on_small_spaces(self, monkeypatch):
+        # every connected space of up to 7 cells, under its own names and two
+        # seeded relabellings: the same untied space, collapse pairs and breaks
+        broken, break_cycle = [], adj.break_cycle
+
+        def logged(current, cycle, a, b):
+            broken.append((cycle, a, b))
+            return break_cycle(current, cycle, a, b)
+
+        monkeypatch.setattr(adj, "break_cycle", logged)
+        rng = random.Random(11)
+        spaces = list(lg.enumerate_connected_spaces(7))
+        assert len(spaces) == 996
+        for space in spaces:
+            relabelled = [space]
+            for _ in range(2):
+                names = dict(zip(space.cells, rng.sample(self.PRIMED_NAMES, len(space.cells))))
+                relabelled.append(adj.mk_space(names.values(),
+                                               [(names[a], names[b]) for a, b in space.edges]))
+            for s in relabelled:
+                broken.clear()
+                untied, collapse = adj.untie(s)
+                want, want_collapse, want_breaks = reference_untie(s)
+                assert (untied, collapse.pairs, broken) == (want, want_collapse.pairs, want_breaks)
+
+    @pytest.mark.parametrize("n,cells", [(8, 29), (9, 37), (10, 46)])
+    def test_complete_graphs(self, n, cells):
+        # one fresh cell per edge outside a spanning tree: E + 1 cells
+        names = [f"c{i}" for i in range(n)]
+        space = adj.mk_space(names, combinations(names, 2))
+        untied, collapse = adj.untie(space)
+        assert len(untied.cells) == len(space.edges) + 1 == cells
+        assert adj.is_acyclic(untied) and adj.is_connected(untied)
+        assert adj.check_pmorphism(collapse, untied, space)
+
 
 class TestLevelsAndNumeration:
     def test_path_levels(self):
@@ -280,6 +323,12 @@ class TestProjection:
             root = min(s.cells)
             walk = adj.arrangement(s, adj.numeration(s, root))
             images = adj.project(s, walk, 1)
+            # the pieces project writes are the canonical form of the raw ones
+            for x, img in images.items():
+                raw = [(k, k + 1) for k, cell in enumerate(walk) if cell == x]
+                if x == root:
+                    raw += [(None, 0), (len(walk), None)]
+                assert img.base.pieces == canonicalize(raw).pieces
             total = None
             for img in images.values():
                 total = img if total is None else total.union(img)
@@ -313,6 +362,8 @@ class TestProjection:
             adj.project(s, ("a", "b", "b"), 1)  # does not return to the root
         with pytest.raises(ValueError):
             adj.project(s, ("a", "b", "a"), 0)  # bad dimension
+        with pytest.raises(ValueError):
+            adj.project(PATH3, ("a", "b", "b", "c", "a"), 1)  # a cell twice in a row
 
     def test_other_root_accepted(self):
         s = adj.mk_space("ab", [("a", "b")])

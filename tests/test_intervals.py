@@ -199,6 +199,25 @@ def test_segment_masks_match_sweeps(x, y):
             == [x, y, x.union(y), x.reg_meet(y), x.complement(), x.union(y)])
 
 
+@st.composite
+def segment_tables(draw):
+    ends = tuple(sorted(set(draw(st.lists(grid, max_size=8)))))
+    return ends, draw(st.integers(0, (2 << len(ends)) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_tables())
+@example(((), 0))
+@example(((), 1))
+@example(((0, 1), 0b101))
+def test_from_segments_output_passes_the_validating_constructor(table):
+    # from_segments skips the check of __post_init__; its pieces pass it
+    ends, mask = table
+    got = iv.from_segments(ends, mask)
+    assert iv.IntervalPolytope(got.pieces) == got == _from_segments(mask, ends)
+    assert all(x is None or any(x is e for e in ends) for piece in got.pieces for x in piece)
+
+
 def _exact_ends(ends):
     """Each finite end is an int, or a Fraction that is not integral."""
     for x in ends:

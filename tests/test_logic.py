@@ -969,6 +969,14 @@ class TestSpaceCache:
         assert scalar_find_countermodel(lg.parse("C(p,q) => C(q,p)"), spaces) is None
         assert len(built) == len(spaces)
 
+    def test_search_algebra_is_the_cached_algebra(self):
+        for n in range(1, 6):
+            for space, algebra in lg._spaces_with_cells(n):
+                assert lg.search_algebra(space) is algebra
+        # a space the enumeration never yields: cells not named a, b, ...
+        with pytest.raises(KeyError):
+            lg.search_algebra(mk_space("xy", [("x", "y")]))
+
     def test_returned_space_is_the_enumerated_object(self):
         space, _ = lg.find_countermodel("C(p,q) => p.q != 0", 4)
         assert any(s is space for s in lg.enumerate_connected_spaces(4))

@@ -472,3 +472,22 @@ def test_certificate_formula_cannot_leave_its_text():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cert, name, value)
     assert cert.formula == lg.parse(CONTACT_NOT_OVERLAP)
+
+
+def test_synthesize_builds_one_algebra(monkeypatch):
+    # the discrete check evaluates on the algebra the search holds for the
+    # space it found; only the untied space gets an induced algebra, and
+    # verify builds its own for both parsed spaces
+    induced = pp.induced_algebra
+    built = []
+
+    def counted(space):
+        built.append(space)
+        return induced(space)
+
+    monkeypatch.setattr(pp, "induced_algebra", counted)
+    cert = pp.synthesize(DIAMOND_FORCER, 4, 1)
+    assert built == [cert.untied_space]
+    built.clear()
+    assert _sha(pp.verify(cert).text()) == ALL_PASS_REPORT
+    assert built == [cert.discrete_space, cert.untied_space]
